@@ -20,18 +20,20 @@ implies the knots are S-equivalent outright; a negative answer only
 says no genus-preserving congruence exists, it does not decide full
 S-equivalence.
 
-``brute_force_congruence`` is a deliberately dumb exhaustive search for
-a congruence with bounded entries.  It exists to cross-check the
+``brute_force_congruence`` is an exhaustive search for a congruence
+with bounded entries.  It builds T one row at a time, keeps only rows
+whose value under the form matches the target's diagonal, and drops a
+partial T as soon as one off-diagonal entry misses, so it returns the
+lexicographically first witness without visiting every matrix.  Its
+arithmetic is exact on Python ints.  It exists to cross-check the
 decision procedure above and shares no code with it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Literal, Optional
-
-import numpy as np
 
 from .errors import KnotError
 from .seifert import CongruenceCertificate, SeifertMatrix, int_det
@@ -158,7 +160,8 @@ def decide_first_sequiv(m: SeifertMatrix, ell: int, band: Band = "first") -> SEq
         cert = CongruenceCertificate(((1, -k), (0, 1)))
     else:
         cert = CongruenceCertificate(((1, 0), (-k, 1)))
-    assert cert.apply(m) == twisted
+    if cert.apply(m) != twisted:
+        raise AssertionError("decide: certificate does not reproduce the twisted form")
     return SEquivReport(
         m,
         twisted,
@@ -184,40 +187,6 @@ def verify_certificate(
 
 # -- exhaustive oracle ---------------------------------------------------------
 
-_PERMS: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-# unimodular candidates for searches small enough to enumerate in one chunk,
-# keyed by (matrix size, entry bound)
-_UNIMODULAR: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _signed_perms(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    got = _PERMS.get(n)
-    if got is None:
-        got = []
-        for perm in itertools.permutations(range(n)):
-            inv = sum(
-                1
-                for i in range(n)
-                for j in range(i + 1, n)
-                if perm[i] > perm[j]
-            )
-            got.append((-1 if inv % 2 else 1, perm))
-        _PERMS[n] = got
-    return got
-
-
-def _batch_det(t: np.ndarray) -> np.ndarray:
-    """Exact determinants of a batch of small integer matrices, by the
-    permutation expansion."""
-    n = t.shape[1]
-    out = np.zeros(t.shape[0], dtype=np.int64)
-    for sign, perm in _signed_perms(n):
-        term = t[:, 0, perm[0]].copy()
-        for i in range(1, n):
-            term *= t[:, i, perm[i]]
-        out += sign * term
-    return out
-
 
 def brute_force_congruence(
     m: SeifertMatrix, target: SeifertMatrix, bound: int
@@ -227,9 +196,16 @@ def brute_force_congruence(
     order (row-major, entries ascending), or None.
 
     Independent of the decision procedure by construction: it knows
-    nothing about twists, it just enumerates candidates in batches.
-    Matrices larger than 4x4 are rejected, and the 4x4 search space is
-    (2*bound+1)^16, only realistic for tiny bounds.
+    nothing about twists.  Row i of T must satisfy r M r^T = target[i][i],
+    so only the (2*bound+1)^n candidate rows passing that test are kept,
+    in ascending order.  A depth-first search then picks rows in order,
+    dropping a row as soon as r_j M r_i^T or r_i M r_j^T misses the
+    target against an earlier row j, and accepts the first complete T
+    with det T = +-1.  Row-major entry order is lexicographic order on
+    the sequence of rows, so that first leaf is the lexicographically
+    first witness.  All arithmetic is on Python ints and therefore
+    exact for entries of any size.  Matrices larger than 4x4 are
+    rejected.
     """
     if bound < 0:
         raise KnotError("oracle: bound must be >= 0")
@@ -241,40 +217,51 @@ def brute_force_congruence(
     if n == 0:
         return CongruenceCertificate(())
 
-    mm = np.array(m.rows, dtype=np.int64)
-    tt = np.array(target.rows, dtype=np.int64)
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    total = n * n
-    # entries split into a lexicographic outer prefix and a vectorized tail
-    tail = min(total, 10)
-    head = total - tail
-    grids = np.meshgrid(*([rng] * tail), indexing="ij")
-    block = np.stack(grids, axis=-1).reshape(-1, tail)
-    single_chunk = head == 0
-    if single_chunk:
-        cached = _UNIMODULAR.get((n, bound))
-    for prefix in itertools.product(rng.tolist(), repeat=head):
-        if single_chunk and cached is not None:
-            t = cached
-        else:
-            cand = np.empty((block.shape[0], total), dtype=np.int64)
-            if head:
-                cand[:, :head] = prefix
-            cand[:, head:] = block
-            t = cand.reshape(-1, n, n)
-            keep = np.abs(_batch_det(t)) == 1
-            t = t[keep]
-            if single_chunk:
-                _UNIMODULAR[(n, bound)] = t
-        if not t.shape[0]:
-            continue
-        prod = np.einsum("nij,jk,nlk->nil", t, mm, t)
-        hit = np.all(prod == tt, axis=(1, 2))
-        idx = np.flatnonzero(hit)
-        if idx.size:
-            rows = tuple(tuple(int(x) for x in row) for row in t[idx[0]])
-            return CongruenceCertificate(rows)
-    return None
+    mm, tt = m.rows, target.rows
+    diagonal = {tt[i][i] for i in range(n)}
+    sym = [[mm[i][j] + mm[j][i] for j in range(n)] for i in range(n)]
+    # Grow candidate rows one entry at a time, carrying each prefix's value
+    # under the form; complete rows are kept only when that value is on the
+    # target's diagonal.  Ascending entries at every step keep the rows in
+    # lexicographic order.
+    grown: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for i in range(n):
+        prefixes, grown = grown, []
+        last = i == n - 1
+        for p, q in prefixes:
+            lin = sum(map(mul, p, sym[i]))
+            for x in range(-bound, bound + 1):
+                value = q + x * (lin + mm[i][i] * x)
+                if not last or value in diagonal:
+                    grown.append((p + (x,), value))
+    # value of r M r^T -> [(r, r M)], r ascending
+    columns = list(zip(*mm))
+    rows_by_value: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
+    for r, value in grown:
+        v = [sum(map(mul, r, c)) for c in columns]
+        rows_by_value.setdefault(value, []).append((r, v))
+    choices = [rows_by_value.get(tt[i][i], []) for i in range(n)]
+
+    chosen: list[tuple[tuple[int, ...], list[int]]] = []
+
+    def extend(i: int) -> Optional[tuple[tuple[int, ...], ...]]:
+        if i == n:
+            rows = tuple(r for r, _ in chosen)
+            return rows if int_det(rows) in (1, -1) else None
+        for r, v in choices[i]:
+            for j, (rj, vj) in enumerate(chosen):
+                if sum(map(mul, vj, r)) != tt[j][i] or sum(map(mul, v, rj)) != tt[i][j]:
+                    break
+            else:
+                chosen.append((r, v))
+                found = extend(i + 1)
+                chosen.pop()
+                if found is not None:
+                    return found
+        return None
+
+    found = extend(0)
+    return None if found is None else CongruenceCertificate(found)
 
 
 def connected_sum_certificate(

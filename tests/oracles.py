@@ -2,8 +2,9 @@
 
 These share no algorithmic code with the package: the bracket here
 enumerates all 2^c Kauffman states and counts loops with a union-find,
-and the polynomial product is a direct convolution on coefficient
-lists.  Slow on purpose; keep inputs small.
+the polynomial product is a direct convolution on coefficient lists,
+and the congruence search tries every bounded integer matrix with a
+Leibniz determinant.  Slow on purpose; keep inputs small.
 """
 
 from __future__ import annotations
@@ -67,3 +68,35 @@ def convolve(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         for j, cj in enumerate(qa):
             out[i + j] += ci * cj
     return LaurentPoly({plo + qlo + k: c for k, c in enumerate(out) if c})
+
+
+def leibniz_det(a) -> int:
+    """Determinant as the signed sum over all permutations."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def naive_congruence(m, target, bound: int):
+    """First T in row-major lexicographic order with entries in
+    [-bound, bound], det T = +-1 and T M T^T = target, or None.  Takes
+    and returns plain tuples of rows; tries all (2b+1)^(n^2) matrices."""
+    n = len(m)
+    for entries in itertools.product(range(-bound, bound + 1), repeat=n * n):
+        t = [entries[i * n:(i + 1) * n] for i in range(n)]
+        if leibniz_det(t) not in (1, -1):
+            continue
+        if all(
+            sum(t[i][k] * m[k][l] * t[j][l] for k in range(n) for l in range(n))
+            == target[i][j]
+            for i in range(n)
+            for j in range(n)
+        ):
+            return tuple(tuple(r) for r in t)
+    return None

@@ -132,6 +132,14 @@ def test_sequiv_json_shape(capsys):
     assert payload["input"]["band"] == "second"
 
 
+def test_sequiv_oracle_handles_huge_entries(capsys):
+    code, payload = run_json(capsys, "sequiv", "--seifert",
+                             "[[18446744073709551616,1],[0,0]]", "--ell", "0",
+                             "--oracle-bound", "1")
+    assert code == 0
+    assert payload["result"]["oracle"]["agrees"] is True
+
+
 def test_sequiv_rejects_non_genus_one(capsys):
     code, out, err = run(
         capsys, "sequiv", "--seifert",

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import knotlab
 from knotlab.errors import KnotError
-from knotlab.seifert import CongruenceCertificate, SeifertMatrix
+from knotlab.seifert import CongruenceCertificate, SeifertMatrix, connected_sum
 from knotlab.sequiv import (
     brute_force_congruence,
     connected_sum_certificate,
@@ -13,6 +18,7 @@ from knotlab.sequiv import (
 )
 
 from conftest import genus_one
+from oracles import naive_congruence
 
 M0 = SeifertMatrix(((0, 1), (2, 0)))  # s = 3
 
@@ -148,8 +154,6 @@ def test_oracle_is_lexicographically_first():
 
 
 def test_oracle_trivial_and_rejected_sizes():
-    from knotlab.seifert import connected_sum
-
     empty = SeifertMatrix(())
     assert brute_force_congruence(empty, empty, 0).rows == ()
     stable = SeifertMatrix(((0, 1), (0, 0)))
@@ -161,9 +165,38 @@ def test_oracle_trivial_and_rejected_sizes():
 
 
 def test_oracle_4x4_small_bound():
+    band = SeifertMatrix(((0, 1), (0, 0)))
     m = SeifertMatrix(((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
     w = brute_force_congruence(m, m, 1)
     assert w is not None and verify_certificate(m, m, w)
+    assert w.rows == ((-1, 0, -1, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 1, 0, -1))
+    # the first-band twist of the unknotted band, lifted by connected sum
+    report = decide_first_sequiv(band, 1)
+    target = connected_sum(report.twisted, band)
+    lifted = connected_sum_certificate(report.certificate, 2)
+    assert verify_certificate(m, target, lifted)
+    w = brute_force_congruence(m, target, 1)
+    assert w is not None and verify_certificate(m, target, w)
+    assert w.rows == ((-1, 0, -1, 1), (0, 0, 0, -1), (-1, 0, 0, 0), (0, -1, 0, 1))
+
+
+@given(genus_one(), st.integers(-3, 3), st.sampled_from(("first", "second")),
+       st.integers(0, 2))
+def test_oracle_matches_naive_enumeration(m, ell, band, bound):
+    target = twist_form(m, ell, band)
+    witness = brute_force_congruence(m, target, bound)
+    expected = naive_congruence(m.rows, target.rows, bound)
+    assert (None if witness is None else witness.rows) == expected
+
+
+def test_oracle_is_exact_for_huge_entries():
+    # in 64-bit arithmetic 2^63 - 1 + 1 wraps to -2^63, which faked a witness
+    big = 2**63
+    m = SeifertMatrix(((big - 1, 1), (0, 0)))
+    assert brute_force_congruence(m, SeifertMatrix(((-big, 1), (0, 0))), 1) is None
+    huge = SeifertMatrix(((2**64, 1), (0, 0)))
+    w = brute_force_congruence(huge, huge, 1)
+    assert w is not None and verify_certificate(huge, huge, w)
 
 
 @settings(max_examples=25, deadline=None)
@@ -186,3 +219,33 @@ def test_connected_sum_certificate():
     assert connected_sum_certificate(t, 0).rows == t.rows
     with pytest.raises(KnotError):
         connected_sum_certificate(t, -1)
+
+
+# ---- the package as a fresh interpreter sees it ----
+
+def _fresh_python(*flags, code):
+    src = str(Path(knotlab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *flags, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_import_does_not_load_numpy():
+    proc = _fresh_python(code="import knotlab; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_certificate_check_survives_optimize_flag():
+    # a twist that disagrees with the certificate must still be caught
+    # when python -O strips assert statements
+    code = (
+        "from knotlab import sequiv; from knotlab.seifert import SeifertMatrix\n"
+        "sequiv.twist_form = lambda m, ell, band: SeifertMatrix(((5, 1), (2, 0)))\n"
+        "sequiv.decide_first_sequiv(SeifertMatrix(((0, 1), (2, 0))), 3)"
+    )
+    proc = _fresh_python("-O", code=code)
+    assert proc.returncode == 1
+    assert "AssertionError: decide: certificate does not reproduce" in proc.stderr
