@@ -44,7 +44,6 @@ from .diagram import (
     mirror,
     parse_pd,
     validate,
-    writhe,
 )
 from .morse import MorseBuilder
 from .family import (
@@ -92,7 +91,6 @@ __all__ = [
     "mirror",
     "parse_pd",
     "validate",
-    "writhe",
     "MorseBuilder",
     "LambdaSpec",
     "lambda_diagram",

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .diagram import jones, kauffman_bracket, parse_pd, writhe
+from .diagram import jones, jones_q_from_bracket, kauffman_bracket, parse_pd
 from .errors import KnotError
 from .family import (
     LambdaSpec,
@@ -48,7 +48,10 @@ __all__ = ["main"]
 def _read_arg(value: str) -> str:
     if value.startswith("@"):
         with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+            try:
+                return fh.read()
+            except UnicodeDecodeError:
+                raise KnotError(f"{value[1:]}: not UTF-8 text") from None
     return value
 
 
@@ -69,8 +72,9 @@ def _poly_json(p: LaurentPoly) -> dict:
 
 def cmd_jones(args) -> int:
     d = parse_pd(_read_arg(args.pd))
-    v = jones(d)
+    w = d.writhe()
     bracket = kauffman_bracket(d)
+    v = jones_q_from_bracket(bracket, w).halve_exponents()
     payload = {
         "command": "jones",
         "input": {"pd": str(d)},
@@ -78,14 +82,14 @@ def cmd_jones(args) -> int:
             "jones": str(v),
             "coefficients": _poly_json(v),
             "bracket_A": bracket.format("A"),
-            "writhe": writhe(d),
+            "writhe": w,
             "crossings": len(d.crossings),
         },
         "paper_check": None,
     }
     text = (
         f"crossings: {len(d.crossings)}\n"
-        f"writhe: {writhe(d)}\n"
+        f"writhe: {w}\n"
         f"bracket (A): {bracket.format('A')}\n"
         f"jones (t): {v}"
     )

@@ -46,7 +46,6 @@ from .laurent import LaurentPoly
 __all__ = [
     "PlanarDiagram",
     "parse_pd",
-    "writhe",
     "kauffman_bracket",
     "jones",
     "jones_q",
@@ -221,10 +220,6 @@ def validate(quads: Sequence[Sequence[int]]) -> PlanarDiagram:
     return PlanarDiagram(tuple(crossings), tuple(signs))
 
 
-def writhe(diagram: PlanarDiagram) -> int:
-    return diagram.writhe()
-
-
 # -- bracket -------------------------------------------------------------------
 
 _DELTA = {2: -1, -2: -1}  # -A^2 - A^-2, as exponent -> coefficient
@@ -351,8 +346,11 @@ def _mul_delta(poly: dict[int, int]) -> dict[int, int]:
 
 def jones_q(diagram: PlanarDiagram) -> LaurentPoly:
     """Jones polynomial in the variable q = t^(1/2) = A^-2."""
-    bracket = kauffman_bracket(diagram)
-    w = diagram.writhe()
+    return jones_q_from_bracket(kauffman_bracket(diagram), diagram.writhe())
+
+
+def jones_q_from_bracket(bracket: LaurentPoly, w: int) -> LaurentPoly:
+    """The writhe normalization (-A^3)^(-w) <D>, rewritten in q = A^-2."""
     normalized = bracket.shift(-3 * w)
     if w % 2:
         normalized = -normalized

@@ -271,10 +271,6 @@ KNOWN_DISCREPANCIES = {
 }
 
 
-def _rows(m: SeifertMatrix) -> tuple:
-    return m.rows
-
-
 def _name(triple: tuple[int, int, int]) -> str:
     return "lambda(%d,%d,%d)" % triple
 
@@ -309,14 +305,14 @@ def paper_report() -> list[dict]:
     # Seifert matrices of the five specs
     for triple, published in PUBLISHED_MATRICES.items():
         spec = LambdaSpec(*triple)
-        computed = _rows(lambda_seifert(spec))
+        computed = lambda_seifert(spec).rows
         add(f"matrix {_name(triple)}", published, computed)
 
     # the four congruences: published certificate against recomputed product
     base_m = lambda_seifert(BASE)
     for t_rows, triple, published in PUBLISHED_CONGRUENCES:
         cert = CongruenceCertificate(t_rows)
-        product = _rows(cert.apply(base_m))
+        product = cert.apply(base_m).rows
         label = f"congruence -> {_name(triple)}"
         add(label, published, product)
         # and the certificate must verify against the product
@@ -334,7 +330,7 @@ def paper_report() -> list[dict]:
         add(
             f"decision certificate {_name(triple)}",
             t_rows,
-            _rows(report.certificate) if report.certificate else None,
+            report.certificate.rows if report.certificate else None,
         )
 
     # worked twist example: ell = 3k twists on ((0,1),(2,0))
@@ -344,7 +340,7 @@ def paper_report() -> list[dict]:
         add(
             f"example certificate ell=3k, k={k}",
             ((1, -k), (0, 1)),
-            _rows(report.certificate) if report.certificate else None,
+            report.certificate.rows if report.certificate else None,
         )
 
     # Jones polynomials, diagram pipeline
@@ -381,7 +377,7 @@ def paper_report() -> list[dict]:
     lifted = connected_sum_certificate(
         CongruenceCertificate(((1, 1), (0, 1))), 2
     )
-    add("sum certificate rows", PUBLISHED_SUM_CERT, _rows(lifted))
+    add("sum certificate rows", PUBLISHED_SUM_CERT, lifted.rows)
     add("sum certificate verifies", True, verify_certificate(m1, m2, lifted))
     return lines
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import KnotError
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "parse_poly"]
+__all__ = ["LaurentPoly", "parse_poly"]
 
 
 class LaurentPoly:
@@ -257,16 +257,3 @@ def parse_poly(text: str, var: str = "t") -> LaurentPoly:
         pos = m.end()
         first = False
     return LaurentPoly(coeffs)
-
-
-def poly_sum(terms: Iterable[LaurentPoly]) -> LaurentPoly:
-    out: dict[int, int] = {}
-    for p in terms:
-        for e, c in p._coeffs.items():
-            out[e] = out.get(e, 0) + c
-    return LaurentPoly(out)
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-T = LaurentPoly.term(1, 1)

@@ -20,14 +20,18 @@ zero rows below.  ``enlarge_first``/``enlarge_second`` build these and
 ``try_reduce`` inverts them when the pattern is present.
 
 Also here: the Alexander polynomial det(M - t M^T) normalized modulo
-units, the signature of M + M^T (computed by exact rational congruence
-diagonalization), and the knot determinant |det(M + M^T)|.
+units, the signature of M + M^T, and the knot determinant
+|det(M + M^T)|.  Both polynomial invariants come from one exact path:
+``int_det`` at the integer points x = 0 .. n, then Newton interpolation
+on the integers.  The signature counts the positive and negative roots
+of the characteristic polynomial of M + M^T by Descartes' rule of
+signs, which is exact because a symmetric matrix has only real
+eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import KnotError
@@ -191,11 +195,6 @@ class SeifertMatrix:
     def __str__(self) -> str:
         return format_matrix(self.rows)
 
-    # -- S-equivalence moves ------------------------------------------------
-
-    def congruent_by(self, t: CongruenceCertificate) -> "SeifertMatrix":
-        return t.apply(self)
-
 
 def format_matrix(rows) -> str:
     return "[" + ", ".join("[" + ", ".join(str(x) for x in r) + "]" for r in rows) + "]"
@@ -218,7 +217,7 @@ def parse_matrix(text: str) -> list[list[int]]:
             isinstance(r, (list, tuple)) for r in obj
         ):
             raise KnotError("matrix: expected a list of rows")
-        rows = [[int(x) for x in r] for r in obj]
+        rows = [list(r) for r in _as_int_rows(obj, "matrix")]
     else:
         rows = []
         for line in s.splitlines():
@@ -237,6 +236,42 @@ def parse_matrix(text: str) -> list[list[int]]:
 # -- invariants of the form ---------------------------------------------------
 
 
+def _det_poly(a: Rows, b: Rows) -> list[int]:
+    """Integer coefficients of det(a + x b), lowest degree first.
+
+    Evaluates ``int_det`` at x = 0 .. n and interpolates.  Row k of the
+    difference table holds Delta^k p(x) / k! at x = 0 .. n - k, which is
+    an integer for an integer polynomial p, so each row divides the
+    differences of the row before exactly by k; a remainder means a
+    wrong determinant and raises.  Horner's rule then expands the Newton
+    form p(x) = sum_k (Delta^k p(0) / k!) x (x-1) .. (x-k+1).
+    """
+    n = len(a)
+    level = [
+        int_det([[a[i][j] + x * b[i][j] for j in range(n)] for i in range(n)])
+        for x in range(n + 1)
+    ]
+    newton = [level[0]]
+    for k in range(1, n + 1):
+        quotients = []
+        for lo, hi in zip(level, level[1:]):
+            q, r = divmod(hi - lo, k)
+            if r:
+                raise AssertionError(f"det_poly: difference of order {k} not divisible by {k}")
+            quotients.append(q)
+        level = quotients
+        newton.append(level[0])
+    coeffs = [newton[n]]
+    for k in reversed(range(n)):
+        # coeffs * (x - k) + newton[k]
+        coeffs = (
+            [newton[k] - k * coeffs[0]]
+            + [lo - k * hi for lo, hi in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
+        )
+    return coeffs
+
+
 def alexander(m: SeifertMatrix) -> LaurentPoly:
     """Alexander polynomial det(M - t M^T), normalized so the lowest
     exponent is 0 and the lowest coefficient is positive.
@@ -244,105 +279,40 @@ def alexander(m: SeifertMatrix) -> LaurentPoly:
     The normalization makes the result a genuine S-equivalence invariant:
     det(M - t M^T) itself is only well defined up to units +-t^k.
     """
+    minus_t = [[-x for x in col] for col in zip(*m.rows)]
+    coeffs = _det_poly(m.rows, minus_t)
+    return LaurentPoly(dict(enumerate(coeffs))).normalize_units()
+
+
+def _symmetrized(m: SeifertMatrix) -> list[list[int]]:
     n = m.size
-    if n == 0:
-        return LaurentPoly.one()
-    entries = [
-        [
-            LaurentPoly({0: m.rows[i][j], 1: -m.rows[j][i]})
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _poly_det(entries).normalize_units()
-
-
-def _poly_det(entries: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a matrix of Laurent polynomials by expansion over
-    column subsets: minors[S] is the determinant of the top |S| rows on
-    column set S.  Placing row i at column j costs a sign of
-    (-1)^(i + #used columns below j)."""
-    n = len(entries)
-    minors = {0: LaurentPoly.one()}
-    for i in range(n):
-        nxt: dict[int, LaurentPoly] = {}
-        for mask, minor in minors.items():
-            if minor.is_zero():
-                continue
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                cell = entries[i][j]
-                if cell.is_zero():
-                    continue
-                add = minor * cell
-                if (i + bin(mask & (bit - 1)).count("1")) & 1:
-                    add = -add
-                key = mask | bit
-                prev = nxt.get(key)
-                nxt[key] = add if prev is None else prev + add
-        minors = nxt
-        if not minors:
-            return LaurentPoly.zero()
-    return minors.get((1 << n) - 1, LaurentPoly.zero())
+    return [[m.rows[i][j] + m.rows[j][i] for j in range(n)] for i in range(n)]
 
 
 def knot_determinant(m: SeifertMatrix) -> int:
     """|det(M + M^T)|, i.e. |Alexander at t = -1|."""
-    n = m.size
-    sym = [[m.rows[i][j] + m.rows[j][i] for j in range(n)] for i in range(n)]
-    return abs(int_det(sym))
+    return abs(int_det(_symmetrized(m)))
+
+
+def _sign_changes(coeffs: list[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def signature(m: SeifertMatrix) -> int:
-    """Signature of the symmetrized form M + M^T.
+    """Signature of the symmetrized form S = M + M^T.
 
-    Diagonalizes by exact rational congruence (simultaneous row and
-    column operations), then counts signs on the diagonal.
+    The characteristic polynomial det(x I - S) has only real roots, so
+    Descartes' rule of signs counts them exactly: its sign changes give
+    the positive roots, those of p(-x) the negative ones.  det S is odd
+    (it is det(M - M^T) = 1 mod 2), so no root is zero.
     """
     n = m.size
-    a = [
-        [Fraction(m.rows[i][j] + m.rows[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
-    sig = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = None
-            for i in range(k, n):
-                if a[i][i] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            # make a diagonal entry: add row/col j to row/col i
-                            for x in range(n):
-                                a[i][x] += a[j][x]
-                            for x in range(n):
-                                a[x][i] += a[x][j]
-                            pivot = i
-                            break
-                    if pivot is not None:
-                        break
-            if pivot is None:
-                break  # remaining block is zero
-            if pivot != k:
-                a[k], a[pivot] = a[pivot], a[k]
-                for row in a:
-                    row[k], row[pivot] = row[pivot], row[k]
-        d = a[k][k]
-        sig += 1 if d > 0 else -1
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                for x in range(n):
-                    a[i][x] -= f * a[k][x]
-                for x in range(n):
-                    a[x][i] -= f * a[x][k]
-    return sig
+    minus_s = [[-x for x in row] for row in _symmetrized(m)]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    charpoly = _det_poly(minus_s, identity)
+    mirrored = [-c if k % 2 else c for k, c in enumerate(charpoly)]
+    return _sign_changes(charpoly) - _sign_changes(mirrored)
 
 
 # -- enlargement and reduction -------------------------------------------------

@@ -3,13 +3,16 @@
 These share no algorithmic code with the package: the bracket here
 enumerates all 2^c Kauffman states and counts loops with a union-find,
 the polynomial product is a direct convolution on coefficient lists,
-and the congruence search tries every bounded integer matrix with a
-Leibniz determinant.  Slow on purpose; keep inputs small.
+the congruence search tries every bounded integer matrix with a
+Leibniz determinant, the Alexander polynomial is a Leibniz expansion
+over polynomial entries, and the signature comes from rational
+pivoting on Schur complements.  Slow on purpose; keep inputs small.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from knotlab.laurent import LaurentPoly
 
@@ -70,13 +73,18 @@ def convolve(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({plo + qlo + k: c for k, c in enumerate(out) if c})
 
 
+def _perm_sign(perm) -> int:
+    n = len(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
+
 def leibniz_det(a) -> int:
     """Determinant as the signed sum over all permutations."""
     n = len(a)
     total = 0
     for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = -1 if inversions % 2 else 1
+        term = _perm_sign(perm)
         for i, j in enumerate(perm):
             term *= a[i][j]
         total += term
@@ -100,3 +108,49 @@ def naive_congruence(m, target, bound: int):
         ):
             return tuple(tuple(r) for r in t)
     return None
+
+
+def naive_alexander(m) -> LaurentPoly:
+    """det(M - t M^T) for a tuple of rows M, unnormalized: the signed sum
+    over all permutations, each term a product of linear entries taken
+    with ``convolve``.  n! terms."""
+    n = len(m)
+    entries = [[LaurentPoly({0: m[i][j], 1: -m[j][i]}) for j in range(n)] for i in range(n)]
+    total: dict[int, int] = {}
+    for perm in itertools.permutations(range(n)):
+        term = LaurentPoly.const(_perm_sign(perm))
+        for i, j in enumerate(perm):
+            term = convolve(term, entries[i][j])
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return LaurentPoly(total)
+
+
+def naive_signature(m) -> int:
+    """Signature of M + M^T for a tuple of rows M.  Pick a nonzero
+    diagonal pivot (if the diagonal is zero, first change basis
+    e_i -> e_i + e_j for a nonzero off-diagonal entry, which puts
+    2 s_ij on the diagonal), count its sign, and recurse on the
+    rational Schur complement."""
+    n = len(m)
+    s = [[Fraction(m[i][j] + m[j][i]) for j in range(n)] for i in range(n)]
+    sig = 0
+    while s:
+        size = len(s)
+        p = next((i for i in range(size) if s[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in range(size) for j in range(size) if s[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            s[p] = [x + y for x, y in zip(s[p], s[j])]
+            for row in s:
+                row[p] += row[j]
+        d = s[p][p]
+        sig += 1 if d > 0 else -1
+        s = [
+            [s[i][j] - s[i][p] * s[p][j] / d for j in range(size) if j != p]
+            for i in range(size)
+            if i != p
+        ]
+    return sig

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import knotlab
+from knotlab import cli, diagram
 from knotlab.cli import main
 
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -42,6 +46,21 @@ def test_jones_json(capsys):
     assert payload["result"]["writhe"] == -3
 
 
+def test_jones_sweeps_the_bracket_once(capsys, monkeypatch):
+    calls = []
+    sweep = diagram.kauffman_bracket
+
+    def counting(d):
+        calls.append(d)
+        return sweep(d)
+
+    monkeypatch.setattr(cli, "kauffman_bracket", counting)
+    monkeypatch.setattr(diagram, "kauffman_bracket", counting)
+    code, out, err = run(capsys, "jones", "--pd", LEFT_TREFOIL)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_jones_from_file(capsys, tmp_path):
     path = tmp_path / "knot.pd"
     path.write_text(LEFT_TREFOIL + "\n")
@@ -54,6 +73,15 @@ def test_jones_missing_file(capsys):
     code, out, err = run(capsys, "jones", "--pd", "@/no/such/file.pd")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_jones_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "binary.dat"
+    path.write_bytes(b"X[1,4,2,5] \xff\xfe")
+    code, out, err = run(capsys, "jones", "--pd", f"@{path}")
+    assert code == 1
+    assert err.startswith("error:")
+    assert str(path) in err
 
 
 def test_jones_bad_diagram(capsys):
@@ -75,6 +103,10 @@ def test_alexander_rejects_bad_matrix(capsys):
     code, out, err = run(capsys, "alexander", "--seifert", "[[0,1],[1,0]]")
     assert code == 1
     assert "error:" in err
+    # a float entry must not be truncated into a valid matrix
+    code, out, err = run(capsys, "alexander", "--seifert", "[[0.5,2],[1,0]]")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_signature_text(capsys):
@@ -224,10 +256,14 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_script_smoke():
+    # the child must import this knotlab even when it is not installed
+    src = str(Path(knotlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "knotlab.cli", "jones", "--pd", LEFT_TREFOIL],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "jones (t): -t^-4 + t^-3 + t^-1" in proc.stdout

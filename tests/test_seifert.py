@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from knotlab import seifert
 from knotlab.errors import KnotError
 from knotlab.laurent import parse_poly
 from knotlab.seifert import (
@@ -18,6 +19,7 @@ from knotlab.seifert import (
 )
 
 from conftest import genus_one, unimodular
+from oracles import convolve, naive_alexander, naive_signature
 
 
 # ---- validation ----
@@ -69,7 +71,9 @@ def test_parse_matrix():
     assert parse_matrix("[[0,2],[1,0]]") == [[0, 2], [1, 0]]
     assert parse_matrix("0 2\n1 0") == [[0, 2], [1, 0]]
     assert parse_matrix("0, 2\n1, 0") == [[0, 2], [1, 0]]
-    for bad in ["", "[[0,2]]", "[[0,2],[1]]", "1 2\n3", "[[a]]"]:
+    for bad in ["", "[[0,2]]", "[[0,2],[1]]", "1 2\n3", "[[a]]",
+                "[[0.5,2],[1,0]]", '[["a",1],[0,0]]', "[[None,1],[0,0]]",
+                "[[1e400,1],[0,0]]", "[[True,1],[0,0]]"]:
         with pytest.raises(KnotError):
             parse_matrix(bad)
 
@@ -140,7 +144,65 @@ def test_signature_golden():
     big = connected_sum(
         SeifertMatrix(((0, 2), (1, 0))), SeifertMatrix(((-1, 1), (0, -1)))
     )
-    assert signature(big) == -2  # additivity, and hits the zero-pivot path
+    assert signature(big) == -2  # additivity; S has a zero diagonal entry
+
+
+def test_det_poly_raises_on_inconsistent_values(monkeypatch):
+    # det values 0, 0, 1 at x = 0, 1, 2 fit no integer polynomial
+    values = iter((0, 0, 1))
+    monkeypatch.setattr(seifert, "int_det", lambda rows: next(values))
+    with pytest.raises(AssertionError, match="not divisible"):
+        seifert._det_poly(((0, 0), (0, 0)), ((1, 0), (0, 1)))
+
+
+@st.composite
+def small_forms(draw):
+    """Block sums of one to three genus-one forms, enlarged when that
+    keeps them 6x6 or smaller (the Leibniz oracle has n! terms), then
+    conjugated."""
+    blocks = draw(st.lists(genus_one(), min_size=1, max_size=3))
+    m = SeifertMatrix(())
+    for b in blocks:
+        m = connected_sum(m, b)
+    if m.size < 6 and draw(st.booleans()):
+        q = draw(st.lists(st.integers(-5, 5), min_size=m.size, max_size=m.size))
+        m = draw(st.sampled_from((enlarge_first, enlarge_second)))(m, q)
+    return draw(unimodular(m.size, ops=10)).apply(m)
+
+
+@given(small_forms())
+def test_invariants_match_naive_oracles(m):
+    assert alexander(m) == naive_alexander(m.rows).normalize_units()
+    assert signature(m) == naive_signature(m.rows)
+
+
+def test_genus_nine_dense_form():
+    blocks = [
+        SeifertMatrix(rows)
+        for rows in (
+            ((0, 2), (1, 0)), ((-1, 1), (0, -1)), ((1, 1), (0, 1)),
+            ((-3, 2), (1, 0)), ((2, 0), (1, 4)), ((0, 1), (2, 0)),
+            ((1, 1), (0, -1)), ((-2, 3), (2, 1)), ((3, -1), (0, -2)),
+        )
+    ]
+    m = SeifertMatrix(())
+    for b in blocks:
+        m = connected_sum(m, b)
+    # T = U U^T with U unit upper triangular, U[i][j] = (i j mod 5) - 2
+    # above the diagonal, is unimodular and makes every entry of T M T^T
+    # nonzero
+    n = m.size
+    u = [[1 if j == i else (i * j) % 5 - 2 if j > i else 0 for j in range(n)] for i in range(n)]
+    t = CongruenceCertificate(
+        tuple(tuple(sum(u[i][k] * u[j][k] for k in range(n)) for j in range(n)) for i in range(n))
+    )
+    dense = t.apply(m)
+    assert all(x for row in dense.rows for x in row)
+    product = parse_poly("1")
+    for b in blocks:
+        product = convolve(product, naive_alexander(b.rows).normalize_units())
+    assert alexander(dense) == product
+    assert signature(dense) == sum(naive_signature(b.rows) for b in blocks)
 
 
 # ---- congruence invariance ----
