@@ -100,17 +100,18 @@ def cmd_jones(args) -> int:
 def cmd_alexander(args) -> int:
     m = _seifert_from(args.seifert)
     poly = alexander(m)
+    det = knot_determinant(m)
     payload = {
         "command": "alexander",
         "input": {"seifert": [list(r) for r in m.rows]},
         "result": {
             "alexander": str(poly),
             "coefficients": _poly_json(poly),
-            "determinant": knot_determinant(m),
+            "determinant": det,
         },
         "paper_check": None,
     }
-    text = f"alexander (t): {poly}\ndeterminant: {knot_determinant(m)}"
+    text = f"alexander (t): {poly}\ndeterminant: {det}"
     _emit(args, payload, text)
     return 0
 

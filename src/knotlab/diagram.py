@@ -26,15 +26,28 @@ B-smoothing joins (a,d) and (b,c),
 and the Jones polynomial is (-A)^(-3w) <D> rewritten in q = A^-2 and
 then in t = q^2.  Knots always yield integer powers of t.
 
-The bracket is computed by sweeping crossings one at a time and keeping
-a dictionary of partial states (matchings on the open strand ends), so
-cost is driven by the width of the sweep, not 2^crossings.  A crossing
-cap (default 32, env KNOTLAB_CROSSING_CAP) keeps accidental huge inputs
-from hanging the process.
+The bracket is computed by sweeping crossings one at a time, in a
+greedy order that keeps few arcs open, and keeping a dictionary of
+partial states (matchings on the open strand ends), so cost is driven
+by the width of the sweep, not 2^crossings.  Slot s of crossing i is
+the integer token 4*i + s.  Before each crossing the open ends form one
+list, the boundary, which is the same for every state; a state is the
+tuple of each boundary end's partner, in boundary order, so that tuple
+is already canonical and is the dictionary key.  After k crossings
+every A-exponent of every state has the parity of k, so a state's
+polynomial is its lowest exponent and a list of coefficients in steps
+of A^2: the factor A^(+-1) of a smoothing moves only the exponent, the
+loop factor delta is one pass over the list, and two states that meet
+add aligned slices.  A crossing therefore costs about the number of
+states times the coefficient list length.  A crossing cap (default 32,
+env KNOTLAB_CROSSING_CAP) keeps accidental huge inputs from hanging the
+process.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -222,35 +235,52 @@ def validate(quads: Sequence[Sequence[int]]) -> PlanarDiagram:
 
 # -- bracket -------------------------------------------------------------------
 
-_DELTA = {2: -1, -2: -1}  # -A^2 - A^-2, as exponent -> coefficient
-
-
 def _contraction_order(crossings: Sequence[Crossing]) -> list[int]:
-    """Greedy order keeping the set of open arcs small."""
-    remaining = set(range(len(crossings)))
-    open_arcs: set[int] = set()
-    pending: dict[int, int] = {}
-    for x in crossings:
+    """Greedy order keeping the set of open arcs small.
+
+    An arc is open when one of its two ends has been swept.  Each step
+    takes the crossing after which the fewest arcs are open, the lowest
+    index on a tie.  The change a crossing makes to that count is +1 for
+    each arc it opens and -1 for each arc it closes, which depends only
+    on its own arcs; so after a pick only the crossings sharing an arc
+    with it are re-scored.  A heap holds (score, index) pairs and skips
+    a popped pair whose score is no longer current, which gives the same
+    order as rescanning every remaining crossing at each step, in
+    O(c log c) instead of O(c^2).  The order fixes the bracket sweep's
+    boundary before each crossing, and so the length of every state
+    tuple there.
+    """
+    pending: dict[int, int] = {}  # arc -> ends not yet swept
+    touching: dict[int, list[int]] = {}
+    for ci, x in enumerate(crossings):
         for a in x:
             pending[a] = pending.get(a, 0) + 1
+            touching.setdefault(a, []).append(ci)
+
+    def score(ci: int) -> int:
+        x = crossings[ci]
+        return sum((pending[a] == 2) - (pending[a] == x.count(a)) for a in set(x))
+
+    current = [score(ci) for ci in range(len(crossings))]
+    heap = [(s, ci) for ci, s in enumerate(current)]
+    heapq.heapify(heap)
+    done = [False] * len(crossings)
     order = []
-    while remaining:
-        best = None
-        best_cost = None
-        for ci in sorted(remaining):
-            touched = set(crossings[ci])
-            closed = sum(
-                1 for a in touched if pending[a] - crossings[ci].count(a) == 0
-            )
-            cost = len(open_arcs | touched) - closed
-            if best_cost is None or cost < best_cost:
-                best, best_cost = ci, cost
-        order.append(best)
-        remaining.discard(best)
-        for a in crossings[best]:
+    while heap:
+        s, ci = heapq.heappop(heap)
+        if done[ci] or s != current[ci]:
+            continue
+        done[ci] = True
+        order.append(ci)
+        for a in crossings[ci]:
             pending[a] -= 1
-        open_arcs |= set(crossings[best])
-        open_arcs = {a for a in open_arcs if pending[a] > 0}
+        for a in set(crossings[ci]):
+            for cj in touching[a]:
+                if not done[cj]:
+                    s = score(cj)
+                    if s != current[cj]:
+                        current[cj] = s
+                        heapq.heappush(heap, (s, cj))
     return order
 
 
@@ -265,80 +295,102 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     if not crossings:
         return LaurentPoly.one()
 
-    # token (arc, k): k-th occurrence of the arc in slot scan order
-    occ_count: dict[int, int] = {}
-    tokens: list[tuple[tuple[int, int], ...]] = []
-    for x in crossings:
-        slot_tokens = []
-        for arc in x:
-            k = occ_count.get(arc, 0)
-            occ_count[arc] = k + 1
-            slot_tokens.append((arc, k))
-        tokens.append(tuple(slot_tokens))
+    # slot s of crossing i is token 4*i + s; mate[t] is the other end of
+    # t's arc
+    ends: dict[int, list[int]] = {}
+    for i, x in enumerate(crossings):
+        for s, arc in enumerate(x):
+            ends.setdefault(arc, []).append(4 * i + s)
+    mate = [0] * (4 * len(crossings))
+    for arc, pair in ends.items():
+        # validate() ensures this, but a PlanarDiagram can be built directly
+        if len(pair) != 2:
+            raise KnotError(f"pd: arc {arc} appears {len(pair)} times, must be 2")
+        t, u = pair
+        mate[t], mate[u] = u, t
 
-    # cut the lowest arc open: its two tokens are tied to sentinels, so
+    # cut the lowest arc open: its two ends are tied to sentinels, so
     # every complete state ends as the same single strand and the loop
-    # count comes out right without a final division by delta
-    cut = min(occ_count)
-    s0, s1 = (-1, 0), (-1, 1)
-    base = {(cut, 0): s0, s0: (cut, 0), (cut, 1): s1, s1: (cut, 1)}
-
-    states: dict[frozenset, dict[int, int]] = {_state_key(base): {0: 1}}
-    links = {_state_key(base): base}
+    # count comes out right without a final division by delta; the
+    # sentinels are tokens that no slot uses
+    s0, s1 = -1, -2
+    t0, t1 = ends[min(ends)]
+    boundary = [s0, s1, t0, t1]
+    states: dict[tuple[int, ...], tuple[int, list[int]]] = {(t0, t1, s0, s1): (0, [1])}
 
     for ci in _contraction_order(crossings):
-        ta, tb, tc, td = tokens[ci]
-        new_states: dict[frozenset, dict[int, int]] = {}
-        new_links: dict[frozenset, dict] = {}
-        for key, poly in states.items():
-            partner = links[key]
-            for joins, exp in ((((ta, tb), (tc, td)), 1), (((ta, td), (tb, tc)), -1)):
-                p = dict(partner)
-                for t in (ta, tb, tc, td):
-                    if t not in p:
-                        arc, k = t
-                        other = (arc, 1 - k)
-                        p[t] = other
-                        p[other] = t
+        ta, tb, tc, td = here = range(4 * ci, 4 * ci + 4)
+        smoothings = ((((ta, tb), (tc, td)), 1), (((ta, td), (tb, tc)), -1))
+        # ends of this crossing already on the boundary, with positions;
+        # the others are met for the first time and tied to their mates,
+        # and a mate at another crossing joins the boundary at its end
+        index = {t: k for k, t in enumerate(boundary)}
+        swept = [(t, index[t]) for t in here if t in index]
+        opened: dict[int, int] = {}
+        fresh = []
+        for t in here:
+            if t not in index:
+                m = opened[t] = mate[t]
+                if m not in here:
+                    opened[m] = t
+                    fresh.append(m)
+        kept = [k for k, t in enumerate(boundary) if t not in here]
+        boundary = [boundary[k] for k in kept] + fresh
+        slot = {t: k for k, t in enumerate(boundary)}
+        pad = [0] * len(fresh)
+
+        new_states: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+        for state, (lo, coeffs) in states.items():
+            # partners on the new boundary; the joins below overwrite
+            # the ones that change
+            carried = [*map(state.__getitem__, kept), *pad]
+            links = dict(opened)
+            for t, k in swept:
+                links[t] = state[k]
+            for joins, shift in smoothings:
+                link = dict(links)
                 loops = 0
                 for u, v in joins:
-                    x = p.pop(u)
-                    y = p.pop(v)
+                    x = link.pop(u)
                     if x == v:
+                        del link[v]
                         loops += 1
                     else:
-                        p[x] = y
-                        p[y] = x
-                term = {e + exp: c for e, c in poly.items()}
+                        y = link.pop(v)
+                        link[x] = y
+                        link[y] = x
+                partners = carried.copy()
+                for t, partner in link.items():
+                    partners[slot[t]] = partner
+                key = tuple(partners)
+                e, c = lo + shift, coeffs
                 for _ in range(loops):
-                    term = _mul_delta(term)
-                k2 = _state_key(p)
-                acc = new_states.get(k2)
-                if acc is None:
-                    new_states[k2] = term
-                    new_links[k2] = p
-                else:
-                    for e, c in term.items():
-                        acc[e] = acc.get(e, 0) + c
-        states, links = new_states, new_links
+                    # times delta = -A^-2 - A^2
+                    e -= 2
+                    c = [-(p + q) for p, q in zip(c + [0, 0], [0, 0, *c])]
+                acc = new_states.get(key)
+                new_states[key] = (e, c) if acc is None else _poly_add(acc, e, c)
+        states = new_states
 
-    final_key = _state_key({s0: s1, s1: s0})
+    final_key = (s1, s0)
     if set(states) != {final_key}:
         raise AssertionError("bracket: contraction did not close the diagram")
-    return LaurentPoly(states[final_key])
+    lo, coeffs = states[final_key]
+    return LaurentPoly({lo + 2 * k: c for k, c in enumerate(coeffs) if c})
 
 
-def _state_key(partner: dict) -> frozenset:
-    return frozenset((min(u, v), max(u, v)) for u, v in partner.items())
-
-
-def _mul_delta(poly: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e, c in poly.items():
-        for de, dc in _DELTA.items():
-            k = e + de
-            out[k] = out.get(k, 0) + c * dc
-    return {e: c for e, c in out.items() if c}
+def _poly_add(acc: tuple[int, list[int]], e: int, c: list[int]) -> tuple[int, list[int]]:
+    """Sum of two A^2-step coefficient lists, whose lowest exponents
+    differ by an even number.  Returns a new list; neither input is
+    changed, because one list may be shared by several states."""
+    lo, base = acc
+    if e < lo:
+        lo, base, e, c = e, c, lo, base
+    off = (e - lo) >> 1
+    end = off + len(c)
+    out = base + [0] * (end - len(base))
+    out[off:end] = map(operator.add, out[off:end], c)
+    return lo, out
 
 
 # -- Jones ---------------------------------------------------------------------

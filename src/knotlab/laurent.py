@@ -40,7 +40,11 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for exp, c in coeffs.items():
-                if not isinstance(exp, int) or not isinstance(c, int):
+                if (
+                    not (isinstance(exp, int) and isinstance(c, int))
+                    or isinstance(exp, bool)
+                    or isinstance(c, bool)
+                ):
                     raise KnotError("laurent: exponents and coefficients must be ints")
                 if c:
                     clean[exp] = c

@@ -54,13 +54,20 @@ Rows = Sequence[Sequence[int]]
 
 
 def int_det(rows: Rows) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    """Exact determinant of an integer matrix (Bareiss elimination).
+    Entries must be ints; a bool, float or string raises KnotError
+    instead of being converted."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise KnotError("matrix is not square")
     if n == 0:
         return 1
-    a = [[int(x) for x in r] for r in rows]
+    a = [list(r) for r in rows]
+    for row in a:
+        for x in row:
+            # the type() test lets plain ints skip both isinstance calls
+            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+                raise KnotError(f"int_det: entries must be ints, got {x!r}")
     sign = 1
     prev = 1
     for k in range(n - 1):

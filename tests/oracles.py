@@ -2,6 +2,7 @@
 
 These share no algorithmic code with the package: the bracket here
 enumerates all 2^c Kauffman states and counts loops with a union-find,
+the contraction order rescans every remaining crossing at each step,
 the polynomial product is a direct convolution on coefficient lists,
 the congruence search tries every bounded integer matrix with a
 Leibniz determinant, the Alexander polynomial is a Leibniz expansion
@@ -57,6 +58,37 @@ def naive_bracket(crossings) -> LaurentPoly:
         for e, coeff in term.items():
             total[e] = total.get(e, 0) + coeff
     return LaurentPoly(total)
+
+
+def naive_contraction_order(crossings) -> list[int]:
+    """The bracket sweep's greedy order, found by rescanning every
+    remaining crossing at each step: take the one after which the fewest
+    arcs are open, the lowest index on a tie.  O(c^2) set work."""
+    remaining = set(range(len(crossings)))
+    open_arcs: set[int] = set()
+    pending: dict[int, int] = {}
+    for x in crossings:
+        for a in x:
+            pending[a] = pending.get(a, 0) + 1
+    order = []
+    while remaining:
+        best = None
+        best_cost = None
+        for ci in sorted(remaining):
+            touched = set(crossings[ci])
+            closed = sum(
+                1 for a in touched if pending[a] - crossings[ci].count(a) == 0
+            )
+            cost = len(open_arcs | touched) - closed
+            if best_cost is None or cost < best_cost:
+                best, best_cost = ci, cost
+        order.append(best)
+        remaining.discard(best)
+        for a in crossings[best]:
+            pending[a] -= 1
+        open_arcs |= set(crossings[best])
+        open_arcs = {a for a in open_arcs if pending[a] > 0}
+    return order
 
 
 def convolve(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

@@ -99,6 +99,22 @@ def test_alexander_text(capsys):
     assert "determinant: 9" in out
 
 
+def test_alexander_computes_the_determinant_once(capsys, monkeypatch):
+    calls = []
+    det = cli.knot_determinant
+
+    def counting(m):
+        calls.append(m)
+        return det(m)
+
+    monkeypatch.setattr(cli, "knot_determinant", counting)
+    for json_flag in ((), ("--json",)):
+        calls.clear()
+        code, out, err = run(capsys, "alexander", "--seifert", "[[0,2],[1,0]]", *json_flag)
+        assert code == 0
+        assert len(calls) == 1
+
+
 def test_alexander_rejects_bad_matrix(capsys):
     code, out, err = run(capsys, "alexander", "--seifert", "[[0,1],[1,0]]")
     assert code == 1

@@ -1,7 +1,13 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotlab.diagram import (
     PlanarDiagram,
+    _contraction_order,
     add_kink,
     connect_sum,
     crossing_cap,
@@ -11,11 +17,14 @@ from knotlab.diagram import (
     kauffman_bracket,
     mirror,
     parse_pd,
+    validate,
 )
 from knotlab.errors import KnotError
+from knotlab.family import LambdaSpec, lambda_diagram
 from knotlab.laurent import LaurentPoly, parse_poly
+from knotlab.morse import MorseBuilder
 
-from oracles import naive_bracket
+from oracles import naive_bracket, naive_contraction_order
 
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIGURE_EIGHT = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -56,6 +65,11 @@ def test_validate_arc_multiplicity():
         parse_pd("X[1,2,3,4]")  # every arc once
     with pytest.raises(KnotError, match="appears"):
         parse_pd("X[1,1,1,2] X[2,3,3,4] X[4,5,5,6]")
+
+
+def test_bracket_rejects_unvalidated_diagram():
+    with pytest.raises(KnotError, match="appears"):
+        kauffman_bracket(PlanarDiagram(((1, 2, 3, 4),), (1,)))
 
 
 def test_validate_rejects_nonpositive_labels():
@@ -147,6 +161,81 @@ def _small_diagrams():
 def test_bracket_matches_naive_state_sum():
     for d in _small_diagrams():
         assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+
+
+def _cycle(strands, word, start):
+    """The strands on the same component of the braid closure as
+    strand ``start``."""
+    perm = list(range(strands))
+    for g, _ in word:
+        perm[g], perm[g + 1] = perm[g + 1], perm[g]
+    seen, i = {start}, perm[start]
+    while i != start:
+        seen.add(i)
+        i = perm[i]
+    return seen
+
+
+def _knotted(strands, word, signs):
+    """The word followed by a letter sigma_g, with sign signs[g], for each
+    g whose strands g and g+1 still close to different components; each
+    such letter joins two components, so the closure is a knot."""
+    word = list(word)
+    for g in range(strands - 1):
+        if g + 1 not in _cycle(strands, word, g):
+            word.append((g, signs[g]))
+    return word
+
+
+def _braid_closure(strands, word):
+    """Closure of a braid word of (generator, sign) letters, built from
+    nested caps and cups."""
+    b = MorseBuilder()
+    for i in range(strands):
+        b.cap(i)
+    for g, sign in word:
+        b.crossing(g, "L" if sign > 0 else "R")
+    for i in reversed(range(strands)):
+        b.cup(i)
+    return validate(b.to_pd())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bracket_matches_naive_on_braid_closures(data):
+    strands = data.draw(st.integers(3, 5))
+    sign = st.sampled_from((1, -1))
+    letter = st.tuples(st.integers(0, strands - 2), sign)
+    # at most 12 crossings once the joining letters are added
+    word = data.draw(st.lists(letter, max_size=13 - strands))
+    signs = data.draw(st.lists(sign, min_size=strands - 1, max_size=strands - 1))
+    d = _braid_closure(strands, _knotted(strands, word, signs))
+    kink = data.draw(st.sampled_from(("none", "cut", "any")))
+    if kink != "none":
+        # the lowest arc is the one the sweep cuts open
+        arc = min(d.arcs) if kink == "cut" else data.draw(st.sampled_from(d.arcs))
+        d = add_kink(d, arc, data.draw(sign))
+    assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+
+
+def test_contraction_order_matches_naive_rescan():
+    ps = [sign * p for p in range(3, 37, 2) for sign in (1, -1)]
+    specs = [LambdaSpec(n, m, p) for p in ps for n, m in ((0, 0), (8, -8), (-2, 6))]
+    # every split with |n|, |m| <= 8, zeros included, at a small and a large |p|
+    splits = itertools.product(range(-8, 9, 2), repeat=2)
+    specs += [LambdaSpec(n, m, -35 if k % 2 else 3) for k, (n, m) in enumerate(splits)]
+    diagrams = [lambda_diagram(spec) for spec in specs]
+    rng = random.Random(5)
+    for strands in range(5, 10):
+        signs = [rng.choice((1, -1)) for _ in range(strands - 1)]
+        for sweeps in range(2, 7):
+            word = [(k % (strands - 1), rng.choice((1, -1))) for k in range((strands - 1) * sweeps)]
+            diagrams.append(_braid_closure(strands, _knotted(strands, word, signs)))
+        for _ in range(3):
+            word = [(rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(8 * strands)]
+            diagrams.append(_braid_closure(strands, _knotted(strands, word, signs)))
+    for d in diagrams:
+        assert _contraction_order(d.crossings) == naive_contraction_order(d.crossings), str(d)
 
 
 # ---- Reidemeister I and mirror behaviour ----

@@ -143,4 +143,8 @@ def test_rejects_non_int():
     with pytest.raises(KnotError):
         LaurentPoly({0.5: 1})
     with pytest.raises(KnotError):
+        LaurentPoly({0: True})
+    with pytest.raises(KnotError):
+        LaurentPoly({False: 1})
+    with pytest.raises(KnotError):
         LaurentPoly({0: 1}) ** -1

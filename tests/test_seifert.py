@@ -65,6 +65,10 @@ def test_int_det():
     assert int_det(((0, 1), (1, 0))) == -1
     with pytest.raises(KnotError):
         int_det(((1, 2),))
+    # entries are never truncated or parsed: floats, strings and bools raise
+    for bad in ([[0.5, 2], [1, 0.9]], [["3"]], [[True, 0], [0, 1]]):
+        with pytest.raises(KnotError, match="ints"):
+            int_det(bad)
 
 
 def test_parse_matrix():
