@@ -33,12 +33,20 @@ by the width of the sweep, not 2^crossings.  Slot s of crossing i is
 the integer token 4*i + s.  Before each crossing the open ends form one
 list, the boundary, which is the same for every state; a state is the
 tuple of each boundary end's partner, in boundary order, so that tuple
-is already canonical and is the dictionary key.  After k crossings
-every A-exponent of every state has the parity of k, so a state's
-polynomial is its lowest exponent and a list of coefficients in steps
-of A^2: the factor A^(+-1) of a smoothing moves only the exponent, the
-loop factor delta is one pass over the list, and two states that meet
-add aligned slices.  A crossing therefore costs about the number of
+is already canonical and is the dictionary key.
+
+After k crossings every A-exponent of one state lies in one class mod
+4.  Close the swept part with any fixed smoothing of the unswept
+crossings: in a closed planar diagram, flipping one smoothing changes
+the loop count by exactly 1, so #B + loops is constant mod 2, and the
+closure adds a loop count that depends only on the state's matching.
+A term A^(#A-#B) delta^L of the state, with #A + #B = k, therefore has
+exponent k + 2(#B + L) mod 4.  So a state's polynomial is its lowest
+exponent and a list of coefficients in steps of A^4: the factor
+A^(+-1) of a smoothing moves only the exponent, the loop factor delta
+is one pass over the list that grows it by one slot, and two states
+that meet add aligned slices, dropping zero ends (and the state, when
+nothing is left).  A crossing therefore costs about the number of
 states times the coefficient list length.  A crossing cap (default 32,
 env KNOTLAB_CROSSING_CAP) keeps accidental huge inputs from hanging the
 process.
@@ -308,6 +316,15 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
             raise KnotError(f"pd: arc {arc} appears {len(pair)} times, must be 2")
         t, u = pair
         mate[t], mate[u] = u, t
+    # the strand through token 0 must pass every token: it runs along an
+    # arc to its mate, then straight through that crossing, slot s to
+    # slot (s + 2) mod 4, which is token ^ 2
+    t, passed = mate[0] ^ 2, 2
+    while t:
+        t = mate[t] ^ 2
+        passed += 2
+    if passed != len(mate):
+        raise KnotError("pd: diagram has more than one component")
 
     # cut the lowest arc open: its two ends are tied to sentinels, so
     # every complete state ends as the same single strand and the loop
@@ -367,30 +384,52 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
                 for _ in range(loops):
                     # times delta = -A^-2 - A^2
                     e -= 2
-                    c = [-(p + q) for p, q in zip(c + [0, 0], [0, 0, *c])]
+                    c = [-(p + q) for p, q in zip(c + [0], [0, *c])]
                 acc = new_states.get(key)
-                new_states[key] = (e, c) if acc is None else _poly_add(acc, e, c)
+                if acc is None:
+                    new_states[key] = (e, c)
+                else:
+                    acc = _poly_add(acc, e, c)
+                    if acc[1]:
+                        new_states[key] = acc
+                    else:
+                        del new_states[key]
         states = new_states
 
     final_key = (s1, s0)
     if set(states) != {final_key}:
         raise AssertionError("bracket: contraction did not close the diagram")
     lo, coeffs = states[final_key]
-    return LaurentPoly({lo + 2 * k: c for k, c in enumerate(coeffs) if c})
+    return LaurentPoly({lo + 4 * k: c for k, c in enumerate(coeffs) if c})
 
 
 def _poly_add(acc: tuple[int, list[int]], e: int, c: list[int]) -> tuple[int, list[int]]:
-    """Sum of two A^2-step coefficient lists, whose lowest exponents
-    differ by an even number.  Returns a new list; neither input is
-    changed, because one list may be shared by several states."""
+    """Sum of two A^4-step coefficient lists, trimmed of zero ends; the
+    list is empty when the sum is zero.
+
+    Both polynomials belong to one partial state, so their lowest
+    exponents lie in one class mod 4 (see the module docstring); any
+    other difference means the sweep is wrong, and raises.  Returns a new
+    list; neither input is changed, because one list may be shared by
+    both smoothings of a state."""
     lo, base = acc
     if e < lo:
         lo, base, e, c = e, c, lo, base
-    off = (e - lo) >> 1
+    if (e - lo) % 4:
+        raise AssertionError("bracket: partial state exponents differ mod 4")
+    off = (e - lo) >> 2
     end = off + len(c)
     out = base + [0] * (end - len(base))
     out[off:end] = map(operator.add, out[off:end], c)
-    return lo, out
+    if out[0] and out[-1]:
+        return lo, out
+    first = 0
+    while first < len(out) and not out[first]:
+        first += 1
+    last = len(out)
+    while last > first and not out[last - 1]:
+        last -= 1
+    return lo + 4 * first, out[first:last]
 
 
 # -- Jones ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from knotlab.diagram import (
     PlanarDiagram,
     _contraction_order,
+    _poly_add,
     add_kink,
     connect_sum,
     crossing_cap,
@@ -70,6 +71,9 @@ def test_validate_arc_multiplicity():
 def test_bracket_rejects_unvalidated_diagram():
     with pytest.raises(KnotError, match="appears"):
         kauffman_bracket(PlanarDiagram(((1, 2, 3, 4),), (1,)))
+    # two split kinks: every arc appears twice, but the curve is a link
+    with pytest.raises(KnotError, match="component"):
+        kauffman_bracket(PlanarDiagram(((1, 2, 2, 1), (3, 3, 4, 4)), (1, 1)))
 
 
 def test_validate_rejects_nonpositive_labels():
@@ -149,6 +153,10 @@ def _small_diagrams():
         add_kink(fig8, 7, -1),
         connect_sum(left, 1, mirror(left), 1),
         connect_sum(left, 2, left, 5),
+        # the closure of _knotted(3, [(1,-1),(0,1),(0,1),(1,1),(1,1),(1,1)],
+        # [1,1]): two partial states meet and cancel to zero in its sweep
+        parse_pd("X[2,3,5,4] X[4,7,6,1] X[7,9,8,6] X[5,11,10,9] X[11,13,12,10] "
+                 "X[13,15,14,12] X[14,16,1,8] X[15,3,2,16]"),
     ]
     # every two-kink unknot
     for s1 in (1, -1):
@@ -161,6 +169,20 @@ def _small_diagrams():
 def test_bracket_matches_naive_state_sum():
     for d in _small_diagrams():
         assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+
+
+def test_poly_add_aligns_trims_and_copies():
+    # 1 + A^4 plus -1 + 2A^8: the A^0 terms cancel
+    acc, c = (0, [1, 1]), [-1, 0, 2]
+    assert _poly_add(acc, 0, c) == (4, [1, 2])
+    assert _poly_add((4, [3]), -4, [1, 0, -3]) == (-4, [1])
+    assert _poly_add((2, [5]), 2, [-5])[1] == []
+    # one list can be shared by both smoothings of a state
+    assert acc == (0, [1, 1]) and c == [-1, 0, 2]
+    with pytest.raises(AssertionError, match="mod 4"):
+        _poly_add((0, [1]), 2, [1])
+    with pytest.raises(AssertionError, match="mod 4"):
+        _poly_add((-6, [1]), 0, [1])
 
 
 def _cycle(strands, word, start):
