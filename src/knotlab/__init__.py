@@ -24,7 +24,6 @@ from .seifert import (
     try_reduce,
 )
 from .sequiv import (
-    SEquivReport,
     brute_force_congruence,
     connected_sum_certificate,
     decide_first_sequiv,
@@ -73,7 +72,6 @@ __all__ = [
     "parse_matrix",
     "signature",
     "try_reduce",
-    "SEquivReport",
     "brute_force_congruence",
     "connected_sum_certificate",
     "decide_first_sequiv",

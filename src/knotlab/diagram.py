@@ -11,10 +11,13 @@ Worked example, the left-handed trefoil::
     X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]
 
 At the first crossing the under-strand runs 1 -> 2 while arc 4 and
-arc 5 pass over.  Tracing under-passages 1->2, 3->4, 5->6 and solving
-the over-strand directions from "each arc leaves one crossing and
-enters one" gives a single consistent orientation; all three crossings
-come out negative (writhe -3), and the Jones polynomial below is
+arc 5 pass over.  Orientation, signs and the single-component check
+all come from one walk of the strand, from crossing 0's incoming
+under-strand straight through every crossing: 1 -> 2 under, 2 -> 3
+over (entering the third crossing at b), 3 -> 4 under, 4 -> 5 over,
+5 -> 6 under, 6 -> 1 over, and back at the start with every arc
+passed.  Each over-passage runs b -> d, so all three crossings are
+negative (writhe -3), and the Jones polynomial below is
 -t^-4 + t^-3 + t^-1.
 
 Bracket conventions: an A-smoothing joins (a,b) and (c,d), a
@@ -59,7 +62,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import KnotError
 from .laurent import LaurentPoly
@@ -141,8 +144,9 @@ def parse_pd(text: str) -> PlanarDiagram:
 
 
 def validate(quads: Sequence[Sequence[int]]) -> PlanarDiagram:
-    """Check arc multiplicity, solve a consistent orientation, and check
-    the diagram is a single closed curve."""
+    """Check the crossings' shape and labels, then orient the diagram,
+    sign its crossings and check it is a single closed curve by one walk
+    of its strand."""
     crossings: list[Crossing] = []
     for q in quads:
         if len(q) != 4:
@@ -154,91 +158,50 @@ def validate(quads: Sequence[Sequence[int]]) -> PlanarDiagram:
     if not crossings:
         return PlanarDiagram((), ())
 
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for ci, x in enumerate(crossings):
-        for slot, arc in enumerate(x):
-            occurrences.setdefault(arc, []).append((ci, slot))
-    for arc, occ in sorted(occurrences.items()):
-        if len(occ) != 2:
-            raise KnotError(f"pd: arc {arc} appears {len(occ)} times, must be 2")
-
-    # Orientation: under slots are fixed (a enters, c leaves); each
-    # crossing has one unknown, the over direction.  over_in[ci] is the
-    # slot (1 or 3) where the over-strand enters.
-    over_in: dict[int, int] = {}
-
-    def role(ci: int, slot: int):
-        # True = arc enters the crossing here, False = leaves, None = unknown
-        if slot == 0:
-            return True
-        if slot == 2:
-            return False
-        if ci not in over_in:
-            return None
-        return over_in[ci] == slot
-
-    def set_over(ci: int, slot_in: int) -> None:
-        if ci in over_in:
-            if over_in[ci] != slot_in:
-                raise KnotError("pd: inconsistent orientation")
-            return
-        over_in[ci] = slot_in
-        for s in (1, 3):
-            _propagate(crossings[ci][s])
-
-    def _propagate(arc: int) -> None:
-        (c1, s1), (c2, s2) = occurrences[arc]
-        r1, r2 = role(c1, s1), role(c2, s2)
-        if r1 is None and r2 is None:
-            return
-        if r1 is None:
-            # the arc must enter at (c1, s1) iff it leaves at (c2, s2)
-            set_over(c1, s1 if not r2 else 4 - s1)
-            return
-        if r2 is None:
-            set_over(c2, s2 if not r1 else 4 - s2)
-            return
-        if r1 == r2:
-            raise KnotError(f"pd: inconsistent orientation at arc {arc}")
-
-    for arc in sorted(occurrences):
-        _propagate(arc)
-    # crossings still undetermined lie on strands that never pass under;
-    # each such strand can be oriented either way, so seed one crossing
-    # and let propagation finish the job (the single-component check
-    # below rejects these diagrams anyway)
-    for ci in range(len(crossings)):
-        if ci not in over_in:
-            set_over(ci, 1)
-
-    # full re-check: every arc enters once and leaves once
-    for arc, occ in sorted(occurrences.items()):
-        roles = [role(ci, slot) for ci, slot in occ]
-        if roles[0] == roles[1]:
-            raise KnotError(f"pd: inconsistent orientation at arc {arc}")
-
-    # trace: map incoming arc -> outgoing arc through its crossing
-    succ: dict[int, int] = {}
-    for ci, x in enumerate(crossings):
-        succ[x[0]] = x[2]
-        if over_in[ci] == 1:
-            succ[x[1]] = x[3]
-        else:
-            succ[x[3]] = x[1]
-    start = min(succ)
-    seen = {start}
-    cur = succ[start]
-    while cur != start:
-        seen.add(cur)
-        cur = succ[cur]
-    if len(seen) != len(occurrences):
-        raise KnotError("pd: diagram has more than one component")
-
-    signs = []
-    for ci in range(len(crossings)):
-        # over d->b is the positive crossing in this frame
-        signs.append(1 if over_in[ci] == 3 else -1)
+    _, _, signs = _strand(crossings)
     return PlanarDiagram(tuple(crossings), tuple(signs))
+
+
+def _strand(crossings: Sequence[Crossing]) -> tuple[list[int], tuple[int, int], list[int]]:
+    """Walk the one strand of a nonempty diagram and return
+    ``(mate, cut, signs)``.
+
+    Slot s of crossing i is the token 4*i + s, and ``mate[t]`` is the
+    other end of t's arc; ``cut`` holds the two tokens of the lowest
+    arc.  The walk enters crossing 0 at slot 0, its incoming
+    under-strand, leaves each crossing straight through at ``t ^ 2`` and
+    enters the next one at the mate of that token.  Entering at slot 2
+    means an under-strand runs backwards; entering at slot 3 makes the
+    over-strand run d -> b, a positive crossing, and slot 1 a negative
+    one.  The walk never passes a token twice before it is back at token
+    0: a token met twice would make it retrace its steps and turn round
+    on a token that ``t ^ 2`` or ``mate`` fixes, and neither fixes one.
+    So a walk that passes all 4c tokens has entered every crossing once
+    under and once over; a shorter one leaves another component behind.
+    """
+    ends: dict[int, list[int]] = {}
+    for i, x in enumerate(crossings):
+        for s, arc in enumerate(x):
+            ends.setdefault(arc, []).append(4 * i + s)
+    mate = [0] * (4 * len(crossings))
+    for arc, pair in sorted(ends.items()):
+        if len(pair) != 2:
+            raise KnotError(f"pd: arc {arc} appears {len(pair)} times, must be 2")
+        t, u = pair
+        mate[t], mate[u] = u, t
+
+    signs = [0] * len(crossings)
+    t, passed = 0, 2
+    while t := mate[t ^ 2]:
+        slot = t & 3
+        if slot == 2:
+            raise KnotError(f"pd: inconsistent orientation at arc {crossings[t >> 2][2]}")
+        if slot:
+            signs[t >> 2] = 1 if slot == 3 else -1
+        passed += 2
+    if passed != len(mate):
+        raise KnotError("pd: diagram has more than one component")
+    return mate, tuple(ends[min(ends)]), signs
 
 
 # -- bracket -------------------------------------------------------------------
@@ -303,35 +266,15 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     if not crossings:
         return LaurentPoly.one()
 
-    # slot s of crossing i is token 4*i + s; mate[t] is the other end of
-    # t's arc
-    ends: dict[int, list[int]] = {}
-    for i, x in enumerate(crossings):
-        for s, arc in enumerate(x):
-            ends.setdefault(arc, []).append(4 * i + s)
-    mate = [0] * (4 * len(crossings))
-    for arc, pair in ends.items():
-        # validate() ensures this, but a PlanarDiagram can be built directly
-        if len(pair) != 2:
-            raise KnotError(f"pd: arc {arc} appears {len(pair)} times, must be 2")
-        t, u = pair
-        mate[t], mate[u] = u, t
-    # the strand through token 0 must pass every token: it runs along an
-    # arc to its mate, then straight through that crossing, slot s to
-    # slot (s + 2) mod 4, which is token ^ 2
-    t, passed = mate[0] ^ 2, 2
-    while t:
-        t = mate[t] ^ 2
-        passed += 2
-    if passed != len(mate):
-        raise KnotError("pd: diagram has more than one component")
+    # a PlanarDiagram can be built directly, so the walk's checks run here
+    # too
+    mate, (t0, t1), _ = _strand(crossings)
 
     # cut the lowest arc open: its two ends are tied to sentinels, so
     # every complete state ends as the same single strand and the loop
     # count comes out right without a final division by delta; the
     # sentinels are tokens that no slot uses
     s0, s1 = -1, -2
-    t0, t1 = ends[min(ends)]
     boundary = [s0, s1, t0, t1]
     states: dict[tuple[int, ...], tuple[int, list[int]]] = {(t0, t1, s0, s1): (0, [1])}
 

@@ -140,9 +140,6 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
 
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly({e: c * v for e, v in self._coeffs.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented

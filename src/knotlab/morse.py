@@ -77,12 +77,18 @@ class _Parity:
         return len(self.parent) - 1
 
     def find(self, v: int) -> tuple[int, int]:
-        if self.parent[v] == v:
-            return v, 0
-        root, p = self.find(self.parent[v])
-        self.parent[v] = root
-        self.rel[v] ^= p
-        return root, self.rel[v]
+        """(root, parity of v relative to the root); points every bit on
+        the way straight at the root."""
+        path = []
+        while self.parent[v] != v:
+            path.append(v)
+            v = self.parent[v]
+        p = 0
+        for u in reversed(path):
+            p ^= self.rel[u]
+            self.parent[u] = v
+            self.rel[u] = p
+        return v, p
 
     def union(self, a: int, b: int, parity: int) -> None:
         ra, pa = self.find(a)
@@ -209,10 +215,8 @@ class MorseBuilder:
             right_in = "BR" if dr == UP else "AL"
             if rec.over == "L":
                 over_in, under_in = left_in, right_in
-                over_label, under_label = rec.left_label, rec.right_label
             else:
                 over_in, under_in = right_in, left_in
-                over_label, under_label = rec.right_label, rec.left_label
             vo = _IN_VECTOR[over_in]
             vu = _IN_VECTOR[under_in]
             sign = 1 if vo[0] * vu[1] - vo[1] * vu[0] > 0 else -1
@@ -220,11 +224,8 @@ class MorseBuilder:
                 {
                     "arcs": {k: self._arcs.find(v) for k, v in rec.ports.items()},
                     "under_in": under_in,
-                    "over_in": over_in,
                     "sign": sign,
                     "labels": (rec.left_label, rec.right_label),
-                    "over_label": over_label,
-                    "under_label": under_label,
                 }
             )
         return out

@@ -134,9 +134,6 @@ class CongruenceCertificate:
     def size(self) -> int:
         return len(self.rows)
 
-    def det(self) -> int:
-        return int_det(self.rows)
-
     def apply(self, m: "SeifertMatrix") -> "SeifertMatrix":
         """The congruent matrix T M T^T."""
         if self.size != m.size:
@@ -183,13 +180,6 @@ class SeifertMatrix:
     @property
     def genus(self) -> int:
         return self.size // 2
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i][j]
-
-    def transpose(self) -> "SeifertMatrix":
-        return SeifertMatrix(_transpose(self.rows))
 
     @property
     def s(self) -> int:

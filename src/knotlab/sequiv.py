@@ -39,9 +39,7 @@ from .errors import KnotError
 from .seifert import CongruenceCertificate, SeifertMatrix, int_det
 
 __all__ = [
-    "Band",
     "twist_form",
-    "SEquivReport",
     "first_sequiv_condition",
     "decide_first_sequiv",
     "verify_certificate",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotlab.cli import main
 from knotlab.diagram import (
     PlanarDiagram,
     _contraction_order,
@@ -209,9 +210,9 @@ def _knotted(strands, word, signs):
     return word
 
 
-def _braid_closure(strands, word):
-    """Closure of a braid word of (generator, sign) letters, built from
-    nested caps and cups."""
+def _braid_builder(strands, word):
+    """The Morse program of the closure of a braid word of (generator,
+    sign) letters, built from nested caps and cups."""
     b = MorseBuilder()
     for i in range(strands):
         b.cap(i)
@@ -219,7 +220,47 @@ def _braid_closure(strands, word):
         b.crossing(g, "L" if sign > 0 else "R")
     for i in reversed(range(strands)):
         b.cup(i)
-    return validate(b.to_pd())
+    return b
+
+
+def _braid_closure(strands, word):
+    return validate(_braid_builder(strands, word).to_pd())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_signs_match_morse_orientation(data):
+    # MorseBuilder solves orientations with its own parity union-find,
+    # sharing no code with the strand walk in validate
+    strands = data.draw(st.integers(2, 7))
+    sign = st.sampled_from((1, -1))
+    letter = st.tuples(st.integers(0, strands - 2), sign)
+    word = data.draw(st.lists(letter, max_size=30))
+    signs = data.draw(st.lists(sign, min_size=strands - 1, max_size=strands - 1))
+    b = _braid_builder(strands, _knotted(strands, word, signs))
+    quads = b.to_pd()
+    expected = tuple(r["sign"] for r in b.finish())
+    assert validate(quads).signs == expected
+    # the walk starts at crossing 0, wherever that sits on the strand
+    order = data.draw(st.permutations(range(len(quads))))
+    shuffled = validate([quads[i] for i in order])
+    assert shuffled.signs == tuple(expected[i] for i in order)
+
+
+def test_long_over_bridge(tmp_path, monkeypatch, capsys):
+    # the closure of sigma_1 ... sigma_599, every letter over from the
+    # left: an unknot whose one over-bridge passes 599 crossings
+    d = _braid_closure(600, [(g, 1) for g in range(599)])
+    assert parse_pd(str(d)).writhe() == 599
+    monkeypatch.setenv("KNOTLAB_CROSSING_CAP", "600")
+    assert jones(d) == LaurentPoly.one()
+    monkeypatch.delenv("KNOTLAB_CROSSING_CAP")
+    path = tmp_path / "bridge600.pd"
+    path.write_text(str(d))
+    assert main(["jones", "--pd", f"@{path}"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "cap 32" in err
+    assert "Traceback" not in err
 
 
 @settings(max_examples=40, deadline=None)

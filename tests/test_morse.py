@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotlab.diagram import jones, mirror, parse_pd, validate
 from knotlab.errors import KnotError
 from knotlab.laurent import parse_poly
-from knotlab.morse import MorseBuilder
+from knotlab.morse import MorseBuilder, _Parity
 
 
 def plat_trefoil(over: str) -> MorseBuilder:
@@ -46,6 +48,62 @@ def test_plat_trefoil_chirality():
     assert jones(right) == parse_poly("t + t^3 - t^4")
     assert jones(left) == parse_poly("-t^-4 + t^-3 + t^-1")
     assert jones(mirror(right)) == jones(left)
+
+
+def test_long_cup_chain():
+    # 1,200 caps closed by sigma_1 ... sigma_1199: the cups tie every
+    # orientation bit into one long union-find chain
+    b = MorseBuilder()
+    for i in range(1200):
+        b.cap(i)
+    for g in range(1199):
+        b.crossing(g, "L")
+    for i in reversed(range(1200)):
+        b.cup(i)
+    d = validate(b.to_pd())
+    assert len(d.crossings) == 1199
+
+
+def _relations(edges, start):
+    """Each bit joined to start by the accepted relations, with its parity
+    relative to start, by graph search."""
+    rel, todo = {start: 0}, [start]
+    while todo:
+        u = todo.pop()
+        for w, p in edges[u]:
+            if w not in rel:
+                rel[w] = rel[u] ^ p
+                todo.append(w)
+    return rel
+
+
+_UNIONS = st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                   st.integers(0, 1)), max_size=30)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_UNIONS)
+def test_parity_find_matches_graph_search(case):
+    n, unions = case
+    bits = _Parity()
+    edges = {bits.make(): [] for _ in range(n)}
+    for a, b, parity in unions:
+        if _relations(edges, a).get(b, parity) != parity:
+            with pytest.raises(KnotError):
+                bits.union(a, b, parity)
+            continue
+        bits.union(a, b, parity)
+        edges[a].append((b, parity))
+        edges[b].append((a, parity))
+    for v in range(n):
+        rel = _relations(edges, v)
+        rv, pv = bits.find(v)
+        for w in range(n):
+            rw, pw = bits.find(w)
+            assert (rv == rw) == (w in rel)
+            if w in rel:
+                assert pv ^ pw == rel[w]
 
 
 def test_single_crossing_kink():
