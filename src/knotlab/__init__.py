@@ -35,7 +35,6 @@ from .diagram import (
     PlanarDiagram,
     add_kink,
     connect_sum,
-    crossing_cap,
     jones,
     jones_q,
     jones_twist,
@@ -81,7 +80,6 @@ __all__ = [
     "PlanarDiagram",
     "add_kink",
     "connect_sum",
-    "crossing_cap",
     "jones",
     "jones_q",
     "jones_twist",

@@ -9,10 +9,11 @@
     knotlab report    --paper
 
 Matrix and diagram arguments accept inline text or @path to read a
-file.  Every subcommand takes --json for machine-readable output with
-the shape {"command", "input", "result", "paper_check"}.  Exit status:
-0 on success (a negative mathematical answer is still success), 1 on
-a domain error (invalid matrix, inconsistent diagram, ...), 2 on usage
+UTF-8 file of at most 1 MiB.  Every subcommand takes --json for
+machine-readable output with the shape {"command", "input", "result",
+"paper_check"}.  Exit status: 0 on success (a negative mathematical
+answer is still success), 1 on a domain error (invalid matrix,
+inconsistent diagram, input over a size limit, ...), 2 on usage
 errors.
 """
 
@@ -45,13 +46,22 @@ from .sequiv import brute_force_congruence, decide_first_sequiv
 __all__ = ["main"]
 
 
+# The PD code of a 4,004-crossing lambda(n, m, p), about the largest the
+# bracket sweep's limit admits, is about 90 KB.
+MAX_ARG_BYTES = 1 << 20
+
+
 def _read_arg(value: str) -> str:
     if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            try:
-                return fh.read()
-            except UnicodeDecodeError:
-                raise KnotError(f"{value[1:]}: not UTF-8 text") from None
+        path = value[1:]
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_ARG_BYTES + 1)
+        if len(data) > MAX_ARG_BYTES:
+            raise KnotError(f"{path}: longer than {MAX_ARG_BYTES} bytes")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise KnotError(f"{path}: not UTF-8 text") from None
     return value
 
 

@@ -61,18 +61,24 @@ A^(+-1) of a smoothing moves only the exponent, the loop factor delta
 is one pass over the list that grows it by one slot, and two states
 that meet add aligned slices, dropping zero ends (and the state, when
 nothing is left).  A crossing therefore costs about the number of
-states times the coefficient list length.  A crossing cap (default 32,
-env KNOTLAB_CROSSING_CAP) keeps accidental huge inputs from hanging the
-process.
+states times the coefficient list length.
+
+The sweep limits itself by that measure.  It keeps one running count,
+the ints its partial states hold, summed over crossings: before each
+crossing, the number of states times the boundary length (the state
+keys) plus the lengths of all their coefficient lists.  When the count
+passes SWEEP_LIMIT the sweep raises a KnotError naming the count
+reached.  The count follows both ways a sweep gets expensive: wide
+sweeps with many states, and long narrow ones whose coefficient lists
+grow with the crossings swept.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import KnotError
@@ -88,40 +94,52 @@ __all__ = [
     "mirror",
     "add_kink",
     "connect_sum",
-    "crossing_cap",
 ]
 
-DEFAULT_CROSSING_CAP = 32
+# the most partial-state ints one bracket sweep may hold, summed over its
+# crossings (see the module docstring).  lambda(-2, -6, -121), 492
+# crossings, reaches 548,342 and an 8-strand, 5-sweep braid closure about
+# 22,000, while lambda(0, 0, 1001), 4,004 crossings, reaches 13.2 million.
+# A 12-strand, 13-sweep closure passes it after a few seconds, holding
+# about 58,700 partial states.
+SWEEP_LIMIT = 15_000_000
 
 Crossing = tuple[int, int, int, int]
 
 
-def crossing_cap() -> int:
-    """Crossing limit for bracket evaluation.  Override with the
-    KNOTLAB_CROSSING_CAP environment variable."""
-    raw = os.environ.get("KNOTLAB_CROSSING_CAP")
-    if raw is None:
-        return DEFAULT_CROSSING_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise KnotError(f"KNOTLAB_CROSSING_CAP is not an integer: {raw!r}") from None
-    if cap < 0:
-        raise KnotError("KNOTLAB_CROSSING_CAP must be >= 0")
-    return cap
-
-
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """A validated single-component oriented diagram.
+    """A single-component oriented planar diagram, checked on
+    construction.
 
-    ``signs[i]`` is the sign of crossing i: +1 when the over-strand runs
-    from slot d to slot b (counterclockwise frame), -1 the other way.
+    Only the crossings are given.  Construction checks their shape and
+    labels, then walks the strand once (see ``_strand``), which orients
+    the diagram, refuses links, unorientable and non-planar codes with
+    ``KnotError``, and fixes ``signs``: ``signs[i]`` is the sign of
+    crossing i, +1 when the over-strand runs from slot d to slot b
+    (counterclockwise frame), -1 the other way.  So every instance in
+    circulation is a valid diagram whose signs match its crossings.
     Instances are immutable; operations below return new diagrams.
     """
 
     crossings: tuple[Crossing, ...]
-    signs: tuple[int, ...]
+    signs: tuple[int, ...] = field(init=False)
+    # mate[t] is the other end of slot token t's arc; the bracket sweep
+    # reads it instead of walking the strand again
+    _mate: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        crossings = []
+        for q in self.crossings:
+            if len(q) != 4:
+                raise KnotError(f"pd: crossing needs 4 arcs, got {q!r}")
+            if not all(type(v) is int and v > 0 for v in q):
+                raise KnotError("pd: arc labels must be positive integers")
+            crossings.append(tuple(q))
+        mate, signs = _strand(crossings) if crossings else ([], [])
+        object.__setattr__(self, "crossings", tuple(crossings))
+        object.__setattr__(self, "signs", tuple(signs))
+        object.__setattr__(self, "_mate", tuple(mate))
 
     @property
     def arcs(self) -> tuple[int, ...]:
@@ -155,22 +173,8 @@ def parse_pd(text: str) -> PlanarDiagram:
 
 
 def validate(quads: Sequence[Sequence[int]]) -> PlanarDiagram:
-    """Check the crossings' shape and labels, then orient the diagram,
-    sign its crossings and check it is a single closed curve by one walk
-    of its strand."""
-    crossings: list[Crossing] = []
-    for q in quads:
-        if len(q) != 4:
-            raise KnotError(f"pd: crossing needs 4 arcs, got {q!r}")
-        a, b, c, d = (int(v) for v in q)
-        if min(a, b, c, d) < 1:
-            raise KnotError("pd: arc labels must be positive integers")
-        crossings.append((a, b, c, d))
-    if not crossings:
-        return PlanarDiagram((), ())
-
-    _, signs = _strand(crossings)
-    return PlanarDiagram(tuple(crossings), tuple(signs))
+    """The diagram with these crossings; ``PlanarDiagram`` checks them."""
+    return PlanarDiagram(quads)
 
 
 def _strand(crossings: Sequence[Crossing]) -> tuple[list[int], list[int]]:
@@ -296,17 +300,10 @@ def _contraction_order(crossings: Sequence[Crossing]) -> list[int]:
 def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     """The bracket <D> as a Laurent polynomial in A."""
     crossings = diagram.crossings
-    if len(crossings) > crossing_cap():
-        raise KnotError(
-            f"bracket: {len(crossings)} crossings exceeds cap {crossing_cap()} "
-            "(set KNOTLAB_CROSSING_CAP to raise)"
-        )
     if not crossings:
         return LaurentPoly.one()
 
-    # a PlanarDiagram can be built directly, so the walk's checks run here
-    # too
-    mate, _ = _strand(crossings)
+    mate = diagram._mate
     order = _contraction_order(crossings)
 
     # cut open the arc at slot 0 of the last crossing swept: its two ends
@@ -323,7 +320,14 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     boundary = [s0, s1, t0, t1]
     states: dict[tuple[int, ...], tuple[int, list[int]]] = {(t0, t1, s0, s1): (0, [1])}
 
+    work = 0
     for ci in order:
+        work += len(states) * len(boundary) + sum(len(c) for _, c in states.values())
+        if work > SWEEP_LIMIT:
+            raise KnotError(
+                f"bracket: sweep work reached {work} partial-state ints, "
+                f"over the limit of {SWEEP_LIMIT}"
+            )
         ta, tb, tc, td = here = range(4 * ci, 4 * ci + 4)
         smoothings = ((((ta, tb), (tc, td)), 1), (((ta, td), (tb, tc)), -1))
         # ends of this crossing already on the boundary, with positions;
@@ -527,9 +531,8 @@ def connect_sum(d1: PlanarDiagram, arc1: int | None, d2: PlanarDiagram,
     rows2 = [[a + offset for a in x] for x in d2.crossings]
     arc2o = arc2 + offset
     c1, s1 = _sink_slot(d1, arc1)
-    shifted = PlanarDiagram(tuple(tuple(x) for x in rows2),
-                            d2.signs)
-    c2, s2 = _sink_slot(shifted, arc2o)
+    # shifting the labels moves no slot
+    c2, s2 = _sink_slot(d2, arc2)
     rows1 = [list(x) for x in d1.crossings]
     rows1[c1][s1] = arc2o
     rows2[c2][s2] = arc1

@@ -92,28 +92,13 @@ def lambda_twist(spec: LambdaSpec, ell: int, band: str = "first") -> LambdaSpec:
     raise KnotError(f"band must be 'first' or 'second', got {band!r}")
 
 
-# Crossing chirality realizing positive twist / positive cable parameters.
-# Flipping either constant mirrors part of the picture; these values make
-# the compiled diagrams match the golden Jones values and the linking
-# oracle match lambda_seifert.  Do not change one without the other.
-_TWIST_OVER_POS = "R"
-_BRAID_OVER_POS = "R"
-# Core curve travel directions used by the linking pictures.  The two
-# cores must run parallel (reversing both together changes nothing).
-_CORE_FLOW_1 = "lr"
-_CORE_FLOW_2 = "lr"
+def _over(k: int) -> str:
+    """Crossing chirality realizing a twist or cable parameter of sign k.
 
-
-def _twist_over(k: int) -> str:
-    if k > 0:
-        return _TWIST_OVER_POS
-    return "R" if _TWIST_OVER_POS == "L" else "L"
-
-
-def _braid_over(p: int) -> str:
-    if p > 0:
-        return _BRAID_OVER_POS
-    return "R" if _BRAID_OVER_POS == "L" else "L"
+    Flipping it mirrors part of the picture; this convention makes the
+    compiled diagrams match the golden Jones values and the linking
+    oracle match lambda_seifert."""
+    return "R" if k > 0 else "L"
 
 
 def _cable(b: MorseBuilder, i: int, over: str) -> None:
@@ -143,11 +128,11 @@ def _knot_builder(spec: LambdaSpec) -> MorseBuilder:
     b.cap(3)
     b.cap(5)
     for _ in range(abs(spec.n)):
-        b.crossing(0, _twist_over(spec.n))
+        b.crossing(0, _over(spec.n))
     for _ in range(abs(spec.m)):
-        b.crossing(6, _twist_over(spec.m))
+        b.crossing(6, _over(spec.m))
     for _ in range(abs(spec.p)):
-        _cable(b, 2, _braid_over(spec.p))
+        _cable(b, 2, _over(spec.p))
     b.cup(1)
     b.cup(0)
     b.cup(1)
@@ -163,14 +148,14 @@ def lambda_diagram(spec: LambdaSpec) -> PlanarDiagram:
 # -- linking-number oracle -------------------------------------------------------
 
 
-def _diagonal_linking(twists: int, flow: str) -> int:
+def _diagonal_linking(twists: int) -> int:
     """lk of one band core with its parallel push-off: the core and the
     copy run up the band, cross once per half twist, and close."""
     b = MorseBuilder()
-    b.cap(0, flow=flow, label="core")
-    b.cap(1, flow=flow, label="copy")
+    b.cap(0, flow="lr", label="core")
+    b.cap(1, flow="lr", label="copy")
     for _ in range(abs(twists)):
-        b.crossing(0, _twist_over(twists))
+        b.crossing(0, _over(twists))
     b.cup(1)
     b.cup(0)
     return b.linking_number("core", "copy")
@@ -185,13 +170,13 @@ def _off_diagonal_linking(p: int, pushed: int) -> int:
     at the disk intersection.
     """
     b = MorseBuilder()
-    b.cap(0, flow=_CORE_FLOW_1, label="c1")
-    b.cap(1, flow=_CORE_FLOW_2, label="c2")
+    b.cap(0, flow="lr", label="c1")
+    b.cap(1, flow="lr", label="c2")
     # frontier: c1 c2 c2 c1 -> swap the right pair so the attachment
     # order around the disk is c1 c2 c1 c2
     b.crossing(2, "L" if pushed == 2 else "R")
     for _ in range(abs(p)):
-        b.crossing(1, _braid_over(p))
+        b.crossing(1, _over(p))
     b.cup(0)
     b.cup(0)
     return b.linking_number("c1", "c2")
@@ -199,8 +184,8 @@ def _off_diagonal_linking(p: int, pushed: int) -> int:
 
 def seifert_by_linking(spec: LambdaSpec) -> SeifertMatrix:
     """Recompute the Seifert matrix as core/push-off linking numbers."""
-    a11 = _diagonal_linking(spec.n, _CORE_FLOW_1)
-    a22 = _diagonal_linking(spec.m, _CORE_FLOW_2)
+    a11 = _diagonal_linking(spec.n)
+    a22 = _diagonal_linking(spec.m)
     a12 = _off_diagonal_linking(spec.p, pushed=2)
     a21 = _off_diagonal_linking(spec.p, pushed=1)
     return SeifertMatrix(((a11, a12), (a21, a22)))

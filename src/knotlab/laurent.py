@@ -68,10 +68,6 @@ class LaurentPoly:
         """The monomial coeff * t^exp."""
         return cls({exp: coeff})
 
-    @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
-
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, int]]:
@@ -81,20 +77,11 @@ class LaurentPoly:
     def coeff(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     @property
     def min_exp(self) -> int:
         if not self._coeffs:
             raise KnotError("laurent: zero polynomial has no degree")
         return min(self._coeffs)
-
-    @property
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise KnotError("laurent: zero polynomial has no degree")
-        return max(self._coeffs)
 
     # -- ring structure ----------------------------------------------------
 

@@ -93,11 +93,11 @@ def naive_contraction_order(crossings) -> list[int]:
 
 def convolve(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Product via dense coefficient lists."""
-    if p.is_zero() or q.is_zero():
+    if not p or not q:
         return LaurentPoly.zero()
     plo, qlo = p.min_exp, q.min_exp
-    pa = [p.coeff(plo + i) for i in range(p.max_exp - plo + 1)]
-    qa = [q.coeff(qlo + i) for i in range(q.max_exp - qlo + 1)]
+    pa = [p.coeff(plo + i) for i in range(max(e for e, _ in p.items()) - plo + 1)]
+    qa = [q.coeff(qlo + i) for i in range(max(e for e, _ in q.items()) - qlo + 1)]
     out = [0] * (len(pa) + len(qa) - 1)
     for i, ci in enumerate(pa):
         for j, cj in enumerate(qa):
@@ -150,7 +150,7 @@ def naive_alexander(m) -> LaurentPoly:
     entries = [[LaurentPoly({0: m[i][j], 1: -m[j][i]}) for j in range(n)] for i in range(n)]
     total: dict[int, int] = {}
     for perm in itertools.permutations(range(n)):
-        term = LaurentPoly.const(_perm_sign(perm))
+        term = LaurentPoly({0: _perm_sign(perm)})
         for i, j in enumerate(perm):
             term = convolve(term, entries[i][j])
         for e, c in term.items():

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +8,8 @@ import pytest
 import knotlab
 from knotlab import cli, diagram
 from knotlab.cli import main
+from knotlab.diagram import jones, jones_twist
+from knotlab.family import LambdaSpec, lambda_diagram
 
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -82,6 +83,19 @@ def test_jones_non_utf8_file(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert str(path) in err
+
+
+def test_jones_file_size_limit(capsys, tmp_path):
+    path = tmp_path / "padded.pd"
+    path.write_text(LEFT_TREFOIL.ljust(cli.MAX_ARG_BYTES))
+    code, out, err = run(capsys, "jones", "--pd", f"@{path}")
+    assert code == 0
+    assert "jones (t): -t^-4 + t^-3 + t^-1" in out
+    path.write_text(LEFT_TREFOIL.ljust(cli.MAX_ARG_BYTES + 1))
+    code, out, err = run(capsys, "jones", "--pd", f"@{path}")
+    assert code == 1
+    assert err.startswith("error:") and "longer than" in err
+    assert "Traceback" not in err
 
 
 def test_jones_bad_diagram(capsys):
@@ -227,6 +241,17 @@ def test_lambda_jones(capsys):
     assert "X[" in payload["result"]["pd"]
 
 
+def test_lambda_jones_follows_the_paper_sequence(capsys):
+    # the paper's S-equivalent sequence; lambda(6k, 0, 3) has 12 + 6k
+    # crossings, 36 and 42 here
+    v0 = jones(lambda_diagram(LambdaSpec(0, 0, 3)))
+    for k in (4, 5):
+        code, payload = run_json(capsys, "lambda", "--n", str(6 * k), "--m", "0",
+                                 "--p", "3", "--emit", "jones")
+        assert code == 0
+        assert payload["result"]["jones"] == str(jones_twist(v0, 3 * k)), k
+
+
 def test_lambda_alexander(capsys):
     code, out, err = run(capsys, "lambda", "--n", "0", "--m", "0", "--p", "3",
                          "--emit", "alexander")
@@ -283,14 +308,14 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_script_smoke():
-    # the child must import this knotlab even when it is not installed
-    src = str(Path(knotlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # the child must import this knotlab even when it is not installed;
+    # python -m puts its working directory first on the module path
+    src = Path(knotlab.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "knotlab.cli", "jones", "--pd", LEFT_TREFOIL],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        cwd=src,
     )
     assert proc.returncode == 0
     assert "jones (t): -t^-4 + t^-3 + t^-1" in proc.stdout

@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotlab import diagram
 from knotlab.cli import main
 from knotlab.diagram import (
     PlanarDiagram,
@@ -12,7 +14,6 @@ from knotlab.diagram import (
     _poly_add,
     add_kink,
     connect_sum,
-    crossing_cap,
     jones,
     jones_q,
     jones_twist,
@@ -70,11 +71,23 @@ def test_validate_arc_multiplicity():
 
 
 def test_bracket_rejects_unvalidated_diagram():
+    # the constructor checks the crossings, so no unchecked diagram
+    # reaches the bracket
     with pytest.raises(KnotError, match="appears"):
-        kauffman_bracket(PlanarDiagram(((1, 2, 3, 4),), (1,)))
+        PlanarDiagram(((1, 2, 3, 4),))
     # two split kinks: every arc appears twice, but the curve is a link
     with pytest.raises(KnotError, match="component"):
-        kauffman_bracket(PlanarDiagram(((1, 2, 2, 1), (3, 3, 4, 4)), (1, 1)))
+        PlanarDiagram(((1, 2, 2, 1), (3, 3, 4, 4)))
+
+
+def test_direct_diagram_signs_come_from_its_crossings():
+    left = parse_pd(LEFT_TREFOIL)
+    d = PlanarDiagram(left.crossings)
+    assert d == left and d.signs == (-1, -1, -1)
+    assert jones(d) == jones(parse_pd(str(d)))
+    # signs cannot be given, so they cannot disagree with the crossings
+    with pytest.raises(TypeError):
+        PlanarDiagram(left.crossings, (1, 1, -1))
 
 
 # two labels of a braid closure's code swapped: every arc appears twice
@@ -88,12 +101,16 @@ def test_rejects_nonplanar_code():
     with pytest.raises(KnotError, match="not a planar diagram"):
         parse_pd(" ".join("X[%d,%d,%d,%d]" % x for x in NONPLANAR))
     with pytest.raises(KnotError, match="not a planar diagram"):
-        kauffman_bracket(PlanarDiagram(NONPLANAR, (1,) * len(NONPLANAR)))
+        PlanarDiagram(NONPLANAR)
 
 
 def test_validate_rejects_nonpositive_labels():
     with pytest.raises(KnotError, match="positive"):
         parse_pd("X[0,1,1,2] X[2,3,3,4]")
+    # labels that int() would turn into the left trefoil's code
+    for first in ((1, 4.5, 2, 5), (1, "4", 2, 5), (True, 4, 2, 5)):
+        with pytest.raises(KnotError, match="positive integers"):
+            validate([first, (3, 6, 4, 1), (5, 2, 6, 3)])
 
 
 def test_validate_rejects_two_components():
@@ -271,20 +288,18 @@ def test_signs_match_morse_orientation(data):
     assert shuffled.signs == tuple(expected[i] for i in order)
 
 
-def test_long_over_bridge(tmp_path, monkeypatch, capsys):
+def test_long_over_bridge(tmp_path, capsys):
     # the closure of sigma_1 ... sigma_599, every letter over from the
     # left: an unknot whose one over-bridge passes 599 crossings
     d = _braid_closure(600, [(g, 1) for g in range(599)])
     assert parse_pd(str(d)).writhe() == 599
-    monkeypatch.setenv("KNOTLAB_CROSSING_CAP", "600")
     assert jones(d) == LaurentPoly.one()
-    monkeypatch.delenv("KNOTLAB_CROSSING_CAP")
     path = tmp_path / "bridge600.pd"
     path.write_text(str(d))
-    assert main(["jones", "--pd", f"@{path}"]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "cap 32" in err
-    assert "Traceback" not in err
+    assert main(["jones", "--pd", f"@{path}"]) == 0
+    captured = capsys.readouterr()
+    assert "jones (t): 1\n" in captured.out
+    assert captured.err == ""
 
 
 def _draw_braid_knot(data, max_crossings):
@@ -344,7 +359,6 @@ def test_cut_keeps_the_sweep_narrow(monkeypatch):
         return _poly_add(*args)
 
     monkeypatch.setattr("knotlab.diagram._poly_add", counted)
-    monkeypatch.setenv("KNOTLAB_CROSSING_CAP", "35")
     v = jones(d)
     assert len(calls) < 1500
     # Jones of T(p,q) is t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
@@ -451,21 +465,23 @@ def test_jones_twist_algebra():
             assert jones_twist(jones_twist(v, a), b) == jones_twist(v, a + b)
 
 
-# ---- crossing cap ----
+# ---- sweep limit ----
 
-def test_crossing_cap_env(monkeypatch):
-    monkeypatch.delenv("KNOTLAB_CROSSING_CAP", raising=False)
-    assert crossing_cap() == 32
-    monkeypatch.setenv("KNOTLAB_CROSSING_CAP", "2")
-    assert crossing_cap() == 2
-    with pytest.raises(KnotError, match="exceeds cap"):
-        kauffman_bracket(parse_pd(LEFT_TREFOIL))
-    monkeypatch.setenv("KNOTLAB_CROSSING_CAP", "abc")
-    with pytest.raises(KnotError):
-        crossing_cap()
-    monkeypatch.setenv("KNOTLAB_CROSSING_CAP", "-1")
-    with pytest.raises(KnotError):
-        crossing_cap()
+def test_sweep_limit_refuses_with_the_count(tmp_path, monkeypatch, capsys):
+    # the all-"L" 8-strand, 5-sweep closure holds about 22,000 partial-state
+    # ints over its sweep
+    d = _braid_closure(8, [(k % 7, 1) for k in range(35)])
+    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 10_000)
+    with pytest.raises(KnotError, match=r"sweep work reached \d+ .*limit of 10000") as exc:
+        kauffman_bracket(d)
+    reached = int(re.search(r"reached (\d+)", str(exc.value))[1])
+    assert 10_000 < reached < 30_000
+    path = tmp_path / "torus.pd"
+    path.write_text(str(d))
+    assert main(["jones", "--pd", f"@{path}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sweep work" in err
+    assert "Traceback" not in err
 
 
 def test_diagram_is_frozen():
