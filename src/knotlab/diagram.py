@@ -37,8 +37,30 @@ partial states (matchings on the open strand ends), so cost is driven
 by the width of the sweep, not 2^crossings.  Slot s of crossing i is
 the integer token 4*i + s.  Before each crossing the open ends form one
 list, the boundary, which is the same for every state; a state is the
-tuple of each boundary end's partner, in boundary order, so that tuple
-is already canonical and is the dictionary key.
+tuple of each boundary position's partner position, so that tuple is
+already canonical and is the dictionary key.
+
+Positional states let the sweep work out a crossing's effect once and
+then look it up.  A crossing's shape is the boundary length and, for
+each of its four slots, one of: the slot's boundary position, when its
+arc was opened earlier (a swept end); size + j, when the arc is met for
+the first time and its far end becomes the j-th fresh end; or the slot
+it is tied to, when both ends of the arc sit at this crossing (a
+curl).  Tokens, labels and signs never enter it.  A state's successor
+under either smoothing depends only on the shape and the state: the
+swept positions leave the boundary, the fresh ends take the place of
+the first swept one, every other end keeps its partner and only moves,
+and the smoothing's joins run through the four slots.  So one table per
+call, from shape to {state: both successors and their loop counts},
+filled in as the sweep meets each pair, is exact, and a pair met again
+costs one lookup.  Turning a crossing by one slot swaps its A- and
+B-smoothings, and turning it by two changes nothing, so the table is
+keyed by the shape turned to start at its largest entry and the two
+exponent shifts trade places on an odd turn; a positive and a negative
+crossing of one shape share an entry.  Putting the fresh ends where the
+first swept end was, rather than at the end, keeps a braid's boundary
+in the order its strands lie in, so the shapes of each sigma_i repeat
+with every period of the word.
 
 The sweep cuts the knot open at slot 0 of the last crossing in its
 order and ties the cut arc's two ends to sentinel tokens.  The cut
@@ -66,11 +88,13 @@ states times the coefficient list length.
 The sweep limits itself by that measure.  It keeps one running count,
 the ints its partial states hold, summed over crossings: before each
 crossing, the number of states times the boundary length (the state
-keys) plus the lengths of all their coefficient lists.  When the count
-passes SWEEP_LIMIT the sweep raises a KnotError naming the count
-reached.  The count follows both ways a sweep gets expensive: wide
-sweeps with many states, and long narrow ones whose coefficient lists
-grow with the crossings swept.
+keys) plus the lengths of all their coefficient lists; and for each
+transition the table works out, twice the new boundary length (the two
+successor states it keeps), so the limit bounds the table too.  When
+the count passes SWEEP_LIMIT the sweep raises a KnotError naming the
+count reached.  The count follows both ways a sweep gets expensive:
+wide sweeps with many states, and long narrow ones whose coefficient
+lists grow with the crossings swept.
 """
 
 from __future__ import annotations
@@ -78,8 +102,8 @@ from __future__ import annotations
 import heapq
 import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import KnotError
 from .laurent import LaurentPoly
@@ -96,12 +120,12 @@ __all__ = [
     "connect_sum",
 ]
 
-# the most partial-state ints one bracket sweep may hold, summed over its
-# crossings (see the module docstring).  lambda(-2, -6, -121), 492
-# crossings, reaches 548,342 and an 8-strand, 5-sweep braid closure about
-# 22,000, while lambda(0, 0, 1001), 4,004 crossings, reaches 13.2 million.
-# A 12-strand, 13-sweep closure passes it after a few seconds, holding
-# about 58,700 partial states.
+# the most partial-state and transition-table ints one bracket sweep may
+# hold, summed over its crossings (see the module docstring).
+# lambda(-2, -6, -121), 492 crossings, reaches 550,210 and an 8-strand,
+# 5-sweep braid closure 29,610, while lambda(0, 0, 1001), 4,004
+# crossings, reaches 13.2 million.  A 12-strand, 13-sweep closure passes
+# it after a few seconds.
 SWEEP_LIMIT = 15_000_000
 
 Crossing = tuple[int, int, int, int]
@@ -129,9 +153,11 @@ class PlanarDiagram:
     _mate: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.crossings, Sequence):
+            raise KnotError(f"pd: crossings must be a sequence, got {self.crossings!r}")
         crossings = []
         for q in self.crossings:
-            if len(q) != 4:
+            if not isinstance(q, Sequence) or len(q) != 4:
                 raise KnotError(f"pd: crossing needs 4 arcs, got {q!r}")
             if not all(type(v) is int and v > 0 for v in q):
                 raise KnotError("pd: arc labels must be positive integers")
@@ -168,7 +194,10 @@ def parse_pd(text: str) -> PlanarDiagram:
     leftovers = _X_TOKEN.sub(" ", s)
     if leftovers.strip(" \t\n,;"):
         raise KnotError(f"pd: unrecognized text {leftovers.strip()!r}")
-    quads = [tuple(int(g) for g in m.groups()) for m in _X_TOKEN.finditer(s)]
+    try:
+        quads = [tuple(int(g) for g in m.groups()) for m in _X_TOKEN.finditer(s)]
+    except ValueError as e:  # past the interpreter's int-conversion digit limit
+        raise KnotError(f"pd: arc label too long ({e})") from None
     return validate(quads)
 
 
@@ -307,92 +336,197 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     order = _contraction_order(crossings)
 
     # cut open the arc at slot 0 of the last crossing swept: its two ends
-    # are tied to sentinels, so every complete state ends as the same
-    # single strand and the loop count comes out right without a final
-    # division by delta; the sentinels are tokens that no slot uses.  The
-    # cut point is a puncture, and beside the last crossing it stays
-    # outside the swept disc until the final step, so states are planar
-    # matchings (14 per step on a 9-strand, 4-sweep closure, where a cut
-    # at the first crossing swept gives 70; see the module docstring)
+    # are tied to sentinels at boundary positions 0 and 1, so every
+    # complete state ends as the same single strand and the loop count
+    # comes out right without a final division by delta; the sentinels
+    # are tokens that no slot uses, so they are never swept.  The cut
+    # point is a puncture, and beside the last crossing it stays outside
+    # the swept disc until the final step, so states are planar matchings
+    # (14 per step on a 9-strand, 4-sweep closure, where a cut at the
+    # first crossing swept gives 70; see the module docstring)
     t0 = 4 * order[-1]
-    t1 = mate[t0]
-    s0, s1 = -1, -2
-    boundary = [s0, s1, t0, t1]
-    states: dict[tuple[int, ...], tuple[int, list[int]]] = {(t0, t1, s0, s1): (0, [1])}
+    boundary = [-1, -2, t0, mate[t0]]
+    states: dict[tuple[int, ...], tuple[int, list[int]]] = {(2, 3, 0, 1): (0, [1])}
+    # shape key -> _Shape, for this call only
+    table: dict[tuple[int, ...], _Shape] = {}
 
     work = 0
     for ci in order:
-        work += len(states) * len(boundary) + sum(len(c) for _, c in states.values())
-        if work > SWEEP_LIMIT:
-            raise KnotError(
-                f"bracket: sweep work reached {work} partial-state ints, "
-                f"over the limit of {SWEEP_LIMIT}"
-            )
-        ta, tb, tc, td = here = range(4 * ci, 4 * ci + 4)
-        smoothings = ((((ta, tb), (tc, td)), 1), (((ta, td), (tb, tc)), -1))
-        # ends of this crossing already on the boundary, with positions;
-        # the others are met for the first time and tied to their mates,
-        # and a mate at another crossing joins the boundary at its end
-        index = {t: k for k, t in enumerate(boundary)}
-        swept = [(t, index[t]) for t in here if t in index]
-        opened: dict[int, int] = {}
+        size = len(boundary)
+        work = _charge(work, len(states) * size + sum(len(c) for _, c in states.values()))
+        # the crossing's shape: each slot's boundary position, size + j
+        # for the j-th fresh end, or -1 - (offset to the slot it is tied
+        # to) for a curl.  The fresh ends take the place of the first swept
+        # end, numbered clockwise from it, which on a braid keeps the
+        # boundary in the order the strands lie in
+        here = 4 * ci
+        shape = [-1] * 4
+        for k, t in enumerate(boundary):
+            if here <= t < here + 4:
+                shape[t - here] = k
+        swept = [k for k in shape if k >= 0]
+        ins = min(swept) if swept else size
+        start = shape.index(ins) if swept else 0
         fresh = []
-        for t in here:
-            if t not in index:
-                m = opened[t] = mate[t]
-                if m not in here:
-                    opened[m] = t
+        for s in (start, start - 1, start - 2, start - 3):
+            s &= 3
+            if shape[s] < 0:
+                m = mate[here + s]
+                if m >> 2 == ci:
+                    shape[s] = -1 - ((m - s) & 3)
+                else:
+                    shape[s] = size + len(fresh)
                     fresh.append(m)
-        kept = [k for k, t in enumerate(boundary) if t not in here]
-        boundary = [boundary[k] for k in kept] + fresh
-        slot = {t: k for k, t in enumerate(boundary)}
-        pad = [0] * len(fresh)
+        boundary[ins:] = fresh + [t for t in boundary[ins:] if not here <= t < here + 4]
+
+        # keyed by the shape turned to start at its largest entry; an odd
+        # turn swaps the A- and B-smoothings
+        r = shape.index(max(shape))
+        key = (size, *shape[r:], *shape[:r])
+        sa, sb = (-1, 1) if r & 1 else (1, -1)
+        plan = table.get(key)
+        if plan is None:
+            plan = table[key] = _Shape(key)
+        known = plan.known
 
         new_states: dict[tuple[int, ...], tuple[int, list[int]]] = {}
         for state, (lo, coeffs) in states.items():
-            # partners on the new boundary; the joins below overwrite
-            # the ones that change
-            carried = [*map(state.__getitem__, kept), *pad]
-            links = dict(opened)
-            for t, k in swept:
-                links[t] = state[k]
-            for joins, shift in smoothings:
-                link = dict(links)
-                loops = 0
-                for u, v in joins:
-                    x = link.pop(u)
-                    if x == v:
-                        del link[v]
-                        loops += 1
-                    else:
-                        y = link.pop(v)
-                        link[x] = y
-                        link[y] = x
-                partners = carried.copy()
-                for t, partner in link.items():
-                    partners[slot[t]] = partner
-                key = tuple(partners)
-                e, c = lo + shift, coeffs
+            step = known.get(state)
+            if step is None:
+                step = known[state] = plan.transitions(state)
+                work = _charge(work, 2 * len(boundary))
+            for nxt, e, loops in ((step[0], lo + sa, step[1]), (step[2], lo + sb, step[3])):
+                c = coeffs
                 for _ in range(loops):
                     # times delta = -A^-2 - A^2
                     e -= 2
                     c = [-(p + q) for p, q in zip(c + [0], [0, *c])]
-                acc = new_states.get(key)
+                acc = new_states.get(nxt)
                 if acc is None:
-                    new_states[key] = (e, c)
+                    new_states[nxt] = (e, c)
                 else:
                     acc = _poly_add(acc, e, c)
                     if acc[1]:
-                        new_states[key] = acc
+                        new_states[nxt] = acc
                     else:
-                        del new_states[key]
+                        del new_states[nxt]
         states = new_states
 
-    final_key = (s1, s0)
-    if set(states) != {final_key}:
+    if set(states) != {(1, 0)}:
         raise AssertionError("bracket: contraction did not close the diagram")
-    lo, coeffs = states[final_key]
+    lo, coeffs = states[1, 0]
     return LaurentPoly({lo + 4 * k: c for k, c in enumerate(coeffs) if c})
+
+
+def _charge(work: int, ints: int) -> int:
+    """The sweep work after ``ints`` more; past SWEEP_LIMIT, raises."""
+    work += ints
+    if work > SWEEP_LIMIT:
+        raise KnotError(
+            f"bracket: sweep work reached {work} partial-state ints, "
+            f"over the limit of {SWEEP_LIMIT}"
+        )
+    return work
+
+
+class _Shape:
+    """How a crossing of one shape acts on a positional state.
+
+    ``key`` is ``(size, e0, e1, e2, e3)``: the boundary length and the
+    entries of slots 0 to 3 of the turned crossing (see
+    ``kauffman_bracket``).  The new boundary drops the swept positions
+    and puts the fresh ends, in order, where the first swept end was (at
+    the end when nothing is swept).  Every other end keeps its partner
+    and only moves, so a state's successor differs from the state only
+    where the crossing's joins reach.  Those joins depend only on which
+    swept ends the state pairs with each other, its pattern, and are
+    worked out once per pattern.  ``known`` maps each state met so far
+    to its ``transitions``.
+    """
+
+    def __init__(self, key: tuple[int, ...]):
+        size, *self.shape = key
+        self.size = size
+        self.swept = swept = sorted(k for k in self.shape if 0 <= k < size)
+        self.ins = ins = swept[0] if swept else size
+        # the old position behind each new one, -1 for a fresh end
+        self.back = [k for k in range(size) if k not in swept]
+        self.back[ins:ins] = [-1] * sum(k >= size for k in self.shape)
+        # and the other way; a swept position keeps -1, and the joins
+        # overwrite every partner that pointed there
+        self.remap = [-1] * size
+        for new, k in enumerate(self.back):
+            if k >= 0:
+                self.remap[k] = new
+        self.patterns: dict[tuple[int, ...], tuple] = {}
+        self.known: dict[tuple[int, ...], tuple] = {}
+
+    def transitions(self, state: tuple[int, ...]) -> tuple:
+        """``(A-state, A-loops, B-state, B-loops)`` of ``state``, for the
+        smoothings of the turned crossing."""
+        swept, remap = self.swept, self.remap
+        pattern = tuple(state[k] if state[k] in swept else -1 for k in swept)
+        joined = self.patterns.get(pattern)
+        if joined is None:
+            joined = self.patterns[pattern] = self._joins(pattern)
+        base = [k if k < 0 else remap[state[k]] for k in self.back]
+        out = []
+        for pairs, loops in joined:
+            partners = base.copy()
+            for u, v in pairs:
+                u = u if u >= 0 else remap[state[~u]]
+                v = v if v >= 0 else remap[state[~v]]
+                partners[u] = v
+                partners[v] = u
+            out += (tuple(partners), loops)
+        return tuple(out)
+
+    def _joins(self, pattern: tuple[int, ...]) -> tuple:
+        """For each smoothing, the pairs of outside ends it joins and its
+        closed loop count.  An outside end is its new position, or ``~k``
+        for the new position of the partner of swept position k, which
+        varies with the state."""
+        size, shape = self.size, self.shape
+        slot_at = {k: s for s, k in enumerate(shape) if 0 <= k < size}
+        inner: dict[int, int] = {}  # slot -> slot it is tied to
+        outer: dict[int, int] = {}  # slot -> its outside end
+        for s, k in enumerate(shape):
+            if k >= size:
+                outer[s] = self.ins + k - size
+            elif k >= 0:
+                q = pattern[self.swept.index(k)]
+                if q >= 0:
+                    inner[s] = slot_at[q]
+                else:
+                    outer[s] = ~k
+            else:
+                inner[s] = (s - 1 - k) & 3
+        out = []
+        for joins in ((1, 0, 3, 2), (3, 2, 1, 0)):  # A: ab cd, B: ad bc
+            seen: set[int] = set()
+            pairs = []
+            for s in outer:
+                if s not in seen:
+                    t = joins[s]
+                    while t in inner:
+                        seen.add(t)
+                        t = inner[t]
+                        seen.add(t)
+                        t = joins[t]
+                    seen.update((s, t))
+                    pairs.append((outer[s], outer[t]))
+            loops = 0
+            for s in range(4):
+                if s not in seen:
+                    loops += 1
+                    t = s
+                    while t not in seen:
+                        seen.add(t)
+                        t = joins[t]
+                        seen.add(t)
+                        t = inner[t]
+            out.append((tuple(pairs), loops))
+        return tuple(out)
 
 
 def _poly_add(acc: tuple[int, list[int]], e: int, c: list[int]) -> tuple[int, list[int]]:

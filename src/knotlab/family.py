@@ -53,6 +53,13 @@ __all__ = [
     "render_report",
 ]
 
+# the most crossings a LambdaSpec may describe, 4|p| + |n| + |m|, checked
+# before anything is built.  Its PD code then has labels of at most five
+# digits, about 26.4 bytes per crossing: 1,031,003 bytes for the 39,008
+# crossings of lambda(2, 2, -9751), so every code `lambda --emit pd`
+# prints fits the CLI's 1 MiB @file limit and can be read back.
+MAX_CROSSINGS = 39_000
+
 
 @dataclass(frozen=True)
 class LambdaSpec:
@@ -70,6 +77,11 @@ class LambdaSpec:
             raise KnotError("lambda: n and m must be even")
         if self.p % 2 == 0 or abs(self.p) < 3:
             raise KnotError("lambda: p must be odd with |p| >= 3")
+        crossings = 4 * abs(self.p) + abs(self.n) + abs(self.m)
+        if crossings > MAX_CROSSINGS:
+            raise KnotError(
+                f"lambda: {self} has {crossings} crossings, over the limit of {MAX_CROSSINGS}"
+            )
 
     def __str__(self) -> str:
         return f"lambda({self.n},{self.m},{self.p})"

@@ -54,6 +54,11 @@ NEGATIVE_NOTE = (
     "no genus-preserving congruence exists; full S-equivalence is not decided"
 )
 
+# the most candidate rows, (2*bound + 1)^n, one oracle search may try.  At
+# that count a 2x2 search takes about half a second; a larger bound is
+# refused before the search starts.
+ORACLE_ROWS = 1_000_000
+
 
 def _check_band(band: str) -> Band:
     if band not in ("first", "second"):
@@ -203,7 +208,8 @@ def brute_force_congruence(
     the sequence of rows, so that first leaf is the lexicographically
     first witness.  All arithmetic is on Python ints and therefore
     exact for entries of any size.  Matrices larger than 4x4 are
-    rejected.
+    rejected, and so is a bound giving more than ORACLE_ROWS candidate
+    rows.
     """
     if bound < 0:
         raise KnotError("oracle: bound must be >= 0")
@@ -212,6 +218,11 @@ def brute_force_congruence(
         raise KnotError("oracle: size mismatch")
     if n > 4:
         raise KnotError("oracle: matrices larger than 4x4 are not supported")
+    rows = (2 * bound + 1) ** n
+    if rows > ORACLE_ROWS:
+        raise KnotError(
+            f"oracle: bound {bound} gives {rows} candidate rows, over the limit of {ORACLE_ROWS}"
+        )
     if n == 0:
         return CongruenceCertificate(())
 

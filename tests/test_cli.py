@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import knotlab
 from knotlab import cli, diagram
@@ -265,6 +272,17 @@ def test_lambda_rejects_bad_parameters(capsys):
     assert "error:" in err
 
 
+def test_lambda_size_limit(capsys):
+    # refused by LambdaSpec before any of its 2,000,012 crossings is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lambda", "--n", "2000000", "--m", "0", "--p", "3",
+                         "--emit", "pd")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "2000012 crossings" in err
+    assert "Traceback" not in err
+
+
 # ---- report ----
 
 def test_report_paper(capsys):
@@ -319,3 +337,122 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "jones (t): -t^-4 + t^-3 + t^-1" in proc.stdout
+
+
+# ---- fuzzed arguments ----
+
+SMALL_INTS = st.integers(-40, 40).map(str)
+HUGE_INTS = st.sampled_from([2**31, -(2**31), 2**63, -(2**63) - 1, 10**100, -(10**100),
+                             10**4000]).map(str)
+MALFORMED_INTS = st.sampled_from(["", "x", "1e9", "0x10", "3.0", "-", "9" * 5000])
+HOSTILE_INTS = st.one_of(SMALL_INTS, HUGE_INTS, MALFORMED_INTS)
+PD_TEXTS = st.sampled_from([
+    LEFT_TREFOIL,
+    "X[1,2,3]",
+    "X[0,1,1,2]",
+    "X[1,2,3,4] X[5,6,7,8]",
+    "X[%s,1,1,2]" % ("9" * 5000),
+    "PD[",
+    "",
+])
+GENUS_ONE = st.sampled_from(["[[0,1],[2,0]]", "[[-1,1],[0,-1]]", "[[0,1],[0,0]]"])
+MATRIX_TEXTS = st.sampled_from([
+    "[[0,1,0,0],[0,0,0,0],[0,0,0,1],[0,0,0,0]]",
+    "[[1,2],[3]]",
+    "[[1e400,0],[0,1]]",
+    "[[%d,1],[0,0]]" % 10**4000,
+    "[[%s,1],[0,0]]" % ("9" * 5000),
+    "",
+])
+# @file arguments, filled in from the hostile_files fixture
+FILES = st.sampled_from(["@{devnull}", "@{dir}", "@{missing}", "@{latin1}", "@{pd}",
+                         "@{matrix}"])
+DEEP = st.integers(1, 100_000).map(lambda depth: "[" * depth)
+CALL_SECONDS = 5
+
+
+@pytest.fixture(scope="module")
+def hostile_files(tmp_path_factory):
+    """A device, a directory, a missing path, non-UTF-8 bytes and two
+    readable files."""
+    root = tmp_path_factory.mktemp("hostile")
+    (root / "dir").mkdir()
+    (root / "latin1.txt").write_bytes(b"\xff\xfe[[0,1],[2,0]]")
+    (root / "pd.txt").write_text(LEFT_TREFOIL)
+    (root / "matrix.txt").write_text("[[0,1],[2,0]]")
+    return {"devnull": os.devnull, "dir": root / "dir", "missing": root / "missing",
+            "latin1": root / "latin1.txt", "pd": root / "pd.txt",
+            "matrix": root / "matrix.txt"}
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(["jones", "alexander", "signature", "sequiv", "lambda",
+                                    "report"]))
+    matrix = st.one_of(GENUS_ONE, MATRIX_TEXTS, FILES, DEEP)
+    if command == "jones":
+        options = {"--pd": st.one_of(PD_TEXTS, FILES, DEEP)}
+    elif command in ("alexander", "signature"):
+        options = {"--seifert": matrix}
+    elif command == "sequiv":
+        options = {"--seifert": matrix, "--ell": HOSTILE_INTS,
+                   "--band": st.sampled_from(["first", "second", "third"]),
+                   "--oracle-bound": st.one_of(st.integers(0, 6).map(str), HOSTILE_INTS)}
+    elif command == "lambda":
+        options = {"--n": HOSTILE_INTS, "--m": HOSTILE_INTS, "--p": HOSTILE_INTS,
+                   "--emit": st.sampled_from(["seifert", "pd", "jones", "alexander", "all"])}
+    else:
+        options = {}
+    argv = [command]
+    for flag, value in options.items():
+        # usually given, sometimes missing: a required option left out is
+        # a usage error
+        if draw(st.integers(0, 9)):
+            argv += [flag, draw(value)]
+    for flag in ("--paper", "--json"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+class Overtime(Exception):
+    """Raised by ``_time_bound``.  Not an OSError: the CLI reports those,
+    TimeoutError included, as domain errors with exit 1."""
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    """Interrupt the block with Overtime once it has run this long."""
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@settings(max_examples=400, deadline=None)
+@given(argv=hostile_argv())
+# inputs that once ran without end or ended in a traceback
+@example(argv=["sequiv", "--seifert", "[[0,1],[2,0]]", "--ell", "3",
+               "--oracle-bound", str(10**6)])
+@example(argv=["jones", "--pd", "X[%s,1,1,2]" % ("9" * 5000)])
+@example(argv=["lambda", "--n", "2000000", "--m", "0", "--p", "3", "--emit", "pd"])
+def test_fuzzed_arguments_never_show_a_traceback(hostile_files, argv):
+    argv = [a.format(**hostile_files) if a.startswith("@{") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with _time_bound(CALL_SECONDS):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert err.getvalue().startswith("error:"), argv

@@ -111,6 +111,15 @@ def test_validate_rejects_nonpositive_labels():
     for first in ((1, 4.5, 2, 5), (1, "4", 2, 5), (True, 4, 2, 5)):
         with pytest.raises(KnotError, match="positive integers"):
             validate([first, (3, 6, 4, 1), (5, 2, 6, 3)])
+    # a crossing, or the whole code, that is not a sequence at all
+    for quads in ([1, 2, 3], [(1, 2, 3, 4), 5]):
+        with pytest.raises(KnotError, match="crossing needs 4 arcs"):
+            validate(quads)
+    with pytest.raises(KnotError, match="crossings must be a sequence"):
+        validate(5)
+    # a label past the interpreter's int-conversion digit limit
+    with pytest.raises(KnotError, match="arc label too long"):
+        parse_pd("X[%s,1,1,2]" % ("9" * 5000))
 
 
 def test_validate_rejects_two_components():
@@ -363,6 +372,61 @@ def test_cut_keeps_the_sweep_narrow(monkeypatch):
     assert len(calls) < 1500
     # Jones of T(p,q) is t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
     assert LaurentPoly({0: 1, 2: -1}) * v == LaurentPoly({14: 1, 20: -1, 23: -1, 27: 1})
+
+
+def _count_table(monkeypatch):
+    """Count the sweep's state-steps (a partial state meeting a crossing)
+    and the transitions its table works out, and the shapes it keys."""
+    counts = {"steps": 0, "worked": 0, "shapes": 0}
+    init, transitions = diagram._Shape.__init__, diagram._Shape.transitions
+
+    class Known(dict):
+        def get(self, state, default=None):
+            counts["steps"] += 1
+            return super().get(state, default)
+
+    def counting_init(self, key):
+        init(self, key)
+        self.known = Known()
+        counts["shapes"] += 1
+
+    def counted(self, state):
+        counts["worked"] += 1
+        return transitions(self, state)
+
+    monkeypatch.setattr(diagram._Shape, "__init__", counting_init)
+    monkeypatch.setattr(diagram._Shape, "transitions", counted)
+    return counts
+
+
+def test_bracket_table_works_out_few_transitions(monkeypatch):
+    # lambda(4, 2, 35), 146 crossings: of its 1,797 state-steps the table
+    # works out 105; every other step repeats a (shape, state) pair
+    d = lambda_diagram(LambdaSpec(4, 2, 35))
+    expected = kauffman_bracket(d)
+    counts = _count_table(monkeypatch)
+    assert kauffman_bracket(d) == expected
+    assert counts["steps"] > 1000
+    assert 4 * counts["worked"] < counts["steps"]
+
+
+def test_bracket_table_serves_both_turns_and_signs(monkeypatch):
+    # sigma_1 with alternating signs: a positive and a negative crossing
+    # on the same two strands have one shape turned by one slot, so one
+    # table entry serves both, with the A- and B-smoothings swapped
+    counts = _count_table(monkeypatch)
+    word = _knotted(3, [(0, (-1) ** k) for k in range(7)], [1, 1])
+    d = _braid_closure(3, word)
+    assert {1, -1} <= set(d.signs)
+    assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+    assert counts["shapes"] < len(d.crossings)
+    # a curl of either sign on every arc: each curl is a slot tied to a
+    # slot of its own crossing, met in every turn
+    small = _braid_closure(3, _knotted(3, [(0, 1), (1, -1), (0, 1)], [1, 1]))
+    for arc in small.arcs:
+        for sign in (1, -1):
+            kinked = add_kink(small, arc, sign)
+            assert kauffman_bracket(kinked) == naive_bracket(kinked.crossings), (arc, sign)
 
 
 def test_contraction_order_matches_naive_rescan():

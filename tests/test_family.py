@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from knotlab.cli import MAX_ARG_BYTES
 from knotlab.diagram import jones, jones_twist, mirror
 from knotlab.errors import KnotError
 from knotlab.family import (
     BASE,
     KNOWN_DISCREPANCIES,
+    MAX_CROSSINGS,
     PUBLISHED_CONGRUENCES,
     PUBLISHED_JONES,
     PUBLISHED_MATRICES,
@@ -52,6 +54,19 @@ def test_spec_rejects_bad_triples():
         LambdaSpec(0, 0, -1)
     with pytest.raises(KnotError):
         LambdaSpec(0, 0, 3.0)  # not an int
+
+
+def test_spec_limits_its_crossings():
+    # 4|p| + |n| + |m| is checked before anything is built; the largest
+    # admitted diagram's PD code still fits the CLI's @file limit
+    largest = LambdaSpec(2, 2, -9749)
+    d = lambda_diagram(largest)
+    assert len(d.crossings) == MAX_CROSSINGS
+    assert len(str(d).encode()) <= MAX_ARG_BYTES
+    LambdaSpec(0, 0, 1001)
+    for n, m, p in ((4, 2, -9749), (2_000_000, 0, 3), (0, 0, -(10**100) - 1)):
+        with pytest.raises(KnotError, match=r"crossings, over the limit of 39000"):
+            LambdaSpec(n, m, p)
 
 
 # ---- Seifert matrices ----

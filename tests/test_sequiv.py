@@ -162,6 +162,9 @@ def test_oracle_trivial_and_rejected_sizes():
         brute_force_congruence(six, six, 1)
     with pytest.raises(KnotError):
         brute_force_congruence(M0, M0, -1)
+    # 1001^2 candidate rows, over ORACLE_ROWS: refused before the search
+    with pytest.raises(KnotError, match="1002001 candidate rows"):
+        brute_force_congruence(M0, M0, 500)
 
 
 def test_oracle_4x4_small_bound():
