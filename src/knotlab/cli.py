@@ -54,8 +54,11 @@ MAX_ARG_BYTES = 1 << 20
 def _read_arg(value: str) -> str:
     if value.startswith("@"):
         path = value[1:]
-        with open(path, "rb") as fh:
-            data = fh.read(MAX_ARG_BYTES + 1)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read(MAX_ARG_BYTES + 1)
+        except OSError as e:
+            raise KnotError(str(e)) from None
         if len(data) > MAX_ARG_BYTES:
             raise KnotError(f"{path}: longer than {MAX_ARG_BYTES} bytes")
         try:
@@ -284,9 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except KnotError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

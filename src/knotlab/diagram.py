@@ -78,29 +78,51 @@ the loop count by exactly 1, so #B + loops is constant mod 2, and the
 closure adds a loop count that depends only on the state's matching.
 A term A^(#A-#B) delta^L of the state, with #A + #B = k, therefore has
 exponent k + 2(#B + L) mod 4.  So a state's polynomial is its lowest
-exponent and a list of coefficients in steps of A^4: the factor
-A^(+-1) of a smoothing moves only the exponent, the loop factor delta
-is one pass over the list that grows it by one slot, and two states
-that meet add aligned slices, dropping zero ends (and the state, when
-nothing is left).  A crossing therefore costs about the number of
-states times the coefficient list length.
+exponent and its coefficients in steps of A^4, and those coefficients
+are packed into one Python int, N = sum of c_k 2^(Bk), whose digits in
+base 2^B (B = 64 to start with) are the c_k, each taken in
+[-2^(B-1), 2^(B-1)).  Every step is exact integer arithmetic done in C:
+the factor A^(+-1) of a smoothing moves only the exponent, the loop
+factor delta = -A^-2 (1 + A^4) is N -> -(N + N * 2^B), two states that
+meet add as N1 + N2 * 2^(B * offset), and a state whose sum is 0 is
+dropped.  A crossing therefore costs about the number of states times
+the packed length, in machine words rather than Python objects.
 
-The sweep limits itself by that measure.  It keeps one running count,
-the ints its partial states hold, summed over crossings: before each
-crossing, the number of states times the boundary length (the state
-keys) plus the lengths of all their coefficient lists; and for each
-transition the table works out, twice the new boundary length (the two
-successor states it keeps), so the limit bounds the table too.  When
-the count passes SWEEP_LIMIT the sweep raises a KnotError naming the
-count reached.  The count follows both ways a sweep gets expensive:
-wide sweeps with many states, and long narrow ones whose coefficient
-lists grow with the crossings swept.
+The digits are the coefficients only while each coefficient is below
+2^(B-1) in absolute value, so each state also carries a bound on its
+coefficients: 1 to start, doubled by each delta and added on a merge.
+One crossing sends each state to two successors with at most two loops
+each, so no successor's bound exceeds 8 times the sum of the bounds
+before it.  Before a crossing where that could reach 2^(B-1), every
+state is decoded and its bound set to its exact largest coefficient;
+if 8 times their sum then needs more than half a digit, B doubles and
+every state is repacked, so the next renormalisation is B/2 - 1
+doublings of the sum away.  That is about B/2 crossings, since a sum
+of bounds doubles at a crossing without loops; lambda(0, 0, 1001)
+renormalises once every 40 or so.  Under that bound the digits are
+read back exactly and cheaply: the lowest digit is zero iff the low B
+bits of N are, so the zero digits a merge leaves at the low end are
+trimmed by one shift; the top end needs no trimming, since N has no
+leading zero digits; and a state has (bit length of N + B) // B
+digits.  The digits themselves are read only when renormalising and at
+the end, from the bytes of N plus 2^(B-1) in every digit.
+
+The sweep limits itself by the cost of a crossing.  It keeps one
+running count, the ints its partial states hold, summed over
+crossings: before each crossing, the number of states times the
+boundary length (the state keys) plus the digit counts of all their
+packed coefficients; and for each transition the table works out,
+twice the new boundary length (the two successor states it keeps), so
+the limit bounds the table too.  When the count passes SWEEP_LIMIT the
+sweep raises a KnotError naming the count reached.  The count follows
+both ways a sweep gets expensive: wide sweeps with many states, and
+long narrow ones whose coefficients spread over more A^4 steps with
+the crossings swept.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -127,6 +149,10 @@ __all__ = [
 # crossings, reaches 13.2 million.  A 12-strand, 13-sweep closure passes
 # it after a few seconds.
 SWEEP_LIMIT = 15_000_000
+
+# the digit width, in bits, that a bracket sweep packs coefficients in
+# (see the module docstring); a multiple of 8, so digits are whole bytes
+_RADIX = 64
 
 Crossing = tuple[int, int, int, int]
 
@@ -298,10 +324,11 @@ def _contraction_order(crossings: Sequence[Crossing]) -> list[int]:
         for a in x:
             pending[a] = pending.get(a, 0) + 1
             touching.setdefault(a, []).append(ci)
+    # each crossing's distinct arcs, with how many of its slots each fills
+    arcs = [[(a, x.count(a)) for a in dict.fromkeys(x)] for x in crossings]
 
     def score(ci: int) -> int:
-        x = crossings[ci]
-        return sum((pending[a] == 2) - (pending[a] == x.count(a)) for a in set(x))
+        return sum((pending[a] == 2) - (pending[a] == k) for a, k in arcs[ci])
 
     current = [score(ci) for ci in range(len(crossings))]
     heap = [(s, ci) for ci, s in enumerate(current)]
@@ -316,7 +343,7 @@ def _contraction_order(crossings: Sequence[Crossing]) -> list[int]:
         order.append(ci)
         for a in crossings[ci]:
             pending[a] -= 1
-        for a in set(crossings[ci]):
+        for a, _ in arcs[ci]:
             for cj in touching[a]:
                 if not done[cj]:
                     s = score(cj)
@@ -346,14 +373,24 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     # first crossing swept gives 70; see the module docstring)
     t0 = 4 * order[-1]
     boundary = [-1, -2, t0, mate[t0]]
-    states: dict[tuple[int, ...], tuple[int, list[int]]] = {(2, 3, 0, 1): (0, [1])}
+    # state -> (lowest A-exponent, packed coefficients, bound on their sizes)
+    states: dict[tuple[int, ...], tuple[int, int, int]] = {(2, 3, 0, 1): (0, 1, 1)}
     # shape key -> _Shape, for this call only
     table: dict[tuple[int, ...], _Shape] = {}
+    radix = _RADIX
 
     work = 0
     for ci in order:
         size = len(boundary)
-        work = _charge(work, len(states) * size + sum(len(c) for _, c in states.values()))
+        digits = bound = 0
+        for _, n, b in states.values():
+            digits += (n.bit_length() + radix) // radix
+            bound += b
+        work = _charge(work, len(states) * size + digits)
+        # no coefficient after this crossing can exceed 8 times this sum,
+        # and each must stay below 2^(radix-1) to be read back
+        if 8 * bound >= 1 << (radix - 1):
+            radix = _repack(states, radix)
         # the crossing's shape: each slot's boundary position, size + j
         # for the j-th fresh end, or -1 - (offset to the slot it is tied
         # to) for a curl.  The fresh ends take the place of the first swept
@@ -389,23 +426,23 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
             plan = table[key] = _Shape(key)
         known = plan.known
 
-        new_states: dict[tuple[int, ...], tuple[int, list[int]]] = {}
-        for state, (lo, coeffs) in states.items():
+        new_states: dict[tuple[int, ...], tuple[int, int, int]] = {}
+        for state, (lo, n, b) in states.items():
             step = known.get(state)
             if step is None:
                 step = known[state] = plan.transitions(state)
                 work = _charge(work, 2 * len(boundary))
             for nxt, e, loops in ((step[0], lo + sa, step[1]), (step[2], lo + sb, step[3])):
-                c = coeffs
+                p = n
                 for _ in range(loops):
-                    # times delta = -A^-2 - A^2
+                    # times delta = -A^-2 (1 + A^4)
                     e -= 2
-                    c = [-(p + q) for p, q in zip(c + [0], [0, *c])]
+                    p = -(p + (p << radix))
                 acc = new_states.get(nxt)
                 if acc is None:
-                    new_states[nxt] = (e, c)
+                    new_states[nxt] = (e, p, b << loops)
                 else:
-                    acc = _poly_add(acc, e, c)
+                    acc = _packed_add(acc, e, p, b << loops, radix)
                     if acc[1]:
                         new_states[nxt] = acc
                     else:
@@ -414,8 +451,8 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
 
     if set(states) != {(1, 0)}:
         raise AssertionError("bracket: contraction did not close the diagram")
-    lo, coeffs = states[1, 0]
-    return LaurentPoly({lo + 4 * k: c for k, c in enumerate(coeffs) if c})
+    lo, n, _ = states[1, 0]
+    return LaurentPoly({lo + 4 * k: c for k, c in enumerate(_digits(n, radix)) if c})
 
 
 def _charge(work: int, ints: int) -> int:
@@ -529,33 +566,78 @@ class _Shape:
         return tuple(out)
 
 
-def _poly_add(acc: tuple[int, list[int]], e: int, c: list[int]) -> tuple[int, list[int]]:
-    """Sum of two A^4-step coefficient lists, trimmed of zero ends; the
-    list is empty when the sum is zero.
+def _packed_add(
+    acc: tuple[int, int, int], e: int, n: int, bound: int, radix: int
+) -> tuple[int, int, int]:
+    """Sum of two packed polynomials, with the sum of their bounds; its
+    middle entry is 0 when the sum is zero.
 
     Both polynomials belong to one partial state, so their lowest
     exponents lie in one class mod 4 (see the module docstring); any
-    other difference means the sweep is wrong, and raises.  Returns a new
-    list; neither input is changed, because one list may be shared by
-    both smoothings of a state."""
-    lo, base = acc
+    other difference means the sweep is wrong, and raises.  The top end
+    needs no trimming, and the low end only when both start at one
+    exponent, since a packed polynomial's lowest digit is never zero.
+    The caller keeps every digit below 2^(radix-1) in absolute value, so
+    a digit is zero exactly when its bits are, and the low zero digits
+    are the whole digits among the sum's trailing zero bits."""
+    lo, m, b = acc
     if e < lo:
-        lo, base, e, c = e, c, lo, base
+        lo, m, e, n = e, n, lo, m
     if (e - lo) % 4:
         raise AssertionError("bracket: partial state exponents differ mod 4")
-    off = (e - lo) >> 2
-    end = off + len(c)
-    out = base + [0] * (end - len(base))
-    out[off:end] = map(operator.add, out[off:end], c)
-    if out[0] and out[-1]:
-        return lo, out
-    first = 0
-    while first < len(out) and not out[first]:
-        first += 1
-    last = len(out)
-    while last > first and not out[last - 1]:
-        last -= 1
-    return lo + 4 * first, out[first:last]
+    if e > lo:
+        return lo, m + (n << radix * ((e - lo) >> 2)), b + bound
+    m += n
+    if m:
+        # the zero digits at the low end: m & -m is m's lowest set bit
+        low = ((m & -m).bit_length() - 1) // radix
+        m >>= radix * low
+        lo += 4 * low
+    return lo, m, b + bound
+
+
+def _repack(states: dict[tuple[int, ...], tuple[int, int, int]], radix: int) -> int:
+    """Bound each state by its largest coefficient, in place, and return
+    the digit width to go on with.
+
+    The width doubles until 8 times the new sum of the bounds fits in
+    half a digit, so the next renormalisation is at least radix/2 - 1
+    doublings of that sum away; each state is then repacked at the new
+    width."""
+    half = 1 << (radix - 1)
+    tops = {}
+    for state, (_, n, _) in states.items():
+        chunks = _chunks(n, radix)
+        high, low = int.from_bytes(max(chunks), "big"), int.from_bytes(min(chunks), "big")
+        tops[state] = max(high - half, half - low)
+    wide = radix
+    while (8 * sum(tops.values())).bit_length() > wide // 2:
+        wide *= 2
+    for state, (lo, n, _) in states.items():
+        if wide != radix:
+            n = sum(c << (wide * k) for k, c in enumerate(_digits(n, radix)))
+        states[state] = lo, n, tops[state]
+    return wide
+
+
+def _chunks(n: int, radix: int) -> list[bytes]:
+    """The base-2^radix digits of nonzero ``n``, highest first, each
+    taken in [-2^(radix-1), 2^(radix-1)) and raised by 2^(radix-1), as
+    big-endian bytes.  Raised so, they are the bytes of a nonnegative
+    int, and they compare as the digits do."""
+    width = radix // 8
+    count = (n.bit_length() + radix) // radix
+    offset = int.from_bytes((b"\x80" + bytes(width - 1)) * count, "big")
+    raw = (n + offset).to_bytes(width * count, "big")
+    return [raw[k:k + width] for k in range(0, len(raw), width)]
+
+
+def _digits(n: int, radix: int) -> list[int]:
+    """The coefficients packed in nonzero ``n``, lowest first.  They are
+    its digits in base 2^radix only while each lies in
+    [-2^(radix-1), 2^(radix-1)), which the sweep's bounds guarantee."""
+    half = 1 << (radix - 1)
+    return [int.from_bytes(c, "big") - half for c in reversed(_chunks(n, radix))]
 
 
 # -- Jones ---------------------------------------------------------------------

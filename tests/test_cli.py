@@ -81,6 +81,18 @@ def test_jones_missing_file(capsys):
     code, out, err = run(capsys, "jones", "--pd", "@/no/such/file.pd")
     assert code == 1
     assert err.startswith("error:")
+    assert "/no/such/file.pd" in err
+
+
+def test_oserror_inside_a_computation_propagates(capsys, monkeypatch):
+    # only reading an @file turns an OSError into "error:", exit 1; one
+    # raised by the computation is a fault, not bad input
+    def expire(d):
+        raise TimeoutError("still running")
+
+    monkeypatch.setattr(cli, "kauffman_bracket", expire)
+    with pytest.raises(TimeoutError):
+        main(["jones", "--pd", LEFT_TREFOIL])
 
 
 def test_jones_non_utf8_file(capsys, tmp_path):
@@ -416,8 +428,7 @@ def hostile_argv(draw):
 
 
 class Overtime(Exception):
-    """Raised by ``_time_bound``.  Not an OSError: the CLI reports those,
-    TimeoutError included, as domain errors with exit 1."""
+    """Raised by ``_time_bound``."""
 
 
 @contextlib.contextmanager
@@ -443,6 +454,8 @@ def _time_bound(seconds):
                "--oracle-bound", str(10**6)])
 @example(argv=["jones", "--pd", "X[%s,1,1,2]" % ("9" * 5000)])
 @example(argv=["lambda", "--n", "2000000", "--m", "0", "--p", "3", "--emit", "pd"])
+@example(argv=["sequiv", "--seifert", "[[0,1],[2,0]]", "--ell", "0",
+               "--oracle-bound", "1" + "0" * 4299])
 def test_fuzzed_arguments_never_show_a_traceback(hostile_files, argv):
     argv = [a.format(**hostile_files) if a.startswith("@{") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()

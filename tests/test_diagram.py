@@ -11,7 +11,7 @@ from knotlab.cli import main
 from knotlab.diagram import (
     PlanarDiagram,
     _contraction_order,
-    _poly_add,
+    _packed_add,
     add_kink,
     connect_sum,
     jones,
@@ -222,18 +222,28 @@ def test_bracket_is_independent_of_the_cut():
             assert kauffman_bracket(rotated) == expected, (str(d), k)
 
 
-def test_poly_add_aligns_trims_and_copies():
-    # 1 + A^4 plus -1 + 2A^8: the A^0 terms cancel
-    acc, c = (0, [1, 1]), [-1, 0, 2]
-    assert _poly_add(acc, 0, c) == (4, [1, 2])
-    assert _poly_add((4, [3]), -4, [1, 0, -3]) == (-4, [1])
-    assert _poly_add((2, [5]), 2, [-5])[1] == []
-    # one list can be shared by both smoothings of a state
-    assert acc == (0, [1, 1]) and c == [-1, 0, 2]
+def _packed(coeffs, radix=64):
+    """The int holding ``coeffs`` (lowest first) in base-2^radix digits."""
+    return sum(c << (radix * k) for k, c in enumerate(coeffs))
+
+
+def test_packed_add_aligns_trims_and_drops():
+    # 1 + A^4 plus -1 + 2A^8: the A^0 terms cancel, so the low end is trimmed
+    acc = (0, _packed([1, 1]), 1)
+    assert _packed_add(acc, 0, _packed([-1, 0, 2]), 2, 64) == (4, _packed([1, 2]), 3)
+    # aligned by the lower exponent, whichever side has it; the top end cancels
+    assert _packed_add((4, _packed([3]), 3), -4, _packed([1, 0, -3]), 3, 64) == (-4, 1, 6)
+    assert _packed_add((-4, _packed([1, 0, -3]), 3), 4, _packed([3]), 3, 64) == (-4, 1, 6)
+    # several low digits cancel at once, and negative digits borrow
+    assert _packed_add((0, _packed([1, 2, 3, -1]), 3), 0, _packed([-1, -2, -3, 0, 7]), 7, 64) \
+        == (12, _packed([-1, 7]), 10)
+    assert _packed_add((0, _packed([-5, 1], 8), 5), 4, _packed([-1], 8), 1, 8) == (0, -5, 6)
+    # a sum of zero is dropped by the caller
+    assert _packed_add((2, _packed([5, -1]), 5), 2, _packed([-5, 1]), 5, 64)[1] == 0
     with pytest.raises(AssertionError, match="mod 4"):
-        _poly_add((0, [1]), 2, [1])
+        _packed_add((0, 1, 1), 2, 1, 1, 64)
     with pytest.raises(AssertionError, match="mod 4"):
-        _poly_add((-6, [1]), 0, [1])
+        _packed_add((-6, 1, 1), 0, 1, 1, 64)
 
 
 def _cycle(strands, word, start):
@@ -359,19 +369,52 @@ def test_swapped_labels_are_rejected_or_exact(data):
 def test_cut_keeps_the_sweep_narrow(monkeypatch):
     # the closure of (sigma_1 ... sigma_7)^5, every letter over from the
     # left: the positive torus knot T(8,5).  Cut open beside its first
-    # crossing the sweep makes 4,137 merges, beside its last 1,035.
+    # crossing the sweep made 4,137 merges, beside its last 1,035; with
+    # the fresh ends kept in strand order it makes 1,004.
     d = _braid_closure(8, [(k % 7, 1) for k in range(35)])
     calls = []
+    merge = diagram._packed_add
 
     def counted(*args):
         calls.append(None)
-        return _poly_add(*args)
+        return merge(*args)
 
-    monkeypatch.setattr("knotlab.diagram._poly_add", counted)
+    monkeypatch.setattr(diagram, "_packed_add", counted)
     v = jones(d)
-    assert len(calls) < 1500
+    assert 0 < len(calls) < 1500
     # Jones of T(p,q) is t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
     assert LaurentPoly({0: 1, 2: -1}) * v == LaurentPoly({14: 1, 20: -1, 23: -1, 27: 1})
+
+
+def test_narrow_radix_renormalises_and_widens(monkeypatch):
+    # lambda(0, 0, p) has coefficients up to p - 1, so these need more
+    # than an 8-bit digit
+    items = [lambda_diagram(LambdaSpec(0, 0, 131)), lambda_diagram(LambdaSpec(2, -4, -133))]
+    expected = [kauffman_bracket(d) for d in items]
+    assert all(max(abs(c) for _, c in b.items()) > 2 ** 7 for b in expected)
+    rng = random.Random(3)
+    closures = []
+    for strands in (3, 4, 5):
+        word = [(rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(9)]
+        closures.append(_braid_closure(strands, _knotted(strands, word, [1] * (strands - 1))))
+    closures.append(add_kink(closures[0], closures[0].arcs[0], -1))
+    widths = []
+    repack = diagram._repack
+
+    def recorded(states, radix):
+        wide = repack(states, radix)
+        widths.append((radix, wide))
+        return wide
+
+    monkeypatch.setattr(diagram, "_RADIX", 8)
+    monkeypatch.setattr(diagram, "_repack", recorded)
+    for d, b in zip(items, expected):
+        assert kauffman_bracket(d) == b, str(d)
+    for d in closures:
+        assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+    # renormalised at one width and widened from 8
+    assert any(radix == wide for radix, wide in widths)
+    assert (8, 16) in widths and any(wide > 16 for _, wide in widths)
 
 
 def _count_table(monkeypatch):
@@ -546,6 +589,17 @@ def test_sweep_limit_refuses_with_the_count(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "sweep work" in err
     assert "Traceback" not in err
+
+
+def test_sweep_limit_pins_the_work_count(monkeypatch):
+    # lambda(-2, -6, -121), 492 crossings, holds exactly 550,210
+    # partial-state and table ints over its sweep
+    d = lambda_diagram(LambdaSpec(-2, -6, -121))
+    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 550_209)
+    with pytest.raises(KnotError, match="sweep work reached 550210 "):
+        kauffman_bracket(d)
+    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 550_210)
+    assert kauffman_bracket(d)
 
 
 def test_diagram_is_frozen():

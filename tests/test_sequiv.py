@@ -165,6 +165,9 @@ def test_oracle_trivial_and_rejected_sizes():
     # 1001^2 candidate rows, over ORACLE_ROWS: refused before the search
     with pytest.raises(KnotError, match="1002001 candidate rows"):
         brute_force_congruence(M0, M0, 500)
+    # a bound whose decimal text is past the interpreter's digit limit
+    with pytest.raises(KnotError, match="bound of 16610 bits"):
+        brute_force_congruence(M0, M0, 10**5000)
 
 
 def test_oracle_4x4_small_bound():
