@@ -13,14 +13,15 @@ UTF-8 file of at most 1 MiB.  Every subcommand takes --json for
 machine-readable output with the shape {"command", "input", "result",
 "paper_check"}.  Exit status: 0 on success (a negative mathematical
 answer is still success), 1 on a domain error (invalid matrix,
-inconsistent diagram, input over a size limit, ...), 2 on usage
-errors.
+inconsistent diagram, input over a size limit, ...) or when the reader
+closes stdout before the output is written, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .diagram import jones, jones_q_from_bracket, kauffman_bracket, parse_pd
@@ -72,8 +73,10 @@ def _seifert_from(value: str) -> SeifertMatrix:
     return SeifertMatrix(tuple(tuple(r) for r in parse_matrix(_read_arg(value))))
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, inputs: dict, result: dict, text: str, paper_check=None) -> None:
     if args.json:
+        payload = {"command": args.command, "input": inputs, "result": result,
+                   "paper_check": paper_check}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
@@ -88,17 +91,12 @@ def cmd_jones(args) -> int:
     w = d.writhe()
     bracket = kauffman_bracket(d)
     v = jones_q_from_bracket(bracket, w).halve_exponents()
-    payload = {
-        "command": "jones",
-        "input": {"pd": str(d)},
-        "result": {
-            "jones": str(v),
-            "coefficients": _poly_json(v),
-            "bracket_A": bracket.format("A"),
-            "writhe": w,
-            "crossings": len(d.crossings),
-        },
-        "paper_check": None,
+    result = {
+        "jones": str(v),
+        "coefficients": _poly_json(v),
+        "bracket_A": bracket.format("A"),
+        "writhe": w,
+        "crossings": len(d.crossings),
     }
     text = (
         f"crossings: {len(d.crossings)}\n"
@@ -106,7 +104,7 @@ def cmd_jones(args) -> int:
         f"bracket (A): {bracket.format('A')}\n"
         f"jones (t): {v}"
     )
-    _emit(args, payload, text)
+    _emit(args, {"pd": str(d)}, result, text)
     return 0
 
 
@@ -114,31 +112,17 @@ def cmd_alexander(args) -> int:
     m = _seifert_from(args.seifert)
     poly = alexander(m)
     det = knot_determinant(m)
-    payload = {
-        "command": "alexander",
-        "input": {"seifert": [list(r) for r in m.rows]},
-        "result": {
-            "alexander": str(poly),
-            "coefficients": _poly_json(poly),
-            "determinant": det,
-        },
-        "paper_check": None,
-    }
+    result = {"alexander": str(poly), "coefficients": _poly_json(poly), "determinant": det}
     text = f"alexander (t): {poly}\ndeterminant: {det}"
-    _emit(args, payload, text)
+    _emit(args, {"seifert": [list(r) for r in m.rows]}, result, text)
     return 0
 
 
 def cmd_signature(args) -> int:
     m = _seifert_from(args.seifert)
     sig = signature(m)
-    payload = {
-        "command": "signature",
-        "input": {"seifert": [list(r) for r in m.rows]},
-        "result": {"signature": sig},
-        "paper_check": None,
-    }
-    _emit(args, payload, f"signature: {sig}")
+    _emit(args, {"seifert": [list(r) for r in m.rows]}, {"signature": sig},
+          f"signature: {sig}")
     return 0
 
 
@@ -153,16 +137,6 @@ def cmd_sequiv(args) -> int:
             "witness": [list(r) for r in witness.rows] if witness else None,
             "agrees": (witness is not None) == report.equivalent,
         }
-    payload = {
-        "command": "sequiv",
-        "input": {
-            "seifert": [list(r) for r in m.rows],
-            "ell": args.ell,
-            "band": args.band,
-        },
-        "result": dict(report.as_dict(), oracle=oracle),
-        "paper_check": None,
-    }
     lines = [
         f"matrix: {m}",
         f"twisted (ell={args.ell}, band={args.band}): {report.twisted}",
@@ -178,7 +152,8 @@ def cmd_sequiv(args) -> int:
             + (f"witness {format_matrix(w)}" if w else "no witness")
             + (", agrees" if oracle["agrees"] else ", DISAGREES")
         )
-    _emit(args, payload, "\n".join(lines))
+    inputs = {"seifert": [list(r) for r in m.rows], "ell": args.ell, "band": args.band}
+    _emit(args, inputs, dict(report.as_dict(), oracle=oracle), "\n".join(lines))
     return 0
 
 
@@ -199,13 +174,8 @@ def cmd_lambda(args) -> int:
         poly = alexander(m)
         result["alexander"] = str(poly)
         lines.append(f"alexander (t): {poly}")
-    payload = {
-        "command": "lambda",
-        "input": {"n": args.n, "m": args.m, "p": args.p, "emit": args.emit},
-        "result": result,
-        "paper_check": None,
-    }
-    _emit(args, payload, "\n".join(lines))
+    inputs = {"n": args.n, "m": args.m, "p": args.p, "emit": args.emit}
+    _emit(args, inputs, result, "\n".join(lines))
     return 0
 
 
@@ -214,13 +184,7 @@ def cmd_report(args) -> int:
         raise KnotError("report: nothing to do (use --paper)")
     lines = paper_report()
     ok = all(l["status"] in ("MATCH", "KNOWN-DISCREPANCY") for l in lines)
-    payload = {
-        "command": "report",
-        "input": {"paper": True},
-        "result": {"lines": lines, "ok": ok},
-        "paper_check": ok,
-    }
-    _emit(args, payload, render_report(lines))
+    _emit(args, {"paper": True}, {"lines": lines, "ok": ok}, render_report(lines), ok)
     return 0 if ok else 1
 
 
@@ -285,10 +249,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except KnotError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -140,6 +140,7 @@ __all__ = [
     "mirror",
     "add_kink",
     "connect_sum",
+    "validate",
 ]
 
 # the most partial-state and transition-table ints one bracket sweep may
@@ -668,13 +669,17 @@ def jones(diagram: PlanarDiagram) -> LaurentPoly:
 
 
 def jones_twist(v: LaurentPoly, ell: int) -> LaurentPoly:
-    """Jones polynomial after ell extra full twists in a band whose core
-    is unknotted and unlinked from the rest of the surface:
+    """Jones polynomial after ell extra full twists in one band of a
+    two-band surface whose *other* band is untwisted:
 
         V_ell(t) = t^(2 ell) V(t) + 1 - t^(2 ell).
 
-    Valid for either sign of ell; iterating the one-twist case gives the
-    same closed form.
+    For lambda(n, m, p) that is m = 0 when band 1 is twisted and n = 0
+    when band 2 is; the band cores may link, as they do there.  The
+    condition is needed: twisting band 1 of lambda(0, 2, 3) once gives
+    lambda(2, 2, 3), whose V = t^-2 - t^-1 + 1 - t + t^2 differs from
+    this formula's value.  Valid for either sign of ell; iterating the
+    one-twist case gives the same closed form.
     """
     factor = LaurentPoly.term(1, 2 * ell)
     return factor * v + LaurentPoly.one() - factor

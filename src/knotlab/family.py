@@ -41,7 +41,8 @@ from .errors import KnotError
 from .laurent import LaurentPoly, parse_poly
 from .morse import MorseBuilder
 from .seifert import CongruenceCertificate, SeifertMatrix, connected_sum
-from .sequiv import connected_sum_certificate, decide_first_sequiv, verify_certificate
+from .sequiv import (_check_band, connected_sum_certificate, decide_first_sequiv,
+                     verify_certificate)
 
 __all__ = [
     "LambdaSpec",
@@ -97,11 +98,9 @@ def lambda_seifert(spec: LambdaSpec) -> SeifertMatrix:
 
 def lambda_twist(spec: LambdaSpec, ell: int, band: str = "first") -> LambdaSpec:
     """The spec after ell extra full twists in one band."""
-    if band == "first":
+    if _check_band(band) == "first":
         return LambdaSpec(spec.n + 2 * ell, spec.m, spec.p)
-    if band == "second":
-        return LambdaSpec(spec.n, spec.m + 2 * ell, spec.p)
-    raise KnotError(f"band must be 'first' or 'second', got {band!r}")
+    return LambdaSpec(spec.n, spec.m + 2 * ell, spec.p)
 
 
 def _over(k: int) -> str:

@@ -44,6 +44,7 @@ __all__ = [
     "alexander",
     "signature",
     "knot_determinant",
+    "parse_matrix",
     "enlarge_first",
     "enlarge_second",
     "try_reduce",
@@ -114,6 +115,12 @@ def _transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
+def _block_sum(a: Rows, b: Rows) -> tuple[tuple[int, ...], ...]:
+    """The block-diagonal matrix a (+) b."""
+    n, m = len(a), len(b)
+    return tuple(tuple(r) + (0,) * m for r in a) + tuple((0,) * n + tuple(r) for r in b)
+
+
 @dataclass(frozen=True)
 class CongruenceCertificate:
     """A unimodular integer matrix T, witnessing M' = T M T^T.
@@ -145,10 +152,7 @@ class CongruenceCertificate:
         return cls(tuple(tuple(int(i == j) for j in range(size)) for i in range(size)))
 
     def direct_sum(self, other: "CongruenceCertificate") -> "CongruenceCertificate":
-        n, m = self.size, other.size
-        rows = [list(r) + [0] * m for r in self.rows]
-        rows += [[0] * n + list(r) for r in other.rows]
-        return CongruenceCertificate(tuple(tuple(r) for r in rows))
+        return CongruenceCertificate(_block_sum(self.rows, other.rows))
 
     def __str__(self) -> str:
         return format_matrix(self.rows)
@@ -384,7 +388,4 @@ def try_reduce(m: SeifertMatrix) -> tuple[SeifertMatrix, str] | None:
 
 def connected_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
     """Block sum M_a (+) M_b, the Seifert matrix of the connected sum."""
-    n, m = a.size, b.size
-    rows = [list(r) + [0] * m for r in a.rows]
-    rows += [[0] * n + list(r) for r in b.rows]
-    return SeifertMatrix(tuple(tuple(r) for r in rows))
+    return SeifertMatrix(_block_sum(a.rows, b.rows))

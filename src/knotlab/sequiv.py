@@ -128,53 +128,27 @@ def decide_first_sequiv(m: SeifertMatrix, ell: int, band: Band = "first") -> SEq
     band = _check_band(band)
     twisted = twist_form(m, ell, band)
     s = m.s
-    if ell == 0:
-        cert = CongruenceCertificate.identity(2)
-        return SEquivReport(
-            m, twisted, ell, band, True, cert, "ell = 0, forms are equal", POSITIVE_NOTE
-        )
     other_name, other = (
         ("a22", m.rows[1][1]) if band == "first" else ("a11", m.rows[0][0])
     )
-    if other != 0:
-        return SEquivReport(
-            m,
-            twisted,
-            ell,
-            band,
-            False,
-            None,
-            f"{other_name} = {other} != 0",
-            NEGATIVE_NOTE,
-        )
-    if ell % abs(s) != 0:
-        return SEquivReport(
-            m,
-            twisted,
-            ell,
-            band,
-            False,
-            None,
-            f"s = {s} does not divide ell = {ell}",
-            NEGATIVE_NOTE,
-        )
-    k = ell // s
-    if band == "first":
-        cert = CongruenceCertificate(((1, -k), (0, 1)))
+    if ell == 0:
+        equivalent, reason = True, "ell = 0, forms are equal"
+    elif other != 0:
+        equivalent, reason = False, f"{other_name} = {other} != 0"
+    elif ell % abs(s) != 0:
+        equivalent, reason = False, f"s = {s} does not divide ell = {ell}"
     else:
-        cert = CongruenceCertificate(((1, 0), (-k, 1)))
-    if cert.apply(m) != twisted:
-        raise AssertionError("decide: certificate does not reproduce the twisted form")
-    return SEquivReport(
-        m,
-        twisted,
-        ell,
-        band,
-        True,
-        cert,
-        f"{other_name} = 0 and s = {s} divides ell = {ell}",
-        POSITIVE_NOTE,
-    )
+        equivalent, reason = True, f"{other_name} = 0 and s = {s} divides ell = {ell}"
+    cert = None
+    if equivalent:
+        # ell = 0 gives k = 0, and so the identity, on either band
+        k = ell // s
+        rows = ((1, -k), (0, 1)) if band == "first" else ((1, 0), (-k, 1))
+        cert = CongruenceCertificate(rows)
+        if cert.apply(m) != twisted:
+            raise AssertionError("decide: certificate does not reproduce the twisted form")
+    note = POSITIVE_NOTE if equivalent else NEGATIVE_NOTE
+    return SEquivReport(m, twisted, ell, band, equivalent, cert, reason, note)
 
 
 def verify_certificate(

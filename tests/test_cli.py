@@ -313,7 +313,10 @@ def test_report_requires_flag(capsys):
 def test_report_json(capsys):
     code, payload = run_json(capsys, "report", "--paper")
     assert code == 0
+    assert payload["command"] == "report"
+    assert payload["input"] == {"paper": True}
     assert payload["paper_check"] is True
+    assert set(payload["result"]) == {"lines", "ok"} and payload["result"]["ok"] is True
     statuses = {line["status"] for line in payload["result"]["lines"]}
     assert statuses == {"MATCH", "KNOWN-DISCREPANCY"}
 
@@ -349,6 +352,25 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "jones (t): -t^-4 + t^-3 + t^-1" in proc.stdout
+
+
+@pytest.mark.parametrize("launcher", [
+    ["-m", "knotlab.cli"],
+    ["-c", "import sys; from knotlab.cli import main; sys.exit(main())"],
+], ids=["module", "entry-point"])
+def test_closed_stdout_exits_one_without_a_traceback(launcher):
+    # about 194 KB of JSON, more than a pipe buffer holds, so the command is
+    # still writing when the reader goes away
+    src = Path(knotlab.__file__).resolve().parents[1]
+    argv = ["lambda", "--n", "0", "--m", "0", "--p", "2001", "--emit", "pd", "--json"]
+    proc = subprocess.Popen([sys.executable, *launcher, *argv], cwd=src,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert head.startswith(b"{")
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
 
 # ---- fuzzed arguments ----
@@ -469,3 +491,38 @@ def test_fuzzed_arguments_never_show_a_traceback(hostile_files, argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 1:
         assert err.getvalue().startswith("error:"), argv
+
+
+# ---- golden output ----
+
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+SEQUIV_CASES = [
+    ["[[0,1],[2,0]]", "-3", "first"],    # yes: a22 = 0 and s = 3 divides ell
+    ["[[0,1],[2,1]]", "3", "first"],     # no: a22 != 0
+    ["[[0,1],[2,0]]", "4", "first"],     # no: s does not divide ell
+    ["[[0,1],[2,0]]", "6", "second"],    # yes: a11 = 0 and s divides ell
+    ["[[-1,1],[2,0]]", "3", "second"],   # no: a11 != 0
+    ["[[0,1],[2,0]]", "2", "second"],    # no: s does not divide ell
+    ["[[1,1],[0,1]]", "0", "first"],     # yes: ell = 0, with a22 != 0
+]
+GOLDEN_ARGV = [
+    ["jones", "--pd", LEFT_TREFOIL],
+    ["alexander", "--seifert", "[[0,2],[1,0]]"],
+    ["signature", "--seifert", "[[-1,1],[0,-1]]"],
+    *(["lambda", "--n", "2", "--m", "-2", "--p", "3", "--emit", emit]
+      for emit in ("seifert", "pd", "jones", "alexander")),
+    *(["sequiv", "--seifert", m, "--ell", ell, "--band", band]
+      for m, ell, band in SEQUIV_CASES),
+    ["sequiv", "--seifert", "[[0,1],[2,0]]", "--ell", "3", "--oracle-bound", "2"],
+    ["sequiv", "--seifert", "[[0,1],[2,0]]", "--ell", "1", "--band", "second",
+     "--oracle-bound", "1"],
+]
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=" ".join)
+def test_golden_output(capsys, argv, json_flag):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert (code, err) == (0, "")
+    assert out == golden[" ".join([*argv, *json_flag])]

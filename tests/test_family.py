@@ -121,12 +121,22 @@ def test_published_jones_values():
 
 
 def test_diagram_jones_follows_twist_recursion():
-    v0 = jones(lambda_diagram(BASE))
-    for ell in (-2, -1, 1, 2):
-        expected = jones_twist(v0, ell)
-        for band in ("first", "second"):
-            d = lambda_diagram(lambda_twist(BASE, ell, band))
-            assert jones(d) == expected, (ell, band)
+    # jones_twist holds when the other band is untwisted: m = 0 for a
+    # band 1 twist, n = 0 for a band 2 twist
+    for k in range(-4, 5, 2):
+        for p in (-5, -3, 3, 5):
+            for band, spec in (("first", LambdaSpec(k, 0, p)),
+                               ("second", LambdaSpec(0, k, p))):
+                v = jones(lambda_diagram(spec))
+                for ell in (-2, -1, 1, 2):
+                    d = lambda_diagram(lambda_twist(spec, ell, band))
+                    assert jones(d) == jones_twist(v, ell), (str(spec), ell, band)
+
+
+def test_jones_twist_needs_the_other_band_untwisted():
+    twisted = jones(lambda_diagram(LambdaSpec(2, 2, 3)))
+    assert twisted == parse_poly("t^-2 - t^-1 + 1 - t + t^2")
+    assert jones_twist(jones(lambda_diagram(LambdaSpec(0, 2, 3))), 1) != twisted
 
 
 def test_negated_parameters_give_the_mirror():
