@@ -1,9 +1,14 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotlab.diagram import jones, mirror, parse_pd, validate
 from knotlab.errors import KnotError
+from knotlab.family import LambdaSpec, lambda_diagram, seifert_by_linking
 from knotlab.laurent import parse_poly
 from knotlab.morse import MorseBuilder, _Parity
 
@@ -232,3 +237,82 @@ def test_four_crossing_tangle_linking():
     b.cup(0)
     b.cup(0)
     assert b.linking_number("a", "b") == 2
+
+
+# ---- golden output ----
+#
+# Recorded before the builder's crossing records were last rewritten: PD
+# text (and so the arc numbering, which the benchmark's fixed curl arc
+# depends on), linking-number matrices of multi-curve braid closures and
+# the lambda family's Seifert rows by linking must come out byte for byte.
+
+MORSE_GOLDEN_PATH = Path(__file__).with_name("morse_golden.json")
+GOLDEN_LAMBDAS = [(n, m, p) for n in range(-4, 5, 2) for m in range(-4, 5, 2)
+                  for p in (-5, -3, 3, 5)]
+
+
+def _golden_braids():
+    """(strands, word) pairs, a few sweeps long with seeded letters, so
+    some closures are knots and some are links."""
+    braids = []
+    for strands in (2, 3, 4, 5, 7, 9):
+        for sweeps in (1, 2, 4):
+            rng = random.Random(100 * strands + sweeps)
+            word = [(rng.randrange(strands - 1), rng.choice((1, -1)))
+                    for _ in range((strands - 1) * sweeps)]
+            braids.append((strands, word))
+            # and the benchmark's sweep form, one letter per gap in turn
+            signs = [rng.choice((1, -1)) for _ in range((strands - 1) * sweeps)]
+            braids.append((strands, [(k % (strands - 1), s) for k, s in enumerate(signs)]))
+    return braids
+
+
+def _labeled_closure(strands, word):
+    """The braid closure with each cap labeled by the closure component
+    its strand belongs to, and the sorted labels."""
+    top = list(range(strands))  # top[j]: the cap whose strand ends at j
+    for g, _ in word:
+        top[g], top[g + 1] = top[g + 1], top[g]
+    succ = {cap: j for j, cap in enumerate(top)}
+    label = {}
+    for start in range(strands):
+        c = start
+        while c not in label:
+            label[c] = f"c{start}"
+            c = succ[c]
+    b = MorseBuilder()
+    for i in range(strands):
+        b.cap(i, label=label[i])
+    for g, sign in word:
+        b.crossing(g, "L" if sign > 0 else "R")
+    for i in reversed(range(strands)):
+        b.cup(i)
+    return b, sorted(set(label.values()))
+
+
+def _golden_record():
+    record = {}
+    for n, m, p in GOLDEN_LAMBDAS:
+        spec = LambdaSpec(n, m, p)
+        record[f"lambda {n} {m} {p}"] = {
+            "pd": str(lambda_diagram(spec)),
+            "seifert_by_linking": [list(r) for r in seifert_by_linking(spec).rows],
+        }
+    for strands, word in _golden_braids():
+        b, labels = _labeled_closure(strands, word)
+        try:
+            pd = " ".join("X[%d,%d,%d,%d]" % q for q in b.to_pd())
+        except KnotError as e:  # a strand that no letter touches
+            pd = str(e)
+        linking = [[b.linking_number(x, y) if x != y else 0 for y in labels] for x in labels]
+        record[f"braid {strands} {word}"] = {
+            "pd": pd, "free_circles": b.free_circles, "linking": linking}
+    return record
+
+
+def test_golden_pd_and_linking():
+    golden = json.loads(MORSE_GOLDEN_PATH.read_text())
+    record = _golden_record()
+    assert sorted(record) == sorted(golden)
+    for key, value in record.items():
+        assert value == golden[key], key
