@@ -304,37 +304,37 @@ def _strand(crossings: Sequence[Crossing]) -> tuple[list[int], list[int]]:
 
 # -- bracket -------------------------------------------------------------------
 
-def _contraction_order(crossings: Sequence[Crossing]) -> list[int]:
-    """Greedy order keeping the set of open arcs small.
+def _contraction_order(mate: Sequence[int]) -> list[int]:
+    """Greedy order keeping the set of open arcs small, read off the
+    diagram's ``mate`` table.
 
     An arc is open when one of its two ends has been swept.  Each step
     takes the crossing after which the fewest arcs are open, the lowest
-    index on a tie.  The change a crossing makes to that count is +1 for
-    each arc it opens and -1 for each arc it closes, which depends only
-    on its own arcs; so after a pick only the crossings sharing an arc
-    with it are re-scored.  A heap holds (score, index) pairs and skips
-    a popped pair whose score is no longer current, which gives the same
-    order as rescanning every remaining crossing at each step, in
-    O(c log c) instead of O(c^2).  The order fixes the bracket sweep's
-    boundary before each crossing, and so the length of every state
-    tuple there.
+    index on a tie.  The change a crossing makes to that count is a sum
+    over its four slot tokens t: +1 when the crossing at the arc's other
+    end, ``mate[t] >> 2``, is unswept (the arc opens), -1 when it is swept
+    (the arc closes), and 0 when it is the crossing itself (a curl, whose
+    arc opens and closes at once).  So after a pick only the crossings
+    ``mate`` names as its neighbours are re-scored.  A heap holds
+    (score, index) pairs and skips a popped pair whose score is no longer
+    current, which gives the same order as rescanning every remaining
+    crossing at each step, in O(c log c) instead of O(c^2).  The order
+    fixes the bracket sweep's boundary before each crossing, and so the
+    length of every state tuple there.
     """
-    pending: dict[int, int] = {}  # arc -> ends not yet swept
-    touching: dict[int, list[int]] = {}
-    for ci, x in enumerate(crossings):
-        for a in x:
-            pending[a] = pending.get(a, 0) + 1
-            touching.setdefault(a, []).append(ci)
-    # each crossing's distinct arcs, with how many of its slots each fills
-    arcs = [[(a, x.count(a)) for a in dict.fromkeys(x)] for x in crossings]
+    done = [False] * (len(mate) // 4)
 
     def score(ci: int) -> int:
-        return sum((pending[a] == 2) - (pending[a] == k) for a, k in arcs[ci])
+        s = 0
+        for m in mate[4 * ci:4 * ci + 4]:
+            cj = m >> 2
+            if cj != ci:
+                s += -1 if done[cj] else 1
+        return s
 
-    current = [score(ci) for ci in range(len(crossings))]
+    current = [score(ci) for ci in range(len(done))]
     heap = [(s, ci) for ci, s in enumerate(current)]
     heapq.heapify(heap)
-    done = [False] * len(crossings)
     order = []
     while heap:
         s, ci = heapq.heappop(heap)
@@ -342,15 +342,13 @@ def _contraction_order(crossings: Sequence[Crossing]) -> list[int]:
             continue
         done[ci] = True
         order.append(ci)
-        for a in crossings[ci]:
-            pending[a] -= 1
-        for a, _ in arcs[ci]:
-            for cj in touching[a]:
-                if not done[cj]:
-                    s = score(cj)
-                    if s != current[cj]:
-                        current[cj] = s
-                        heapq.heappush(heap, (s, cj))
+        for m in mate[4 * ci:4 * ci + 4]:
+            cj = m >> 2
+            if not done[cj]:
+                s = score(cj)
+                if s != current[cj]:
+                    current[cj] = s
+                    heapq.heappush(heap, (s, cj))
     return order
 
 
@@ -361,7 +359,7 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
         return LaurentPoly.one()
 
     mate = diagram._mate
-    order = _contraction_order(crossings)
+    order = _contraction_order(mate)
 
     # cut open the arc at slot 0 of the last crossing swept: its two ends
     # are tied to sentinels at boundary positions 0 and 1, so every

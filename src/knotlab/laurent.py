@@ -233,14 +233,14 @@ def parse_poly(text: str, var: str = "t") -> LaurentPoly:
         name = m.group("var1") or m.group("var2")
         if name is not None and name != var:
             raise KnotError(f"laurent: unexpected variable {name!r}, want {var!r}")
-        coeff = int(m.group("coeff") or 1)
+        raw = m.group("exp1") or m.group("exp2")
+        try:
+            coeff = int(m.group("coeff") or 1)
+            exp = int(raw) if raw is not None else (1 if name else 0)
+        except ValueError as e:  # past the interpreter's int-conversion digit limit
+            raise KnotError(f"laurent: number too long ({e})") from None
         if sign == "-":
             coeff = -coeff
-        if name is None:
-            exp = 0
-        else:
-            raw = m.group("exp1") or m.group("exp2")
-            exp = int(raw) if raw is not None else 1
         coeffs[exp] = coeffs.get(exp, 0) + coeff
         pos = m.end()
         first = False

@@ -19,49 +19,36 @@ any invariant computed here).  A cap may pin its bit via ``flow``:
 reverse.  Caps also carry a curve label so multi-curve pictures can be
 built; ``linking_number`` counts signed crossings between two labels.
 
+A frontier end is the tuple ``(arc, bit, parity, label)``, and each
+crossing is kept as one tuple: its arcs at the lower-left, lower-right,
+upper-right and upper-left ports (BL, BR, AR, AL, counterclockwise from
+the lower left), ``over``, and the ends of its lower-left and
+lower-right strands.  The lower-left strand runs BL-AR and the
+lower-right one BR-AL.  Once ``finish`` has fixed every bit, each strand
+runs up or down, and two rules give what a PD code needs:
+
+  * the turn, the port where the under-strand comes in, is 1 (BR) or
+    3 (AL) when ``over == "L"``: 1 if the lower-right strand runs up;
+    it is 0 (BL) or 2 (AR) when ``over == "R"``: 0 if the lower-left
+    strand runs up;
+  * the sign is +1 for ``over == "L"`` and -1 for ``"R"``, negated when
+    the two strands run opposite ways: with both running up, an
+    over-strand from lower left to upper right is right-handed, and
+    reversing either strand flips the sign.
+
 ``to_pd`` emits standard ``X[a,b,c,d]`` quadruples (counterclockwise
 from the incoming under-strand) for single-curve pictures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import KnotError
 
 __all__ = ["MorseBuilder"]
 
-UP, DOWN = 0, 1
-
-# direction of travel at each port, for crossing signs
-_IN_VECTOR = {
-    "BL": (1, 1),
-    "AR": (-1, -1),
-    "BR": (-1, 1),
-    "AL": (1, -1),
-}
-_CCW = {"BL": ("BL", "BR", "AR", "AL"),
-        "BR": ("BR", "AR", "AL", "BL"),
-        "AR": ("AR", "AL", "BL", "BR"),
-        "AL": ("AL", "BL", "BR", "AR")}
-
-
-@dataclass
-class _Slot:
-    arc: int
-    var: int      # orientation bit
-    parity: int   # direction = value(var) XOR parity; 0 means up
-    label: str
-
-
-@dataclass
-class _Record:
-    ports: dict  # port name -> arc id (pre-merge)
-    over: str    # "L": BL-AR strand is over; "R": BR-AL strand is over
-    left_ref: tuple[int, int]   # (var, parity) of the lower-left strand
-    right_ref: tuple[int, int]
-    left_label: str
-    right_label: str
+# a frontier end: (arc, orientation bit, parity, curve label); the strand
+# there runs down when the bit's value XOR the parity is 1
+_End = tuple[int, int, int, str]
 
 
 class _Parity:
@@ -129,11 +116,12 @@ class _ArcSets:
 
 class MorseBuilder:
     def __init__(self):
-        self._front: list[_Slot] = []
+        self._front: list[_End] = []
         self._arcs = _ArcSets()
         self._bits = _Parity()
-        self._pins: list[tuple[int, int]] = []  # (var, value)
-        self._records: list[_Record] = []
+        self._pins: list[tuple[int, int]] = []  # (bit, value)
+        # ((BL, BR, AR, AL) arcs, over, lower-left end, lower-right end)
+        self._crossings: list[tuple[tuple[int, int, int, int], str, _End, _End]] = []
         self.free_circles = 0
         self._finished = False
 
@@ -142,19 +130,19 @@ class MorseBuilder:
     def cap(self, i: int, flow: str | None = None, label: str = "K") -> None:
         self._check_open(i, insert=True)
         arc = self._arcs.make()
-        var = self._bits.make()
+        bit = self._bits.make()
         if flow is not None:
             if flow not in ("lr", "rl"):
                 raise KnotError(f"morse: flow must be 'lr' or 'rl', got {flow!r}")
             # value 1 makes the left end flow down, i.e. travel left-to-right
-            self._pins.append((var, 1 if flow == "lr" else 0))
-        self._front[i:i] = [_Slot(arc, var, 0, label), _Slot(arc, var, 1, label)]
+            self._pins.append((bit, 1 if flow == "lr" else 0))
+        self._front[i:i] = [(arc, bit, 0, label), (arc, bit, 1, label)]
 
     def cup(self, i: int) -> None:
         self._check_open(i, width=2)
-        a, b = self._front[i], self._front[i + 1]
-        self._bits.union(a.var, b.var, a.parity ^ b.parity ^ 1)
-        if not self._arcs.union(a.arc, b.arc):
+        (arc_a, bit_a, par_a, _), (arc_b, bit_b, par_b, _) = self._front[i:i + 2]
+        self._bits.union(bit_a, bit_b, par_a ^ par_b ^ 1)
+        if not self._arcs.union(arc_a, arc_b):
             self.free_circles += 1
         del self._front[i:i + 2]
 
@@ -165,19 +153,10 @@ class MorseBuilder:
         left, right = self._front[i], self._front[i + 1]
         al = self._arcs.make()
         ar = self._arcs.make()
-        self._records.append(
-            _Record(
-                ports={"BL": left.arc, "BR": right.arc, "AL": al, "AR": ar},
-                over=over,
-                left_ref=(left.var, left.parity),
-                right_ref=(right.var, right.parity),
-                left_label=left.label,
-                right_label=right.label,
-            )
-        )
+        self._crossings.append(((left[0], right[0], ar, al), over, left, right))
         # lower-left strand exits upper-right and vice versa
-        self._front[i] = _Slot(al, right.var, right.parity, right.label)
-        self._front[i + 1] = _Slot(ar, left.var, left.parity, left.label)
+        self._front[i] = (al, *right[1:])
+        self._front[i + 1] = (ar, *left[1:])
 
     def _check_open(self, i: int, width: int = 1, insert: bool = False) -> None:
         if self._finished:
@@ -190,66 +169,48 @@ class MorseBuilder:
 
     # -- resolution ----------------------------------------------------------
 
-    def finish(self) -> list[dict]:
-        """Close the build and return one dict per crossing with resolved
-        arcs, the under-entry port, the sign, and the two curve labels."""
+    def finish(self) -> list[tuple[tuple[int, int, int, int], int, tuple[str, str]]]:
+        """Close the build and return, per crossing, its arcs counterclockwise
+        from the incoming under-strand, its sign, and the curve labels of
+        the lower-left and lower-right strands."""
         if self._front:
             raise KnotError(f"morse: {len(self._front)} strand ends still open")
         self._finished = True
         values: dict[int, int] = {}
-        for var, val in self._pins:
-            root, p = self._bits.find(var)
+        for bit, val in self._pins:
+            root, p = self._bits.find(bit)
             want = val ^ p
             if values.setdefault(root, want) != want:
                 raise KnotError("morse: orientation pins conflict")
 
-        def direction(ref: tuple[int, int]) -> int:
-            root, p = self._bits.find(ref[0])
-            return values.get(root, 0) ^ p ^ ref[1]
+        def down(end: _End) -> int:
+            root, p = self._bits.find(end[1])
+            return values.get(root, 0) ^ p ^ end[2]
 
         out = []
-        for rec in self._records:
-            dl = direction(rec.left_ref)
-            dr = direction(rec.right_ref)
-            left_in = "BL" if dl == UP else "AR"
-            right_in = "BR" if dr == UP else "AL"
-            if rec.over == "L":
-                over_in, under_in = left_in, right_in
-            else:
-                over_in, under_in = right_in, left_in
-            vo = _IN_VECTOR[over_in]
-            vu = _IN_VECTOR[under_in]
-            sign = 1 if vo[0] * vu[1] - vo[1] * vu[0] > 0 else -1
-            out.append(
-                {
-                    "arcs": {k: self._arcs.find(v) for k, v in rec.ports.items()},
-                    "under_in": under_in,
-                    "sign": sign,
-                    "labels": (rec.left_label, rec.right_label),
-                }
-            )
+        for arcs, over, left, right in self._crossings:
+            dl, dr = down(left), down(right)
+            turn = 1 + 2 * dr if over == "L" else 2 * dl
+            sign = (1 if over == "L" else -1) * (1 if dl == dr else -1)
+            arcs = tuple(self._arcs.find(a) for a in arcs[turn:] + arcs[:turn])
+            out.append((arcs, sign, (left[3], right[3])))
         return out
 
     def to_pd(self) -> list[tuple[int, int, int, int]]:
         """PD quadruples for a single-curve picture, arcs renumbered 1..2c."""
-        records = self.finish()
+        crossings = self.finish()
         if self.free_circles:
             raise KnotError("morse: picture contains crossing-free circles")
-        ids = sorted({a for rec in records for a in rec["arcs"].values()})
+        ids = sorted({a for arcs, _, _ in crossings for a in arcs})
         number = {a: i + 1 for i, a in enumerate(ids)}
-        quads = []
-        for rec in records:
-            order = _CCW[rec["under_in"]]
-            quads.append(tuple(number[rec["arcs"][port]] for port in order))
-        return quads
+        return [tuple(number[a] for a in arcs) for arcs, _, _ in crossings]
 
     def linking_number(self, label1: str, label2: str) -> int:
         """Half the signed count of crossings between two labeled curves."""
-        records = self.finish()
         total = 0
-        for rec in records:
-            if set(rec["labels"]) == {label1, label2} and label1 != label2:
-                total += rec["sign"]
+        for _, sign, labels in self.finish():
+            if set(labels) == {label1, label2} and label1 != label2:
+                total += sign
         if total % 2:
             raise AssertionError("linking number is not an integer")
         return total // 2

@@ -336,53 +336,37 @@ def enlarge_first(m: SeifertMatrix, q: Sequence[int]) -> SeifertMatrix:
 
 def enlarge_second(m: SeifertMatrix, q: Sequence[int]) -> SeifertMatrix:
     """Enlarge by a new column pair at the right: a zero column, then the
-    column q, with corner block ((0,0),(1,0)) and zero rows below.
-    Mirror image of :func:`enlarge_first`.
+    column q, with corner block ((0,0),(1,0)) and zero rows below.  The
+    transpose of :func:`enlarge_first` on M^T.
     """
-    n = m.size
-    if len(q) != n:
-        raise KnotError(f"enlarge: need {n} twist entries, got {len(q)}")
-    rows = [list(m.rows[i]) + [0, int(q[i])] for i in range(n)]
-    rows.append([0] * n + [0, 0])
-    rows.append([0] * n + [1, 0])
-    return SeifertMatrix(tuple(tuple(r) for r in rows))
+    e = enlarge_first(SeifertMatrix(_transpose(m.rows)), q)
+    return SeifertMatrix(_transpose(e.rows))
+
+
+def _has_first_template(r: Rows) -> bool:
+    """The last two rows are (0..0, 0, 1) and (q, 0, 0), with zero
+    columns above them."""
+    n = len(r) - 2
+    return (
+        all(x == 0 for x in r[n][:n])
+        and r[n][n:] == (0, 1)
+        and r[n + 1][n:] == (0, 0)
+        and all(r[i][n] == 0 and r[i][n + 1] == 0 for i in range(n))
+    )
 
 
 def try_reduce(m: SeifertMatrix) -> tuple[SeifertMatrix, str] | None:
     """Undo one enlargement if the last two rows/columns match either
     template exactly.  Returns (inner matrix, "first" | "second"), or
-    None when neither template is present.
+    None when neither template is present.  The second template is the
+    first one on M^T.
     """
     n = m.size - 2
     if n < 0:
         return None
-    r = m.rows
-    inner = tuple(tuple(r[i][j] for j in range(n)) for i in range(n))
-
-    def zeros(xs):
-        return all(x == 0 for x in xs)
-
-    # first template: trailing rows (0..0, 0, 1) and (q, 0, 0), zero columns above
-    if (
-        zeros(r[n][:n])
-        and r[n][n] == 0
-        and r[n][n + 1] == 1
-        and r[n + 1][n] == 0
-        and r[n + 1][n + 1] == 0
-        and all(r[i][n] == 0 and r[i][n + 1] == 0 for i in range(n))
-    ):
-        return SeifertMatrix(inner), "first"
-    # second template: trailing columns (0, q) and corner ((0,0),(1,0)), zero rows below
-    if (
-        zeros(r[n][:n])
-        and zeros(r[n + 1][:n])
-        and r[n][n] == 0
-        and r[n][n + 1] == 0
-        and r[n + 1][n] == 1
-        and r[n + 1][n + 1] == 0
-        and all(r[i][n] == 0 for i in range(n))
-    ):
-        return SeifertMatrix(inner), "second"
+    for band, rows in (("first", m.rows), ("second", _transpose(m.rows))):
+        if _has_first_template(rows):
+            return SeifertMatrix(tuple(r[:n] for r in m.rows[:n])), band
     return None
 
 

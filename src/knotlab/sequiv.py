@@ -83,14 +83,25 @@ def twist_form(m: SeifertMatrix, ell: int, band: Band = "first") -> SeifertMatri
     return SeifertMatrix(((a, b), (c, d - ell)))
 
 
+def _first_sequiv_rule(m: SeifertMatrix, ell: int, band: Band) -> tuple[bool, str]:
+    """(equivalent, reason) for a checked genus-one M: the ell-twisted form
+    is congruent to M exactly when ell = 0, or the other band's diagonal
+    entry is 0 and s divides ell."""
+    s = m.s
+    other_name, other = ("a22", m.rows[1][1]) if band == "first" else ("a11", m.rows[0][0])
+    if ell == 0:
+        return True, "ell = 0, forms are equal"
+    if other != 0:
+        return False, f"{other_name} = {other} != 0"
+    if ell % abs(s) != 0:
+        return False, f"s = {s} does not divide ell = {ell}"
+    return True, f"{other_name} = 0 and s = {s} divides ell = {ell}"
+
+
 def first_sequiv_condition(m: SeifertMatrix, ell: int, band: Band = "first") -> bool:
     """True iff the twisted form is congruent to M over the integers."""
     _check_genus_one(m)
-    band = _check_band(band)
-    if ell == 0:
-        return True
-    other = m.rows[1][1] if band == "first" else m.rows[0][0]
-    return other == 0 and ell % abs(m.s) == 0
+    return _first_sequiv_rule(m, ell, _check_band(band))[0]
 
 
 @dataclass(frozen=True)
@@ -127,22 +138,11 @@ def decide_first_sequiv(m: SeifertMatrix, ell: int, band: Band = "first") -> SEq
     _check_genus_one(m)
     band = _check_band(band)
     twisted = twist_form(m, ell, band)
-    s = m.s
-    other_name, other = (
-        ("a22", m.rows[1][1]) if band == "first" else ("a11", m.rows[0][0])
-    )
-    if ell == 0:
-        equivalent, reason = True, "ell = 0, forms are equal"
-    elif other != 0:
-        equivalent, reason = False, f"{other_name} = {other} != 0"
-    elif ell % abs(s) != 0:
-        equivalent, reason = False, f"s = {s} does not divide ell = {ell}"
-    else:
-        equivalent, reason = True, f"{other_name} = 0 and s = {s} divides ell = {ell}"
+    equivalent, reason = _first_sequiv_rule(m, ell, band)
     cert = None
     if equivalent:
         # ell = 0 gives k = 0, and so the identity, on either band
-        k = ell // s
+        k = ell // m.s
         rows = ((1, -k), (0, 1)) if band == "first" else ((1, 0), (-k, 1))
         cert = CongruenceCertificate(rows)
         if cert.apply(m) != twisted:

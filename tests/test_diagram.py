@@ -299,7 +299,7 @@ def test_signs_match_morse_orientation(data):
     signs = data.draw(st.lists(sign, min_size=strands - 1, max_size=strands - 1))
     b = _braid_builder(strands, _knotted(strands, word, signs))
     quads = b.to_pd()
-    expected = tuple(r["sign"] for r in b.finish())
+    expected = tuple(sign for _, sign, _ in b.finish())
     assert validate(quads).signs == expected
     # the walk starts at crossing 0, wherever that sits on the strand
     order = data.draw(st.permutations(range(len(quads))))
@@ -342,7 +342,7 @@ def test_bracket_matches_naive_on_braid_closures(data):
         # the sweep cuts open the arc at slot 0 of the last crossing in
         # its order
         if kink == "cut":
-            arc = d.crossings[_contraction_order(d.crossings)[-1]][0]
+            arc = d.crossings[_contraction_order(d._mate)[-1]][0]
         else:
             arc = data.draw(st.sampled_from(d.arcs))
         d = add_kink(d, arc, data.draw(st.sampled_from((1, -1))))
@@ -488,8 +488,15 @@ def test_contraction_order_matches_naive_rescan():
         for _ in range(3):
             word = [(rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(8 * strands)]
             diagrams.append(_braid_closure(strands, _knotted(strands, word, signs)))
+    # curls, the one slot whose mate is a slot of its own crossing: each
+    # sign on a few arcs, and a second curl on the first one's loop
+    for d in [d for d in diagrams if len(d.crossings) <= 60][::6]:
+        for arc in (d.arcs[0], d.arcs[len(d.arcs) // 2], d.arcs[-1]):
+            for sign in (1, -1):
+                kinked = add_kink(d, arc, sign)
+                diagrams += [kinked, add_kink(kinked, max(kinked.arcs), -sign)]
     for d in diagrams:
-        assert _contraction_order(d.crossings) == naive_contraction_order(d.crossings), str(d)
+        assert _contraction_order(d._mate) == naive_contraction_order(d.crossings), str(d)
 
 
 # ---- Reidemeister I and mirror behaviour ----

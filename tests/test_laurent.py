@@ -46,6 +46,12 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+def test_parse_rejects_numbers_past_the_digit_limit():
+    for bad in ["9" * 5000 + "t", "t^" + "9" * 5000, "1 - t^-" + "9" * 5000]:
+        with pytest.raises(KnotError, match="number too long"):
+            parse_poly(bad)
+
+
 def test_parse_merges_terms():
     assert parse_poly("t + t - 2t") == LaurentPoly.zero()
 

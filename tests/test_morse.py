@@ -241,10 +241,10 @@ def test_four_crossing_tangle_linking():
 
 # ---- golden output ----
 #
-# Recorded before the builder's crossing records were last rewritten: PD
-# text (and so the arc numbering, which the benchmark's fixed curl arc
+# PD text (and so the arc numbering, which the benchmark's fixed curl arc
 # depends on), linking-number matrices of multi-curve braid closures and
-# the lambda family's Seifert rows by linking must come out byte for byte.
+# the lambda family's Seifert rows by linking must come out byte for byte
+# as recorded in morse_golden.json.
 
 MORSE_GOLDEN_PATH = Path(__file__).with_name("morse_golden.json")
 GOLDEN_LAMBDAS = [(n, m, p) for n in range(-4, 5, 2) for m in range(-4, 5, 2)
