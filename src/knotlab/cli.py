@@ -132,10 +132,17 @@ def cmd_sequiv(args) -> int:
     oracle = None
     if args.oracle_bound is not None:
         witness = brute_force_congruence(m, report.twisted, args.oracle_bound)
+        agrees = (witness is not None) == report.equivalent
+        if witness is None and report.certificate is not None:
+            top = max(abs(v) for row in report.certificate.rows for v in row)
+            if top > args.oracle_bound:
+                # the search box is too small to hold the certificate, so
+                # finding nothing there decides nothing
+                agrees = None
         oracle = {
             "bound": args.oracle_bound,
             "witness": [list(r) for r in witness.rows] if witness else None,
-            "agrees": (witness is not None) == report.equivalent,
+            "agrees": agrees,
         }
     lines = [
         f"matrix: {m}",
@@ -147,10 +154,15 @@ def cmd_sequiv(args) -> int:
     lines.append(f"note: {report.note}")
     if oracle is not None:
         w = oracle["witness"]
+        if agrees is None:
+            verdict = (f", inconclusive: the certificate's largest entry, {top}, "
+                       f"is over the bound {args.oracle_bound}")
+        else:
+            verdict = ", agrees" if agrees else ", DISAGREES"
         lines.append(
             f"oracle (bound {args.oracle_bound}): "
             + (f"witness {format_matrix(w)}" if w else "no witness")
-            + (", agrees" if oracle["agrees"] else ", DISAGREES")
+            + verdict
         )
     inputs = {"seifert": [list(r) for r in m.rows], "ell": args.ell, "band": args.band}
     _emit(args, inputs, dict(report.as_dict(), oracle=oracle), "\n".join(lines))

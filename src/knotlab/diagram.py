@@ -50,17 +50,31 @@ curl).  Tokens, labels and signs never enter it.  A state's successor
 under either smoothing depends only on the shape and the state: the
 swept positions leave the boundary, the fresh ends take the place of
 the first swept one, every other end keeps its partner and only moves,
-and the smoothing's joins run through the four slots.  So one table per
-call, from shape to {state: both successors and their loop counts},
-filled in as the sweep meets each pair, is exact, and a pair met again
-costs one lookup.  Turning a crossing by one slot swaps its A- and
-B-smoothings, and turning it by two changes nothing, so the table is
-keyed by the shape turned to start at its largest entry and the two
-exponent shifts trade places on an odd turn; a positive and a negative
-crossing of one shape share an entry.  Putting the fresh ends where the
-first swept end was, rather than at the end, keeps a braid's boundary
-in the order its strands lie in, so the shapes of each sigma_i repeat
-with every period of the word.
+and the smoothing's joins run through the four slots.  So a step, a
+state's two successors and their loop counts, is a pure function of
+the shape and the state, and every sweep in the process shares one
+memo of them, from shape to {state: step}.  Turning a crossing by one
+slot swaps its A- and B-smoothings, and turning it by two changes
+nothing, so the memo is keyed by the shape turned to start at its
+largest entry and the two exponent shifts trade places on an odd turn;
+a positive and a negative crossing of one shape share an entry.
+Putting the fresh ends where the first swept end was, rather than at
+the end, keeps a braid's boundary in the order its strands lie in, so
+the shapes of each sigma_i repeat with every period of the word.
+
+Each call still keeps its own table of the steps it has used, from
+shape to {state: step}, and reads the memo only when that table
+misses; it works a step out only when the memo misses too.  So a
+diagram swept again works out nothing, and its mirror, a curl added to
+it, or another braid on as many strands works out only the steps it
+does not share.  The call charges each miss of its own table to the
+sweep limit below, whether or not the memo had the step, so the work a
+sweep counts, and the point where it is refused, do not depend on what
+earlier sweeps left.  A call adds the steps it used that the memo
+lacks only when it finishes, so a refused sweep leaves the memo as it
+was.  The memo counts the ints it holds in the unit the sweep charges
+them, and is emptied before that count would pass SWEEP_LIMIT: the
+process never keeps more steps than one admitted sweep may build.
 
 The sweep cuts the knot open at slot 0 of the last crossing in its
 order and ties the cut arc's two ends to sentinel tokens.  The cut
@@ -111,19 +125,21 @@ The sweep limits itself by the cost of a crossing.  It keeps one
 running count, the ints its partial states hold, summed over
 crossings: before each crossing, the number of states times the
 boundary length (the state keys) plus the digit counts of all their
-packed coefficients; and for each transition the table works out,
-twice the new boundary length (the two successor states it keeps), so
-the limit bounds the table too.  When the count passes SWEEP_LIMIT the
-sweep raises a KnotError naming the count reached.  The count follows
-both ways a sweep gets expensive: wide sweeps with many states, and
-long narrow ones whose coefficients spread over more A^4 steps with
-the crossings swept.
+packed coefficients; and for each step the call's table misses, twice
+the new boundary length (the two successor states it keeps), so the
+limit bounds the table, and the memo, too.  When the count passes
+SWEEP_LIMIT the sweep raises a KnotError naming the count reached.
+The count follows both ways a sweep gets expensive: wide sweeps with
+many states, and long narrow ones whose coefficients spread over more
+A^4 steps with the crossings swept.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -144,7 +160,8 @@ __all__ = [
 ]
 
 # the most partial-state and transition-table ints one bracket sweep may
-# hold, summed over its crossings (see the module docstring).
+# hold, summed over its crossings, and the most the memo of shape
+# transitions keeps (see the module docstring).
 # lambda(-2, -6, -121), 492 crossings, reaches 550,210 and an 8-strand,
 # 5-sweep braid closure 29,610, while lambda(0, 0, 1001), 4,004
 # crossings, reaches 13.2 million.  A 12-strand, 13-sweep closure passes
@@ -374,8 +391,9 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     boundary = [-1, -2, t0, mate[t0]]
     # state -> (lowest A-exponent, packed coefficients, bound on their sizes)
     states: dict[tuple[int, ...], tuple[int, int, int]] = {(2, 3, 0, 1): (0, 1, 1)}
-    # shape key -> _Shape, for this call only
-    table: dict[tuple[int, ...], _Shape] = {}
+    # shape key -> (this call's steps, state -> step; the memo's _Shape, or
+    # a new one that joins the memo when the sweep finishes)
+    table: dict[tuple[int, ...], tuple[dict, _Shape]] = {}
     radix = _RADIX
 
     work = 0
@@ -420,16 +438,16 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
         r = shape.index(max(shape))
         key = (size, *shape[r:], *shape[:r])
         sa, sb = (-1, 1) if r & 1 else (1, -1)
-        plan = table.get(key)
-        if plan is None:
-            plan = table[key] = _Shape(key)
-        known = plan.known
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = ({}, _SHAPES.get(key) or _Shape(key))
+        steps, plan = entry
 
         new_states: dict[tuple[int, ...], tuple[int, int, int]] = {}
         for state, (lo, n, b) in states.items():
-            step = known.get(state)
+            step = steps.get(state)
             if step is None:
-                step = known[state] = plan.transitions(state)
+                step = steps[state] = plan.known.get(state) or plan.transitions(state)
                 work = _charge(work, 2 * len(boundary))
             for nxt, e, loops in ((step[0], lo + sa, step[1]), (step[2], lo + sb, step[3])):
                 p = n
@@ -450,6 +468,7 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
 
     if set(states) != {(1, 0)}:
         raise AssertionError("bracket: contraction did not close the diagram")
+    _remember(table)
     lo, n, _ = states[1, 0]
     return LaurentPoly({lo + 4 * k: c for k, c in enumerate(_digits(n, radix)) if c})
 
@@ -465,6 +484,44 @@ def _charge(work: int, ints: int) -> int:
     return work
 
 
+# the memo of shape transitions that every bracket sweep in the process
+# shares (see the module docstring): shape key -> _Shape.  Only
+# _remember writes it, and it holds at most SWEEP_LIMIT ints, counted
+# in _memo_ints as the sweep charges them.
+_SHAPES: dict[tuple[int, ...], _Shape] = {}
+_memo_ints = 0
+_memo_lock = threading.Lock()
+
+
+def _remember(table: dict[tuple[int, ...], tuple[dict, _Shape]]) -> None:
+    """Add the steps a finished sweep used, its table of shape key ->
+    (state -> step, shape), to the memo, first emptying the memo when
+    the steps it lacks would take it past SWEEP_LIMIT.
+
+    Each step counts twice the length of the boundary it leads to, as
+    the sweep charged it; an admitted sweep used at most SWEEP_LIMIT
+    ints of steps, so they always fit once the memo is empty."""
+    global _memo_ints
+    with _memo_lock:
+        # a shape another thread has since dropped from the memo counts
+        # all its steps, which can only empty the memo early
+        lacking = sum(2 * len(plan.back) * sum(state not in plan.known for state in steps)
+                      for steps, plan in table.values())
+        if _memo_ints + lacking > SWEEP_LIMIT:
+            # a sweep still holding one of these shapes finds its steps
+            # gone, and works them out again
+            for plan in _SHAPES.values():
+                plan.known.clear()
+            _SHAPES.clear()
+            _memo_ints = 0
+        for steps, plan in table.values():
+            known = _SHAPES.setdefault(plan.key, plan).known
+            for state, step in steps.items():
+                if state not in known:
+                    known[state] = step
+                    _memo_ints += 2 * len(plan.back)
+
+
 class _Shape:
     """How a crossing of one shape acts on a positional state.
 
@@ -476,11 +533,13 @@ class _Shape:
     and only moves, so a state's successor differs from the state only
     where the crossing's joins reach.  Those joins depend only on which
     swept ends the state pairs with each other, its pattern, and are
-    worked out once per pattern.  ``known`` maps each state met so far
-    to its ``transitions``.
+    worked out for every pattern when the shape is made, so a shape in
+    the memo never changes but for ``known``.  ``known`` maps each state
+    the memo holds to its ``transitions``; only ``_remember`` adds to it.
     """
 
     def __init__(self, key: tuple[int, ...]):
+        self.key = key
         size, *self.shape = key
         self.size = size
         self.swept = swept = sorted(k for k in self.shape if 0 <= k < size)
@@ -494,17 +553,20 @@ class _Shape:
         for new, k in enumerate(self.back):
             if k >= 0:
                 self.remap[k] = new
-        self.patterns: dict[tuple[int, ...], tuple] = {}
+        # a pattern gives each swept position its partner when that is
+        # swept too, else -1; every partial matching of them is one
+        self.patterns = {
+            pattern: self._joins(pattern)
+            for pattern in itertools.product(*([-1, *(q for q in swept if q != k)] for k in swept))
+            if all(q < 0 or pattern[swept.index(q)] == k for k, q in zip(swept, pattern))
+        }
         self.known: dict[tuple[int, ...], tuple] = {}
 
     def transitions(self, state: tuple[int, ...]) -> tuple:
         """``(A-state, A-loops, B-state, B-loops)`` of ``state``, for the
         smoothings of the turned crossing."""
         swept, remap = self.swept, self.remap
-        pattern = tuple(state[k] if state[k] in swept else -1 for k in swept)
-        joined = self.patterns.get(pattern)
-        if joined is None:
-            joined = self.patterns[pattern] = self._joins(pattern)
+        joined = self.patterns[tuple(state[k] if state[k] in swept else -1 for k in swept)]
         base = [k if k < 0 else remap[state[k]] for k in self.back]
         out = []
         for pairs, loops in joined:

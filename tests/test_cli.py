@@ -212,6 +212,22 @@ def test_sequiv_oracle_lines(capsys):
     assert "no witness, agrees" in out
 
 
+def test_sequiv_oracle_box_smaller_than_certificate_is_inconclusive(capsys):
+    # the certificate ((1, -3), (0, 1)) lies outside the bound-1 search box,
+    # so finding no witness there does not contradict the decision
+    argv = ("sequiv", "--seifert", "[[0,1],[2,0]]", "--ell", "9")
+    code, out, err = run(capsys, *argv, "--oracle-bound", "1")
+    assert code == 0
+    assert "certificate T with T M T^T = twisted: [[1, -3], [0, 1]]" in out
+    assert out.endswith("no witness, inconclusive: the certificate's largest entry, 3, "
+                        "is over the bound 1\n")
+    code, payload = run_json(capsys, *argv, "--oracle-bound", "1")
+    assert payload["result"]["oracle"] == {"bound": 1, "witness": None, "agrees": None}
+    # a box that holds the certificate gives a witness
+    code, payload = run_json(capsys, *argv, "--oracle-bound", "3")
+    assert payload["result"]["oracle"]["agrees"] is True
+
+
 def test_sequiv_json_shape(capsys):
     code, payload = run_json(capsys, "sequiv", "--seifert", "[[0,1],[2,0]]",
                              "--ell", "3", "--band", "second",

@@ -1,6 +1,9 @@
 import itertools
+import os
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -417,25 +420,46 @@ def test_narrow_radix_renormalises_and_widens(monkeypatch):
     assert (8, 16) in widths and any(wide > 16 for _, wide in widths)
 
 
+def _empty_memo(monkeypatch):
+    """Give this test an empty memo of shape transitions; the process's
+    own memo comes back when the test ends."""
+    monkeypatch.setattr(diagram, "_SHAPES", {})
+    monkeypatch.setattr(diagram, "_memo_ints", 0)
+
+
+def _memo_snapshot():
+    """Each memo shape with a copy of its steps."""
+    return {key: (plan, dict(plan.known)) for key, plan in diagram._SHAPES.items()}
+
+
+def _memo_contents_ints():
+    """The ints the memo holds, counted as the sweep charges them."""
+    return sum(2 * len(plan.back) * len(plan.known) for plan in diagram._SHAPES.values())
+
+
 def _count_table(monkeypatch):
-    """Count the sweep's state-steps (a partial state meeting a crossing)
-    and the transitions its table works out, and the shapes it keys."""
-    counts = {"steps": 0, "worked": 0, "shapes": 0}
+    """Empty the memo, then count the sweep's state-steps (a partial
+    state meeting a crossing), the transitions it works out (each one a
+    step neither the call nor the memo had), the shapes it makes and
+    the keys of the shapes it works out steps for."""
+    _empty_memo(monkeypatch)
+    counts = {"steps": 0, "worked": 0, "shapes": 0, "keys": []}
     init, transitions = diagram._Shape.__init__, diagram._Shape.transitions
 
-    class Known(dict):
-        def get(self, state, default=None):
-            counts["steps"] += 1
-            return super().get(state, default)
+    class Step(tuple):
+        # the sweep reads a step's A-state once per state-step
+        def __getitem__(self, i):
+            counts["steps"] += i == 0
+            return super().__getitem__(i)
 
     def counting_init(self, key):
         init(self, key)
-        self.known = Known()
         counts["shapes"] += 1
 
     def counted(self, state):
         counts["worked"] += 1
-        return transitions(self, state)
+        counts["keys"].append(self.key)
+        return Step(transitions(self, state))
 
     monkeypatch.setattr(diagram._Shape, "__init__", counting_init)
     monkeypatch.setattr(diagram._Shape, "transitions", counted)
@@ -582,8 +606,8 @@ def test_jones_twist_algebra():
 # ---- sweep limit ----
 
 def test_sweep_limit_refuses_with_the_count(tmp_path, monkeypatch, capsys):
-    # the all-"L" 8-strand, 5-sweep closure holds about 22,000 partial-state
-    # ints over its sweep
+    # the all-"L" 8-strand, 5-sweep closure holds 29,610 partial-state and
+    # table ints over its sweep
     d = _braid_closure(8, [(k % 7, 1) for k in range(35)])
     monkeypatch.setattr(diagram, "SWEEP_LIMIT", 10_000)
     with pytest.raises(KnotError, match=r"sweep work reached \d+ .*limit of 10000") as exc:
@@ -600,13 +624,132 @@ def test_sweep_limit_refuses_with_the_count(tmp_path, monkeypatch, capsys):
 
 def test_sweep_limit_pins_the_work_count(monkeypatch):
     # lambda(-2, -6, -121), 492 crossings, holds exactly 550,210
-    # partial-state and table ints over its sweep
-    d = lambda_diagram(LambdaSpec(-2, -6, -121))
-    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 550_209)
-    with pytest.raises(KnotError, match="sweep work reached 550210 "):
-        kauffman_bracket(d)
-    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 550_210)
-    assert kauffman_bracket(d)
+    # partial-state and table ints over its sweep, and the all-"L"
+    # 8-strand, 5-sweep closure 29,610, whether the memo of shape
+    # transitions starts empty or already holds every step
+    _empty_memo(monkeypatch)
+    cases = [(lambda_diagram(LambdaSpec(-2, -6, -121)), 550_210),
+             (_braid_closure(8, [(k % 7, 1) for k in range(35)]), 29_610)]
+    for memo in ("empty", "full"):
+        for d, work in cases:
+            monkeypatch.setattr(diagram, "SWEEP_LIMIT", work - 1)
+            with pytest.raises(KnotError, match=f"sweep work reached {work} "):
+                kauffman_bracket(d)
+            monkeypatch.setattr(diagram, "SWEEP_LIMIT", work)
+            assert kauffman_bracket(d), memo
+
+
+# ---- the memo of shape transitions ----
+
+def test_memo_serves_later_sweeps(monkeypatch):
+    counts = _count_table(monkeypatch)
+    d = _braid_closure(8, [(k % 7, 1) for k in range(35)])
+    expected = kauffman_bracket(d)
+    cold = counts["worked"]
+    met = set(diagram._SHAPES)
+    assert cold > 300
+    # the same diagram again: every step comes from the memo
+    assert kauffman_bracket(d) == expected
+    assert counts["worked"] == cold
+    # the mirror turns each crossing by one slot, which its shape key
+    # absorbs, but its cut sits on another arc of the last crossing, so
+    # some steps are new; swept again it too works out nothing
+    m = mirror(d)
+    flipped = LaurentPoly({-e: c for e, c in expected.items()})
+    assert kauffman_bracket(m) == flipped
+    assert 0 < counts["worked"] - cold < cold // 4
+    before = counts["worked"]
+    assert kauffman_bracket(m) == flipped
+    assert counts["worked"] == before
+    # a curl on arc 1, far from the cut, works out only steps of shapes
+    # that d never met
+    for sign in (1, -1):
+        kinked = add_kink(d, 1, sign)
+        del counts["keys"][:]
+        assert jones(kinked) == jones(d)
+        assert counts["keys"] and not met & set(counts["keys"]), sign
+
+
+def test_refused_sweep_leaves_the_memo_alone(monkeypatch):
+    _empty_memo(monkeypatch)
+    # one sweep of the 8-strand braid leaves steps of the shapes T(8, 5)
+    # meets; T(8, 5) would add more to them, but is refused first
+    kauffman_bracket(_braid_closure(8, [(k, 1) for k in range(7)]))
+    memo, ints = _memo_snapshot(), diagram._memo_ints
+    assert memo and ints
+    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 10_000)
+    with pytest.raises(KnotError, match="sweep work reached"):
+        kauffman_bracket(_braid_closure(8, [(k % 7, 1) for k in range(35)]))
+    assert _memo_snapshot() == memo
+    assert diagram._memo_ints == ints
+
+
+def test_memo_stays_within_the_sweep_limit(monkeypatch):
+    # braid closures and lambda diagrams, some refused; the limit is low
+    # enough that the memo is emptied along the way
+    _empty_memo(monkeypatch)
+    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 1_000)
+    rng = random.Random(5)
+    items = [lambda_diagram(LambdaSpec(n, m, p)) for n, m, p in
+             ((0, 0, 3), (2, -2, 3), (-4, 2, -3), (2, 0, 5))]
+    for strands in (3, 4, 5, 6):
+        for _ in range(3):
+            word = [(rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(8)]
+            items.append(_braid_closure(strands, _knotted(strands, word, [1] * (strands - 1))))
+    rng.shuffle(items)
+    refused = emptied = 0
+    for d in items:
+        before = diagram._memo_ints
+        try:
+            b = kauffman_bracket(d)
+        except KnotError:
+            refused += 1
+        else:
+            assert b == naive_bracket(d.crossings), str(d)
+        emptied += diagram._memo_ints < before
+        assert diagram._memo_ints <= diagram.SWEEP_LIMIT
+        assert diagram._memo_ints == _memo_contents_ints()
+    assert refused and emptied and len(items) - refused > 8
+
+
+def test_threads_share_the_memo(monkeypatch):
+    # more threads than cores sweep at once, with thread switches forced
+    # often; a lost update would leave the memo's count off what it holds
+    _empty_memo(monkeypatch)
+    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 6_000)
+    rng = random.Random(8)
+    items = []
+    for strands in (3, 4, 5):
+        for _ in range(4):
+            word = [(rng.randrange(strands - 1), rng.choice((1, -1))) for _ in range(7)]
+            items.append(_braid_closure(strands, _knotted(strands, word, [1] * (strands - 1))))
+    expected = [naive_bracket(d.crossings) for d in items]
+    failures = []
+
+    def sweep(k):
+        try:
+            for _ in range(20):
+                for d, b in zip(items[k::2], expected[k::2]):
+                    if kauffman_bracket(d) != b:
+                        failures.append(str(d))
+        except Exception as e:  # reported below, with the thread's input
+            failures.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweep, args=(k % 2,))
+                   for k in range((os.cpu_count() or 1) + 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert 0 < diagram._memo_ints <= diagram.SWEEP_LIMIT
+    assert diagram._memo_ints == _memo_contents_ints()
 
 
 def test_diagram_is_frozen():
