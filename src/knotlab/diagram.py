@@ -32,16 +32,16 @@ and the Jones polynomial is (-A)^(-3w) <D> rewritten in q = A^-2 and
 then in t = q^2.  Knots always yield integer powers of t.
 
 The bracket is computed by sweeping crossings one at a time, in a
-greedy order that keeps few arcs open, and keeping a dictionary of
-partial states (matchings on the open strand ends), so cost is driven
-by the width of the sweep, not 2^crossings.  Slot s of crossing i is
-the integer token 4*i + s.  Before each crossing the open ends form one
+greedy order that keeps few arcs open, and keeping the set of partial
+states (matchings on the open strand ends), so cost is driven by the
+width of the sweep, not 2^crossings.  Slot s of crossing i is the
+integer token 4*i + s.  Before each crossing the open ends form one
 list, the boundary, which is the same for every state; a state is the
 tuple of each boundary position's partner position, so that tuple is
-already canonical and is the dictionary key.
+already canonical.
 
 Positional states let the sweep work out a crossing's effect once and
-then look it up.  A crossing's shape is the boundary length and, for
+then replay it.  A crossing's shape is the boundary length and, for
 each of its four slots, one of: the slot's boundary position, when its
 arc was opened earlier (a swept end); size + j, when the arc is met for
 the first time and its far end becomes the j-th fresh end; or the slot
@@ -50,31 +50,42 @@ curl).  Tokens, labels and signs never enter it.  A state's successor
 under either smoothing depends only on the shape and the state: the
 swept positions leave the boundary, the fresh ends take the place of
 the first swept one, every other end keeps its partner and only moves,
-and the smoothing's joins run through the four slots.  So a step, a
-state's two successors and their loop counts, is a pure function of
-the shape and the state, and every sweep in the process shares one
-memo of them, from shape to {state: step}.  Turning a crossing by one
-slot swaps its A- and B-smoothings, and turning it by two changes
-nothing, so the memo is keyed by the shape turned to start at its
-largest entry and the two exponent shifts trade places on an odd turn;
-a positive and a negative crossing of one shape share an entry.
+and the smoothing's joins run through the four slots.  So what a
+crossing does to the whole set of states the sweep holds (which
+successors it makes, and which states feed each one, through which
+smoothing and closing how many loops) depends only on the shape and
+the set.  The sweep keeps its states sorted, with their polynomials in
+a list beside them, and compiles that map once per (state set, shape)
+pair into a step: the successor set, and a program of one small int
+per feed.  Replaying a step is the packed arithmetic below and nothing
+else: no dictionary lookup and no state tuple per state.  Within one
+sweep the whole set repeats from crossing to crossing; lambda(0, 0,
+1001) compiles 10 steps for its 4,004 crossings.  Turning a crossing
+by one slot swaps its A- and B-smoothings, and turning it by two
+changes nothing, so a step is keyed by the shape turned to start at its
+largest entry and the replay trades the two exponent shifts on an odd
+turn; a positive and a negative crossing of one shape share a step.
 Putting the fresh ends where the first swept end was, rather than at
 the end, keeps a braid's boundary in the order its strands lie in, so
 the shapes of each sigma_i repeat with every period of the word.
 
-Each call still keeps its own table of the steps it has used, from
-shape to {state: step}, and reads the memo only when that table
-misses; it works a step out only when the memo misses too.  So a
-diagram swept again works out nothing, and its mirror, a curl added to
-it, or another braid on as many strands works out only the steps it
-does not share.  The call charges each miss of its own table to the
-sweep limit below, whether or not the memo had the step, so the work a
-sweep counts, and the point where it is refused, do not depend on what
-earlier sweeps left.  A call adds the steps it used that the memo
-lacks only when it finishes, so a refused sweep leaves the memo as it
-was.  The memo counts the ints it holds in the unit the sweep charges
-them, and is emptied before that count would pass SWEEP_LIMIT: the
-process never keeps more steps than one admitted sweep may build.
+Every sweep in the process shares one memo of compiled steps, from
+shape to {state set: step}.  Each call keeps its own table of the steps
+it has used and reads the memo only when that table misses; it compiles
+a step only when the memo misses too, and then reads each state's
+successors from the memo's steps of that shape where they hold the
+state, working out only the rest.  A sorted set is one object in the
+memo however a sweep reached it, so a diagram swept again compiles
+nothing, and its mirror, a curl added to it, or another braid on as
+many strands compiles only the steps it does not share.  The call
+charges each (shape, state) pair it meets for the first time to the
+sweep limit below, whether or not the memo had a step for it, so the
+work a sweep counts, and the point where it is refused, do not depend
+on what earlier sweeps left.  A call adds the steps it used that the
+memo lacks only when it finishes, so a refused sweep leaves the memo as
+it was.  The memo counts the ints it holds in the unit the sweep charges
+them, is emptied all at once before that count would pass SWEEP_LIMIT,
+and leaves out a step that would not fit even then.
 
 The sweep cuts the knot open at slot 0 of the last crossing in its
 order and ties the cut arc's two ends to sentinel tokens.  The cut
@@ -99,7 +110,8 @@ base 2^B (B = 64 to start with) are the c_k, each taken in
 the factor A^(+-1) of a smoothing moves only the exponent, the loop
 factor delta = -A^-2 (1 + A^4) is N -> -(N + N * 2^B), two states that
 meet add as N1 + N2 * 2^(B * offset), and a state whose sum is 0 is
-dropped.  A crossing therefore costs about the number of states times
+dropped; a sum that cancels to 0 partway starts again from the next
+state that meets it.  A crossing therefore costs about the number of states times
 the packed length, in machine words rather than Python objects.
 
 The digits are the coefficients only while each coefficient is below
@@ -124,10 +136,10 @@ the end, from the bytes of N plus 2^(B-1) in every digit.
 The sweep limits itself by the cost of a crossing.  It keeps one
 running count, the ints its partial states hold, summed over
 crossings: before each crossing, the number of states times the
-boundary length (the state keys) plus the digit counts of all their
-packed coefficients; and for each step the call's table misses, twice
-the new boundary length (the two successor states it keeps), so the
-limit bounds the table, and the memo, too.  When the count passes
+boundary length (the states) plus the digit counts of all their packed
+coefficients; and for each (shape, state) pair the call meets for the
+first time, twice the new boundary length (its two successor states),
+so the limit bounds the call's steps, and the memo, too.  When the count passes
 SWEEP_LIMIT the sweep raises a KnotError naming the count reached.
 The count follows both ways a sweep gets expensive: wide sweeps with
 many states, and long narrow ones whose coefficients spread over more
@@ -137,11 +149,12 @@ A^4 steps with the crossings swept.
 from __future__ import annotations
 
 import heapq
-import itertools
 import re
+import struct
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import KnotError
 from .laurent import LaurentPoly
@@ -173,6 +186,8 @@ SWEEP_LIMIT = 15_000_000
 _RADIX = 64
 
 Crossing = tuple[int, int, int, int]
+# a partial state of the bracket sweep, or a crossing's shape key
+State = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -389,25 +404,32 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     # first crossing swept gives 70; see the module docstring)
     t0 = 4 * order[-1]
     boundary = [-1, -2, t0, mate[t0]]
-    # state -> (lowest A-exponent, packed coefficients, bound on their sizes)
-    states: dict[tuple[int, ...], tuple[int, int, int]] = {(2, 3, 0, 1): (0, 1, 1)}
-    # shape key -> (this call's steps, state -> step; the memo's _Shape, or
-    # a new one that joins the memo when the sweep finishes)
-    table: dict[tuple[int, ...], tuple[dict, _Shape]] = {}
+    # the state sets this call made that the memo lacks, by their states
+    made: dict[tuple[State, ...], _StateSet] = {}
+    states = _state_set(((2, 3, 0, 1),), made)
+    # each state's (lowest A-exponent, packed coefficients, bound on their
+    # sizes), in the order of states.states
+    polys = [(0, 1, 1)]
+    # (state set, shape key) -> (successor set, program): the steps this
+    # call has used; shape key -> the states it has charged a step of
+    # that shape for; and the shapes it has compiled steps of
+    table: dict[tuple[_StateSet, State], Step] = {}
+    met: dict[State, set[State]] = {}
+    shapes: dict[State, _Shape] = {}
     radix = _RADIX
 
     work = 0
     for ci in order:
         size = len(boundary)
         digits = bound = 0
-        for _, n, b in states.values():
+        for _, n, b in polys:
             digits += (n.bit_length() + radix) // radix
             bound += b
-        work = _charge(work, len(states) * size + digits)
+        work = _charge(work, len(polys) * size + digits)
         # no coefficient after this crossing can exceed 8 times this sum,
         # and each must stay below 2^(radix-1) to be read back
         if 8 * bound >= 1 << (radix - 1):
-            radix = _repack(states, radix)
+            radix = _repack(polys, radix)
         # the crossing's shape: each slot's boundary position, size + j
         # for the j-th fresh end, or -1 - (offset to the slot it is tied
         # to) for a curl.  The fresh ends take the place of the first swept
@@ -437,39 +459,61 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
         # turn swaps the A- and B-smoothings
         r = shape.index(max(shape))
         key = (size, *shape[r:], *shape[:r])
-        sa, sb = (-1, 1) if r & 1 else (1, -1)
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = ({}, _SHAPES.get(key) or _Shape(key))
-        steps, plan = entry
-
-        new_states: dict[tuple[int, ...], tuple[int, int, int]] = {}
-        for state, (lo, n, b) in states.items():
-            step = steps.get(state)
+        turn = -1 if r & 1 else 1
+        step = table.get((states, key))
+        if step is None:
+            # charge each (shape, state) pair met for the first time, up to
+            # the one that passes the limit, as a state-by-state count would
+            seen = met.setdefault(key, set())
+            count = len(seen)
+            seen.update(states.states)
+            count = len(seen) - count
+            if work + 2 * len(boundary) * count > SWEEP_LIMIT:
+                count = (SWEEP_LIMIT - work) // (2 * len(boundary)) + 1
+            work = _charge(work, 2 * len(boundary) * count)
+            step = _STEPS.get(key, {}).get(states)
             if step is None:
-                step = steps[state] = plan.known.get(state) or plan.transitions(state)
-                work = _charge(work, 2 * len(boundary))
-            for nxt, e, loops in ((step[0], lo + sa, step[1]), (step[2], lo + sb, step[3])):
-                p = n
+                plan = shapes.get(key) or shapes.setdefault(key, _Shape(key))
+                nxt, program = plan.compile(states.states)
+                step = _state_set(nxt, made), program
+            table[states, key] = step
+        states, program = step
+
+        # feed k sends state k >> 1's polynomial, through its A-smoothing
+        # when k is even, to the successor its code names; the feeds of a
+        # successor add up in that order, and a sum that cancels to 0 is
+        # dropped and starts again from the successor's next feed
+        new: list = [None] * len(states.states)
+        zeroed = False
+        for k, code in enumerate(program):
+            e, p, b = polys[k >> 1]
+            e += -turn if k & 1 else turn
+            loops = code & 3
+            if loops:
                 for _ in range(loops):
                     # times delta = -A^-2 (1 + A^4)
                     e -= 2
                     p = -(p + (p << radix))
-                acc = new_states.get(nxt)
-                if acc is None:
-                    new_states[nxt] = (e, p, b << loops)
-                else:
-                    acc = _packed_add(acc, e, p, b << loops, radix)
-                    if acc[1]:
-                        new_states[nxt] = acc
-                    else:
-                        del new_states[nxt]
-        states = new_states
+                b <<= loops
+            j = code >> 2
+            acc = new[j]
+            if acc is None:
+                new[j] = e, p, b
+            else:
+                acc = new[j] = _packed_add(acc, e, p, b, radix)
+                if not acc[1]:
+                    new[j] = None
+                    zeroed = True
+        polys = new
+        # a successor whose sum is 0 leaves the set
+        if zeroed and None in polys:
+            states = _state_set(tuple(s for s, q in zip(states.states, polys) if q is not None), made)
+            polys = [q for q in polys if q is not None]
 
-    if set(states) != {(1, 0)}:
+    if states.states != ((1, 0),):
         raise AssertionError("bracket: contraction did not close the diagram")
     _remember(table)
-    lo, n, _ = states[1, 0]
+    lo, n, _ = polys[0]
     return LaurentPoly({lo + 4 * k: c for k, c in enumerate(_digits(n, radix)) if c})
 
 
@@ -484,42 +528,83 @@ def _charge(work: int, ints: int) -> int:
     return work
 
 
-# the memo of shape transitions that every bracket sweep in the process
-# shares (see the module docstring): shape key -> _Shape.  Only
-# _remember writes it, and it holds at most SWEEP_LIMIT ints, counted
-# in _memo_ints as the sweep charges them.
-_SHAPES: dict[tuple[int, ...], _Shape] = {}
+class _StateSet:
+    """The partial states a sweep holds before a crossing, sorted.  The
+    memo is keyed by these objects, so finding a compiled step hashes no
+    state; ``_state_set`` gives one set of states one object."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, states: tuple[State, ...]):
+        self.states = states
+
+
+# a compiled step: the successor set and the program
+Step = tuple[_StateSet, Sequence[int]]
+
+
+def _state_set(states: tuple[State, ...], made: dict) -> _StateSet:
+    """The memo's state set with these states, else the one this sweep
+    made for them, else a new one that ``made`` keeps."""
+    found = _SETS.get(states) or made.get(states)
+    if found is None:
+        found = made[states] = _StateSet(states)
+    return found
+
+
+# the memo of compiled steps that every bracket sweep in the process
+# shares (see the module docstring): shape key -> {state set ->
+# (successor set, program)}, and each state set it names, by its states.
+# Only _remember writes them, and they hold at most SWEEP_LIMIT ints,
+# counted in _memo_ints as the sweep charges them.
+_STEPS: dict[State, dict[_StateSet, Step]] = {}
+_SETS: dict[tuple[State, ...], _StateSet] = {}
 _memo_ints = 0
 _memo_lock = threading.Lock()
 
 
-def _remember(table: dict[tuple[int, ...], tuple[dict, _Shape]]) -> None:
-    """Add the steps a finished sweep used, its table of shape key ->
-    (state -> step, shape), to the memo, first emptying the memo when
-    the steps it lacks would take it past SWEEP_LIMIT.
+def _remember(table: dict[tuple[_StateSet, State], Step]) -> None:
+    """Add the steps a finished sweep used, its table of (state set,
+    shape key) -> (successor set, program), to the memo, first emptying
+    the memo when the steps it lacks would take it past SWEEP_LIMIT.
 
-    Each step counts twice the length of the boundary it leads to, as
-    the sweep charged it; an admitted sweep used at most SWEEP_LIMIT
-    ints of steps, so they always fit once the memo is empty."""
+    A step counts, for each of its states, twice the length of the
+    boundary it leads to, as the sweep charges a (shape, state) pair met
+    for the first time.  A sweep charges a state met in two sets of one
+    shape once, so its steps may not all fit even in an empty memo; a
+    step that does not fit is left out.  A set of the sweep's whose
+    states the memo already names is replaced by the memo's."""
     global _memo_ints
     with _memo_lock:
-        # a shape another thread has since dropped from the memo counts
-        # all its steps, which can only empty the memo early
-        lacking = sum(2 * len(plan.back) * sum(state not in plan.known for state in steps)
-                      for steps, plan in table.values())
+        # a set another thread has since dropped from the memo counts all
+        # its steps, which can only empty the memo early
+        lacking = sum(2 * len(nxt.states[0]) * len(states.states)
+                      for (states, key), (nxt, _) in table.items()
+                      if _SETS.get(states.states, states) not in _STEPS.get(key, ()))
         if _memo_ints + lacking > SWEEP_LIMIT:
-            # a sweep still holding one of these shapes finds its steps
-            # gone, and works them out again
-            for plan in _SHAPES.values():
-                plan.known.clear()
-            _SHAPES.clear()
+            # a sweep still holding one of these sets finds its steps
+            # gone, and compiles them again
+            _STEPS.clear()
+            _SETS.clear()
             _memo_ints = 0
-        for steps, plan in table.values():
-            known = _SHAPES.setdefault(plan.key, plan).known
-            for state, step in steps.items():
-                if state not in known:
-                    known[state] = step
-                    _memo_ints += 2 * len(plan.back)
+        for (states, key), (nxt, program) in table.items():
+            states = _SETS.get(states.states, states)
+            ints = 2 * len(nxt.states[0]) * len(states.states)
+            if states not in _STEPS.get(key, ()) and _memo_ints + ints <= SWEEP_LIMIT:
+                _SETS.setdefault(states.states, states)
+                _STEPS.setdefault(key, {})[states] = _SETS.setdefault(nxt.states, nxt), program
+                _memo_ints += ints
+
+
+def _memo_transitions(key: State) -> dict[State, tuple]:
+    """The ``transitions`` of every state that a step of this shape in
+    the memo holds, read back from its program."""
+    out = {}
+    for states, (nxt, program) in _STEPS.get(key, {}).copy().items():
+        for i, state in enumerate(states.states):
+            a, b = program[2 * i], program[2 * i + 1]
+            out[state] = nxt.states[a >> 2], a & 3, nxt.states[b >> 2], b & 3
+    return out
 
 
 class _Shape:
@@ -533,9 +618,10 @@ class _Shape:
     and only moves, so a state's successor differs from the state only
     where the crossing's joins reach.  Those joins depend only on which
     swept ends the state pairs with each other, its pattern, and are
-    worked out for every pattern when the shape is made, so a shape in
-    the memo never changes but for ``known``.  ``known`` maps each state
-    the memo holds to its ``transitions``; only ``_remember`` adds to it.
+    worked out for every pattern when the shape is made.  A sweep makes
+    a shape only to compile a step of it (see ``compile``); ``steps``
+    starts with the ``transitions`` the memo's steps of the shape hold,
+    and keeps those the sweep works out.
     """
 
     def __init__(self, key: tuple[int, ...]):
@@ -554,13 +640,44 @@ class _Shape:
             if k >= 0:
                 self.remap[k] = new
         # a pattern gives each swept position its partner when that is
-        # swept too, else -1; every partial matching of them is one
-        self.patterns = {
-            pattern: self._joins(pattern)
-            for pattern in itertools.product(*([-1, *(q for q in swept if q != k)] for k in swept))
-            if all(q < 0 or pattern[swept.index(q)] == k for k, q in zip(swept, pattern))
-        }
-        self.known: dict[tuple[int, ...], tuple] = {}
+        # swept too, else -1; every partial matching of them is one, grown
+        # one position at a time (a -1 key it leaves behind is never read)
+        matchings: list[dict[int, int]] = [{}]
+        for k in swept:
+            matchings = [m for m in matchings if k in m] + [
+                {**m, k: q, q: k} for m in matchings if k not in m
+                for q in [-1] + [q for q in swept if q > k and q not in m]]
+        self.patterns = {pattern: self._joins(pattern)
+                         for pattern in (tuple(m[k] for k in swept) for m in matchings)}
+        self.steps = _memo_transitions(key)
+
+    def compile(self, states: tuple[State, ...]) -> tuple[tuple[State, ...], Sequence[int]]:
+        """The step of this shape for a sorted state set: its successor
+        states, sorted, and its program.
+
+        State i of ``states`` feeds its A-successor (feed 2i) and its
+        B-successor (feed 2i + 1), for the smoothings of the turned
+        crossing; the program is the code of each feed in turn, 4 times
+        the index of the successor it feeds plus the loops it closes."""
+        steps = self.steps
+        worked = [i for i, state in enumerate(states) if state not in steps]
+        steps.update((states[i], self.transitions(states[i])) for i in worked)
+        rows = list(map(steps.__getitem__, states))
+        nxt = tuple(sorted({*map(itemgetter(0), rows), *map(itemgetter(2), rows)}))
+        index = dict(zip(nxt, range(len(nxt))))
+        codes = []
+        for a, a_loops, b, b_loops in rows:
+            codes += 4 * index[a] + a_loops, 4 * index[b] + b_loops
+        # two states that lead to one successor hold two equal tuples;
+        # the steps worked out here keep the set's, and free the other
+        for i in worked:
+            _, a_loops, _, b_loops = rows[i]
+            steps[states[i]] = nxt[codes[2 * i] >> 2], a_loops, nxt[codes[2 * i + 1] >> 2], b_loops
+        # a byte holds every code of a set of up to 64 successors, and
+        # four bytes, read as unsigned ints, hold every other
+        if len(nxt) <= 64:
+            return nxt, bytes(codes)
+        return nxt, memoryview(struct.pack(f"{len(codes)}I", *codes)).cast("I")
 
     def transitions(self, state: tuple[int, ...]) -> tuple:
         """``(A-state, A-loops, B-state, B-loops)`` of ``state``, for the
@@ -657,27 +774,27 @@ def _packed_add(
     return lo, m, b + bound
 
 
-def _repack(states: dict[tuple[int, ...], tuple[int, int, int]], radix: int) -> int:
-    """Bound each state by its largest coefficient, in place, and return
-    the digit width to go on with.
+def _repack(polys: list[tuple[int, int, int]], radix: int) -> int:
+    """Bound each polynomial by its largest coefficient, in place, and
+    return the digit width to go on with.
 
     The width doubles until 8 times the new sum of the bounds fits in
     half a digit, so the next renormalisation is at least radix/2 - 1
-    doublings of that sum away; each state is then repacked at the new
-    width."""
+    doublings of that sum away; each polynomial is then repacked at the
+    new width."""
     half = 1 << (radix - 1)
-    tops = {}
-    for state, (_, n, _) in states.items():
+    tops = []
+    for _, n, _ in polys:
         chunks = _chunks(n, radix)
         high, low = int.from_bytes(max(chunks), "big"), int.from_bytes(min(chunks), "big")
-        tops[state] = max(high - half, half - low)
+        tops.append(max(high - half, half - low))
     wide = radix
-    while (8 * sum(tops.values())).bit_length() > wide // 2:
+    while (8 * sum(tops)).bit_length() > wide // 2:
         wide *= 2
-    for state, (lo, n, _) in states.items():
+    for k, (lo, n, _) in enumerate(polys):
         if wide != radix:
-            n = sum(c << (wide * k) for k, c in enumerate(_digits(n, radix)))
-        states[state] = lo, n, tops[state]
+            n = sum(c << (wide * j) for j, c in enumerate(_digits(n, radix)))
+        polys[k] = lo, n, tops[k]
     return wide
 
 

@@ -212,8 +212,13 @@ def parse_matrix(text: str) -> list[list[int]]:
 
         try:
             obj = ast.literal_eval(s)
-        except (ValueError, SyntaxError) as e:
+        except SyntaxError as e:
             raise KnotError(f"matrix: bad literal ({e})") from None
+        except (ValueError, TypeError, RecursionError):
+            # literal_eval names the offending syntax node by its address,
+            # which differs from run to run, and a long chain of unary
+            # signs exhausts the parser's recursion
+            raise KnotError("matrix: bad literal (expected rows of integers)") from None
         if not isinstance(obj, (list, tuple)) or not all(
             isinstance(r, (list, tuple)) for r in obj
         ):

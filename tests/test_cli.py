@@ -169,6 +169,20 @@ def test_alexander_rejects_bad_matrix(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_alexander_bad_literal_is_an_error_with_one_message(capsys):
+    # a long chain of unary signs used to end in a RecursionError
+    # traceback from the literal parser, and a malformed literal's message
+    # named an AST node by its address
+    for text in ("[[" + "-" * 5000 + "1,1],[2,0]]", "[[a,1],[2,0]]", "[[{[1]: 2},1],[2,0]]"):
+        messages = set()
+        for _ in range(2):
+            code, out, err = run(capsys, "alexander", "--seifert", text)
+            assert code == 1 and out == ""
+            assert err.startswith("error: matrix: bad literal") and "Traceback" not in err
+            messages.add(err)
+        assert len(messages) == 1 and " at 0x" not in err, err
+
+
 def test_signature_text(capsys):
     code, out, err = run(capsys, "signature", "--seifert", "[[-1,1],[0,-1]]")
     assert code == 0

@@ -1,9 +1,12 @@
+import ast
 import itertools
+import json
 import os
 import random
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -421,60 +424,66 @@ def test_narrow_radix_renormalises_and_widens(monkeypatch):
 
 
 def _empty_memo(monkeypatch):
-    """Give this test an empty memo of shape transitions; the process's
-    own memo comes back when the test ends."""
-    monkeypatch.setattr(diagram, "_SHAPES", {})
+    """Give this test an empty memo of compiled steps; the process's own
+    memo comes back when the test ends."""
+    monkeypatch.setattr(diagram, "_STEPS", {})
+    monkeypatch.setattr(diagram, "_SETS", {})
     monkeypatch.setattr(diagram, "_memo_ints", 0)
 
 
 def _memo_snapshot():
-    """Each memo shape with a copy of its steps."""
-    return {key: (plan, dict(plan.known)) for key, plan in diagram._SHAPES.items()}
+    """A copy of the memo's steps and state sets."""
+    return {key: dict(steps) for key, steps in diagram._STEPS.items()}, dict(diagram._SETS)
 
 
 def _memo_contents_ints():
     """The ints the memo holds, counted as the sweep charges them."""
-    return sum(2 * len(plan.back) * len(plan.known) for plan in diagram._SHAPES.values())
+    return sum(2 * len(nxt.states[0]) * len(states.states)
+               for steps in diagram._STEPS.values() for states, (nxt, _) in steps.items())
 
 
 def _count_table(monkeypatch):
-    """Empty the memo, then count the sweep's state-steps (a partial
-    state meeting a crossing), the transitions it works out (each one a
-    step neither the call nor the memo had), the shapes it makes and
-    the keys of the shapes it works out steps for."""
+    """Empty the memo, then count the steps the sweep compiles (each a
+    (state set, shape) pair neither the call nor the memo had), the
+    transitions those compiles work out (each a (shape, state) pair the
+    call had not worked out), the shapes it makes and the keys of the
+    shapes it works out transitions for."""
     _empty_memo(monkeypatch)
-    counts = {"steps": 0, "worked": 0, "shapes": 0, "keys": []}
-    init, transitions = diagram._Shape.__init__, diagram._Shape.transitions
-
-    class Step(tuple):
-        # the sweep reads a step's A-state once per state-step
-        def __getitem__(self, i):
-            counts["steps"] += i == 0
-            return super().__getitem__(i)
+    counts = {"compiled": 0, "worked": 0, "shapes": 0, "keys": []}
+    init, compile_ = diagram._Shape.__init__, diagram._Shape.compile
+    transitions = diagram._Shape.transitions
 
     def counting_init(self, key):
         init(self, key)
         counts["shapes"] += 1
 
+    def counting_compile(self, states):
+        counts["compiled"] += 1
+        return compile_(self, states)
+
     def counted(self, state):
         counts["worked"] += 1
         counts["keys"].append(self.key)
-        return Step(transitions(self, state))
+        return transitions(self, state)
 
     monkeypatch.setattr(diagram._Shape, "__init__", counting_init)
+    monkeypatch.setattr(diagram._Shape, "compile", counting_compile)
     monkeypatch.setattr(diagram._Shape, "transitions", counted)
     return counts
 
 
 def test_bracket_table_works_out_few_transitions(monkeypatch):
-    # lambda(4, 2, 35), 146 crossings: of its 1,797 state-steps the table
-    # works out 105; every other step repeats a (shape, state) pair
-    d = lambda_diagram(LambdaSpec(4, 2, 35))
-    expected = kauffman_bracket(d)
-    counts = _count_table(monkeypatch)
-    assert kauffman_bracket(d) == expected
-    assert counts["steps"] > 1000
-    assert 4 * counts["worked"] < counts["steps"]
+    # within one sweep the whole state set repeats from crossing to
+    # crossing, and a step is compiled once per (state set, shape) pair:
+    # cold, lambda(4, 2, 35) compiles 16 steps for its 146 crossings and
+    # lambda(0, 0, 1001) 10 for its 4,004
+    for spec, crossings in ((LambdaSpec(4, 2, 35), 146), (LambdaSpec(0, 0, 1001), 4004)):
+        d = lambda_diagram(spec)
+        assert len(d.crossings) == crossings
+        expected = kauffman_bracket(d)
+        counts = _count_table(monkeypatch)
+        assert kauffman_bracket(d) == expected
+        assert 0 < counts["compiled"] <= 20, (spec, counts["compiled"])
 
 
 def test_bracket_table_serves_both_turns_and_signs(monkeypatch):
@@ -646,7 +655,7 @@ def test_memo_serves_later_sweeps(monkeypatch):
     d = _braid_closure(8, [(k % 7, 1) for k in range(35)])
     expected = kauffman_bracket(d)
     cold = counts["worked"]
-    met = set(diagram._SHAPES)
+    met = set(diagram._STEPS)
     assert cold > 300
     # the same diagram again: every step comes from the memo
     assert kauffman_bracket(d) == expected
@@ -668,6 +677,54 @@ def test_memo_serves_later_sweeps(monkeypatch):
         del counts["keys"][:]
         assert jones(kinked) == jones(d)
         assert counts["keys"] and not met & set(counts["keys"]), sign
+
+
+def test_memo_leaves_answers_alone(monkeypatch):
+    # the braid closures of morse_golden.json, each made a knot, and a
+    # lambda grid: every bracket comes out the same swept with the memo
+    # emptied before the call and with every step already in the memo,
+    # and matches the state sum where the diagram is small.  Some of
+    # these sweeps drop a successor whose sum cancels to 0.
+    golden = json.loads(Path(__file__).with_name("morse_golden.json").read_text())
+    diagrams = []
+    for label in golden:
+        if label.startswith("braid "):
+            _, strands, word = label.split(" ", 2)
+            strands = int(strands)
+            diagrams.append(_braid_closure(strands, _knotted(strands, ast.literal_eval(word),
+                                                             [1] * (strands - 1))))
+    assert len(diagrams) == 35
+    diagrams += [lambda_diagram(LambdaSpec(n, m, p))
+                 for n in (-4, 0, 2) for m in (-2, 0, 6) for p in (-7, 3, 5)]
+    cold = []
+    for d in diagrams:
+        _empty_memo(monkeypatch)
+        cold.append(kauffman_bracket(d))
+    _empty_memo(monkeypatch)
+    for d in diagrams:
+        kauffman_bracket(d)
+    zeros, sets = [], []
+    merge, state_set = diagram._packed_add, diagram._state_set
+
+    def counted(*args):
+        acc = merge(*args)
+        zeros.append(not acc[1])
+        return acc
+
+    def recorded(states, made):
+        sets.append(states)
+        return state_set(states, made)
+
+    monkeypatch.setattr(diagram, "_packed_add", counted)
+    monkeypatch.setattr(diagram, "_state_set", recorded)
+    for d, b in zip(diagrams, cold):
+        assert kauffman_bracket(d) == b, str(d)
+        if len(d.crossings) <= 12:
+            assert b == naive_bracket(d.crossings), str(d)
+    # with every step in the memo, a sweep looks a set up only to start,
+    # and after a crossing where a successor's sum ended at 0
+    assert any(zeros)
+    assert len(sets) > len(diagrams)
 
 
 def test_refused_sweep_leaves_the_memo_alone(monkeypatch):
