@@ -69,23 +69,22 @@ Putting the fresh ends where the first swept end was, rather than at
 the end, keeps a braid's boundary in the order its strands lie in, so
 the shapes of each sigma_i repeat with every period of the word.
 
-Every sweep in the process shares one memo of compiled steps, from
-shape to {state set: step}.  Each call keeps its own table of the steps
-it has used and reads the memo only when that table misses; it compiles
-a step only when the memo misses too, and then reads each state's
-successors from the memo's steps of that shape where they hold the
-state, working out only the rest.  A sorted set is one object in the
-memo however a sweep reached it, so a diagram swept again compiles
-nothing, and its mirror, a curl added to it, or another braid on as
-many strands compiles only the steps it does not share.  The call
-charges each (shape, state) pair it meets for the first time to the
-sweep limit below, whether or not the memo had a step for it, so the
-work a sweep counts, and the point where it is refused, do not depend
-on what earlier sweeps left.  A call adds the steps it used that the
-memo lacks only when it finishes, so a refused sweep leaves the memo as
-it was.  The memo counts the ints it holds in the unit the sweep charges
-them, is emptied all at once before that count would pass SWEEP_LIMIT,
-and leaves out a step that would not fit even then.
+Every sweep in the process shares one memo of compiled steps, keyed by
+(state set, shape) like the call's own table of the steps it has used.
+A call reads the memo only when that table misses, and compiles a step
+only when the memo misses too; a compile works out the successors of
+every state of its set.  A sorted set is one object in the memo however
+a sweep reached it, so a diagram swept again compiles nothing, and its
+mirror, a curl added to it, or another braid on as many strands
+compiles only the steps it does not share.  The call charges each
+(shape, state) pair it meets for the first time to the sweep limit
+below, whether or not the memo had a step for it, so the work a sweep
+counts, and the point where it is refused, do not depend on what
+earlier sweeps left.  A call adds the steps it used that the memo lacks
+only when it finishes, so a refused sweep leaves the memo as it was.
+The memo counts the ints it holds in the unit the sweep charges them, is
+emptied all at once before that count would pass SWEEP_LIMIT, and
+leaves out a step that would not fit even then.
 
 The sweep cuts the knot open at slot 0 of the last crossing in its
 order and ties the cut arc's two ends to sentinel tokens.  The cut
@@ -150,7 +149,6 @@ from __future__ import annotations
 
 import heapq
 import re
-import struct
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -172,9 +170,9 @@ __all__ = [
     "validate",
 ]
 
-# the most partial-state and transition-table ints one bracket sweep may
-# hold, summed over its crossings, and the most the memo of shape
-# transitions keeps (see the module docstring).
+# the most partial-state and step ints one bracket sweep may hold, summed
+# over its crossings, and the most the memo of compiled steps keeps (see
+# the module docstring).
 # lambda(-2, -6, -121), 492 crossings, reaches 550,210 and an 8-strand,
 # 5-sweep braid closure 29,610, while lambda(0, 0, 1001), 4,004
 # crossings, reaches 13.2 million.  A 12-strand, 13-sweep closure passes
@@ -411,11 +409,10 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     # sizes), in the order of states.states
     polys = [(0, 1, 1)]
     # (state set, shape key) -> (successor set, program): the steps this
-    # call has used; shape key -> the states it has charged a step of
-    # that shape for; and the shapes it has compiled steps of
+    # call has used; and shape key -> the states it has charged a step of
+    # that shape for
     table: dict[tuple[_StateSet, State], Step] = {}
     met: dict[State, set[State]] = {}
-    shapes: dict[State, _Shape] = {}
     radix = _RADIX
 
     work = 0
@@ -471,10 +468,9 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
             if work + 2 * len(boundary) * count > SWEEP_LIMIT:
                 count = (SWEEP_LIMIT - work) // (2 * len(boundary)) + 1
             work = _charge(work, 2 * len(boundary) * count)
-            step = _STEPS.get(key, {}).get(states)
+            step = _STEPS.get((states, key))
             if step is None:
-                plan = shapes.get(key) or shapes.setdefault(key, _Shape(key))
-                nxt, program = plan.compile(states.states)
+                nxt, program = _Shape(key).compile(states.states)
                 step = _state_set(nxt, made), program
             table[states, key] = step
         states, program = step
@@ -540,7 +536,7 @@ class _StateSet:
 
 
 # a compiled step: the successor set and the program
-Step = tuple[_StateSet, Sequence[int]]
+Step = tuple[_StateSet, tuple[int, ...]]
 
 
 def _state_set(states: tuple[State, ...], made: dict) -> _StateSet:
@@ -553,11 +549,11 @@ def _state_set(states: tuple[State, ...], made: dict) -> _StateSet:
 
 
 # the memo of compiled steps that every bracket sweep in the process
-# shares (see the module docstring): shape key -> {state set ->
-# (successor set, program)}, and each state set it names, by its states.
+# shares (see the module docstring): (state set, shape key) ->
+# (successor set, program), and each state set it names, by its states.
 # Only _remember writes them, and they hold at most SWEEP_LIMIT ints,
 # counted in _memo_ints as the sweep charges them.
-_STEPS: dict[State, dict[_StateSet, Step]] = {}
+_STEPS: dict[tuple[_StateSet, State], Step] = {}
 _SETS: dict[tuple[State, ...], _StateSet] = {}
 _memo_ints = 0
 _memo_lock = threading.Lock()
@@ -580,7 +576,7 @@ def _remember(table: dict[tuple[_StateSet, State], Step]) -> None:
         # its steps, which can only empty the memo early
         lacking = sum(2 * len(nxt.states[0]) * len(states.states)
                       for (states, key), (nxt, _) in table.items()
-                      if _SETS.get(states.states, states) not in _STEPS.get(key, ()))
+                      if (_SETS.get(states.states, states), key) not in _STEPS)
         if _memo_ints + lacking > SWEEP_LIMIT:
             # a sweep still holding one of these sets finds its steps
             # gone, and compiles them again
@@ -590,21 +586,10 @@ def _remember(table: dict[tuple[_StateSet, State], Step]) -> None:
         for (states, key), (nxt, program) in table.items():
             states = _SETS.get(states.states, states)
             ints = 2 * len(nxt.states[0]) * len(states.states)
-            if states not in _STEPS.get(key, ()) and _memo_ints + ints <= SWEEP_LIMIT:
+            if (states, key) not in _STEPS and _memo_ints + ints <= SWEEP_LIMIT:
                 _SETS.setdefault(states.states, states)
-                _STEPS.setdefault(key, {})[states] = _SETS.setdefault(nxt.states, nxt), program
+                _STEPS[states, key] = _SETS.setdefault(nxt.states, nxt), program
                 _memo_ints += ints
-
-
-def _memo_transitions(key: State) -> dict[State, tuple]:
-    """The ``transitions`` of every state that a step of this shape in
-    the memo holds, read back from its program."""
-    out = {}
-    for states, (nxt, program) in _STEPS.get(key, {}).copy().items():
-        for i, state in enumerate(states.states):
-            a, b = program[2 * i], program[2 * i + 1]
-            out[state] = nxt.states[a >> 2], a & 3, nxt.states[b >> 2], b & 3
-    return out
 
 
 class _Shape:
@@ -619,9 +604,7 @@ class _Shape:
     where the crossing's joins reach.  Those joins depend only on which
     swept ends the state pairs with each other, its pattern, and are
     worked out for every pattern when the shape is made.  A sweep makes
-    a shape only to compile a step of it (see ``compile``); ``steps``
-    starts with the ``transitions`` the memo's steps of the shape hold,
-    and keeps those the sweep works out.
+    a shape only to compile one step of it (see ``compile``).
     """
 
     def __init__(self, key: tuple[int, ...]):
@@ -649,9 +632,8 @@ class _Shape:
                 for q in [-1] + [q for q in swept if q > k and q not in m]]
         self.patterns = {pattern: self._joins(pattern)
                          for pattern in (tuple(m[k] for k in swept) for m in matchings)}
-        self.steps = _memo_transitions(key)
 
-    def compile(self, states: tuple[State, ...]) -> tuple[tuple[State, ...], Sequence[int]]:
+    def compile(self, states: tuple[State, ...]) -> tuple[tuple[State, ...], tuple[int, ...]]:
         """The step of this shape for a sorted state set: its successor
         states, sorted, and its program.
 
@@ -659,25 +641,13 @@ class _Shape:
         B-successor (feed 2i + 1), for the smoothings of the turned
         crossing; the program is the code of each feed in turn, 4 times
         the index of the successor it feeds plus the loops it closes."""
-        steps = self.steps
-        worked = [i for i, state in enumerate(states) if state not in steps]
-        steps.update((states[i], self.transitions(states[i])) for i in worked)
-        rows = list(map(steps.__getitem__, states))
+        rows = list(map(self.transitions, states))
         nxt = tuple(sorted({*map(itemgetter(0), rows), *map(itemgetter(2), rows)}))
         index = dict(zip(nxt, range(len(nxt))))
         codes = []
         for a, a_loops, b, b_loops in rows:
             codes += 4 * index[a] + a_loops, 4 * index[b] + b_loops
-        # two states that lead to one successor hold two equal tuples;
-        # the steps worked out here keep the set's, and free the other
-        for i in worked:
-            _, a_loops, _, b_loops = rows[i]
-            steps[states[i]] = nxt[codes[2 * i] >> 2], a_loops, nxt[codes[2 * i + 1] >> 2], b_loops
-        # a byte holds every code of a set of up to 64 successors, and
-        # four bytes, read as unsigned ints, hold every other
-        if len(nxt) <= 64:
-            return nxt, bytes(codes)
-        return nxt, memoryview(struct.pack(f"{len(codes)}I", *codes)).cast("I")
+        return nxt, tuple(codes)
 
     def transitions(self, state: tuple[int, ...]) -> tuple:
         """``(A-state, A-loops, B-state, B-loops)`` of ``state``, for the

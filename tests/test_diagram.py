@@ -433,42 +433,39 @@ def _empty_memo(monkeypatch):
 
 def _memo_snapshot():
     """A copy of the memo's steps and state sets."""
-    return {key: dict(steps) for key, steps in diagram._STEPS.items()}, dict(diagram._SETS)
+    return dict(diagram._STEPS), dict(diagram._SETS)
 
 
 def _memo_contents_ints():
     """The ints the memo holds, counted as the sweep charges them."""
     return sum(2 * len(nxt.states[0]) * len(states.states)
-               for steps in diagram._STEPS.values() for states, (nxt, _) in steps.items())
+               for (states, _), (nxt, _) in diagram._STEPS.items())
+
+
+def _check_memo():
+    """The memo's count is what it holds, and every state set it names,
+    as a key or as a successor, is the one ``_SETS`` keeps for its
+    states."""
+    assert diagram._memo_ints == _memo_contents_ints()
+    for (states, _), (nxt, _) in diagram._STEPS.items():
+        assert diagram._SETS[states.states] is states
+        assert diagram._SETS[nxt.states] is nxt
 
 
 def _count_table(monkeypatch):
     """Empty the memo, then count the steps the sweep compiles (each a
-    (state set, shape) pair neither the call nor the memo had), the
-    transitions those compiles work out (each a (shape, state) pair the
-    call had not worked out), the shapes it makes and the keys of the
-    shapes it works out transitions for."""
+    (state set, shape) pair neither the call nor the memo had), with the
+    shape key of each."""
     _empty_memo(monkeypatch)
-    counts = {"compiled": 0, "worked": 0, "shapes": 0, "keys": []}
-    init, compile_ = diagram._Shape.__init__, diagram._Shape.compile
-    transitions = diagram._Shape.transitions
-
-    def counting_init(self, key):
-        init(self, key)
-        counts["shapes"] += 1
+    counts = {"compiled": 0, "keys": []}
+    compile_ = diagram._Shape.compile
 
     def counting_compile(self, states):
         counts["compiled"] += 1
+        counts["keys"].append(self.key)
         return compile_(self, states)
 
-    def counted(self, state):
-        counts["worked"] += 1
-        counts["keys"].append(self.key)
-        return transitions(self, state)
-
-    monkeypatch.setattr(diagram._Shape, "__init__", counting_init)
     monkeypatch.setattr(diagram._Shape, "compile", counting_compile)
-    monkeypatch.setattr(diagram._Shape, "transitions", counted)
     return counts
 
 
@@ -495,7 +492,7 @@ def test_bracket_table_serves_both_turns_and_signs(monkeypatch):
     d = _braid_closure(3, word)
     assert {1, -1} <= set(d.signs)
     assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
-    assert counts["shapes"] < len(d.crossings)
+    assert counts["compiled"] < len(d.crossings)
     # a curl of either sign on every arc: each curl is a slot tied to a
     # slot of its own crossing, met in every turn
     small = _braid_closure(3, _knotted(3, [(0, 1), (1, -1), (0, 1)], [1, 1]))
@@ -634,8 +631,8 @@ def test_sweep_limit_refuses_with_the_count(tmp_path, monkeypatch, capsys):
 def test_sweep_limit_pins_the_work_count(monkeypatch):
     # lambda(-2, -6, -121), 492 crossings, holds exactly 550,210
     # partial-state and table ints over its sweep, and the all-"L"
-    # 8-strand, 5-sweep closure 29,610, whether the memo of shape
-    # transitions starts empty or already holds every step
+    # 8-strand, 5-sweep closure 29,610, whether the memo of compiled
+    # steps starts empty or already holds every step
     _empty_memo(monkeypatch)
     cases = [(lambda_diagram(LambdaSpec(-2, -6, -121)), 550_210),
              (_braid_closure(8, [(k % 7, 1) for k in range(35)]), 29_610)]
@@ -648,29 +645,29 @@ def test_sweep_limit_pins_the_work_count(monkeypatch):
             assert kauffman_bracket(d), memo
 
 
-# ---- the memo of shape transitions ----
+# ---- the memo of compiled steps ----
 
 def test_memo_serves_later_sweeps(monkeypatch):
+    # T(8, 5) compiles 23 steps cold, and the shapes of those steps are
+    # every shape it meets
     counts = _count_table(monkeypatch)
     d = _braid_closure(8, [(k % 7, 1) for k in range(35)])
     expected = kauffman_bracket(d)
-    cold = counts["worked"]
-    met = set(diagram._STEPS)
-    assert cold > 300
+    assert counts["compiled"] == 23
+    met = set(counts["keys"])
     # the same diagram again: every step comes from the memo
     assert kauffman_bracket(d) == expected
-    assert counts["worked"] == cold
+    assert counts["compiled"] == 23
     # the mirror turns each crossing by one slot, which its shape key
     # absorbs, but its cut sits on another arc of the last crossing, so
-    # some steps are new; swept again it too works out nothing
+    # 12 steps are new; swept again it too compiles nothing
     m = mirror(d)
     flipped = LaurentPoly({-e: c for e, c in expected.items()})
     assert kauffman_bracket(m) == flipped
-    assert 0 < counts["worked"] - cold < cold // 4
-    before = counts["worked"]
+    assert counts["compiled"] == 23 + 12
     assert kauffman_bracket(m) == flipped
-    assert counts["worked"] == before
-    # a curl on arc 1, far from the cut, works out only steps of shapes
+    assert counts["compiled"] == 23 + 12
+    # a curl on arc 1, far from the cut, compiles only steps of shapes
     # that d never met
     for sign in (1, -1):
         kinked = add_kink(d, 1, sign)
@@ -765,7 +762,7 @@ def test_memo_stays_within_the_sweep_limit(monkeypatch):
             assert b == naive_bracket(d.crossings), str(d)
         emptied += diagram._memo_ints < before
         assert diagram._memo_ints <= diagram.SWEEP_LIMIT
-        assert diagram._memo_ints == _memo_contents_ints()
+        _check_memo()
     assert refused and emptied and len(items) - refused > 8
 
 
@@ -806,7 +803,7 @@ def test_threads_share_the_memo(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert 0 < diagram._memo_ints <= diagram.SWEEP_LIMIT
-    assert diagram._memo_ints == _memo_contents_ints()
+    _check_memo()
 
 
 def test_diagram_is_frozen():
