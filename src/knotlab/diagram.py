@@ -54,17 +54,21 @@ and the smoothing's joins run through the four slots.  So what a
 crossing does to the whole set of states the sweep holds (which
 successors it makes, and which states feed each one, through which
 smoothing and closing how many loops) depends only on the shape and
-the set.  The sweep keeps its states sorted, with their polynomials in
-a list beside them, and compiles that map once per (state set, shape)
-pair into a step: the successor set, and a program of one small int
-per feed.  Replaying a step is the packed arithmetic below and nothing
-else: no dictionary lookup and no state tuple per state.  Within one
-sweep the whole set repeats from crossing to crossing; lambda(0, 0,
-1001) compiles 10 steps for its 4,004 crossings.  Turning a crossing
-by one slot swaps its A- and B-smoothings, and turning it by two
-changes nothing, so a step is keyed by the shape turned to start at its
-largest entry and the replay trades the two exponent shifts on an odd
-turn; a positive and a negative crossing of one shape share a step.
+the set.  The sweep keeps its states sorted, with their exponents and
+polynomials in two lists beside them, and compiles that map once per
+(state set, shape) pair into a step: the successor set, a growth factor
+(below), and a program of one small int per feed, grouped successor by
+successor.  Replaying a step is the packed arithmetic below and nothing
+else: no dictionary lookup and no state tuple per state.  Each
+successor's sum is built from its feeds in turn and closed at its last
+feed, where it joins the new lists, with its digit count, or leaves the
+set when it is 0.  Within one sweep the whole set repeats from crossing
+to crossing; lambda(0, 0, 1001) compiles 10 steps for its 4,004
+crossings.  Turning a crossing by one slot swaps its A- and
+B-smoothings, and turning it by two changes nothing, so a step is keyed
+by the shape turned to start at its largest entry and the replay reads
+each feed's exponent shift from the table of the turn's parity; a
+positive and a negative crossing of one shape share a step.
 Putting the fresh ends where the first swept end was, rather than at
 the end, keeps a braid's boundary in the order its strands lie in, so
 the shapes of each sigma_i repeat with every period of the word.
@@ -80,8 +84,9 @@ compiles only the steps it does not share.  The call charges each
 (shape, state) pair it meets for the first time to the sweep limit
 below, whether or not the memo had a step for it, so the work a sweep
 counts, and the point where it is refused, do not depend on what
-earlier sweeps left.  A call adds the steps it used that the memo lacks
-only when it finishes, so a refused sweep leaves the memo as it was.
+earlier sweeps left.  A call that compiled a step adds the steps it
+used that the memo lacks only when it finishes, so a refused sweep
+leaves the memo as it was.
 The memo counts the ints it holds in the unit the sweep charges them, is
 emptied all at once before that count would pass SWEEP_LIMIT, and
 leaves out a step that would not fit even then.
@@ -114,23 +119,25 @@ state that meets it.  A crossing therefore costs about the number of states time
 the packed length, in machine words rather than Python objects.
 
 The digits are the coefficients only while each coefficient is below
-2^(B-1) in absolute value, so each state also carries a bound on its
-coefficients: 1 to start, doubled by each delta and added on a merge.
-One crossing sends each state to two successors with at most two loops
-each, so no successor's bound exceeds 8 times the sum of the bounds
-before it.  Before a crossing where that could reach 2^(B-1), every
-state is decoded and its bound set to its exact largest coefficient;
-if 8 times their sum then needs more than half a digit, B doubles and
-every state is repacked, so the next renormalisation is B/2 - 1
-doublings of the sum away.  That is about B/2 crossings, since a sum
-of bounds doubles at a crossing without loops; lambda(0, 0, 1001)
-renormalises once every 40 or so.  Under that bound the digits are
-read back exactly and cheaply: the lowest digit is zero iff the low B
-bits of N are, so the zero digits a merge leaves at the low end are
-trimmed by one shift; the top end needs no trimming, since N has no
-leading zero digits; and a state has (bit length of N + B) // B
-digits.  The digits themselves are read only when renormalising and at
-the end, from the bytes of N plus 2^(B-1) in every digit.
+2^(B-1) in absolute value, so the sweep keeps one bound on the sum over
+its states of their largest coefficient, 1 to start.  A state feeds two
+successors, each times delta once per loop it closes, so a step's
+successors have their sum at most its growth factor, the largest
+2^(A-loops) + 2^(B-loops) over its states, times the sum before it;
+with at most two loops each that factor is at most 8, and the bound is
+multiplied by it after each crossing.  Before a crossing where 8 times
+the bound could reach 2^(B-1), every state is decoded and the bound set
+to the exact sum; if 8 times that then needs more than half a digit, B
+doubles and every state is repacked, so the next renormalisation is
+B/2 - 1 doublings of the sum away.  lambda(0, 0, 1001) renormalises
+once every 33 crossings or so.  Under that bound the digits are read
+back exactly and cheaply: the lowest digit is zero iff the low B bits
+of N are, so the zero digits a merge leaves at the low end are trimmed
+by one shift; the top end needs no trimming, since N has no leading
+zero digits; and a state has (bit length of N + B) // B digits, a
+count that does not depend on B.  The digits themselves are read only
+when renormalising and at the end, from the bytes of N plus 2^(B-1) in
+every digit.
 
 The sweep limits itself by the cost of a crossing.  It keeps one
 running count, the ints its partial states hold, summed over
@@ -152,7 +159,8 @@ import re
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, ne
 
 from .errors import KnotError
 from .laurent import LaurentPoly
@@ -344,25 +352,20 @@ def _contraction_order(mate: Sequence[int]) -> list[int]:
     over its four slot tokens t: +1 when the crossing at the arc's other
     end, ``mate[t] >> 2``, is unswept (the arc opens), -1 when it is swept
     (the arc closes), and 0 when it is the crossing itself (a curl, whose
-    arc opens and closes at once).  So after a pick only the crossings
-    ``mate`` names as its neighbours are re-scored.  A heap holds
-    (score, index) pairs and skips a popped pair whose score is no longer
-    current, which gives the same order as rescanning every remaining
-    crossing at each step, in O(c log c) instead of O(c^2).  The order
-    fixes the bracket sweep's boundary before each crossing, and so the
-    length of every state tuple there.
+    arc opens and closes at once).  So a crossing starts at the number of
+    its slots whose arc leads to another crossing, one entry of its list
+    of outside neighbours each, and loses 2 for each entry when that
+    neighbour is swept.  A heap holds (score, index) pairs and skips a
+    popped pair whose score is no longer current, which gives the same
+    order as rescanning every remaining crossing at each step, in
+    O(c log c) instead of O(c^2).  The order fixes the bracket sweep's
+    boundary before each crossing, and so the length of every state
+    tuple there.
     """
-    done = [False] * (len(mate) // 4)
-
-    def score(ci: int) -> int:
-        s = 0
-        for m in mate[4 * ci:4 * ci + 4]:
-            cj = m >> 2
-            if cj != ci:
-                s += -1 if done[cj] else 1
-        return s
-
-    current = [score(ci) for ci in range(len(done))]
+    count = len(mate) // 4
+    neighbours = [[m >> 2 for m in mate[4 * ci:4 * ci + 4] if m >> 2 != ci] for ci in range(count)]
+    done = [False] * count
+    current = list(map(len, neighbours))
     heap = [(s, ci) for ci, s in enumerate(current)]
     heapq.heapify(heap)
     order = []
@@ -372,13 +375,10 @@ def _contraction_order(mate: Sequence[int]) -> list[int]:
             continue
         done[ci] = True
         order.append(ci)
-        for m in mate[4 * ci:4 * ci + 4]:
-            cj = m >> 2
+        for cj in neighbours[ci]:
             if not done[cj]:
-                s = score(cj)
-                if s != current[cj]:
-                    current[cj] = s
-                    heapq.heappush(heap, (s, cj))
+                current[cj] -= 2
+                heapq.heappush(heap, (current[cj], cj))
     return order
 
 
@@ -405,28 +405,26 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     # the state sets this call made that the memo lacks, by their states
     made: dict[tuple[State, ...], _StateSet] = {}
     states = _state_set(((2, 3, 0, 1),), made)
-    # each state's (lowest A-exponent, packed coefficients, bound on their
-    # sizes), in the order of states.states
-    polys = [(0, 1, 1)]
-    # (state set, shape key) -> (successor set, program): the steps this
-    # call has used; and shape key -> the states it has charged a step of
-    # that shape for
+    # each state's lowest A-exponent and packed coefficients, in the order
+    # of states.states; the digit count of those, and a bound on the sum
+    # over the states of their largest coefficient
+    los, packs = [0], [1]
+    digits = bound = 1
+    # (state set, shape key) -> step: the steps this call has used; and
+    # shape key -> the states it has charged a step of that shape for
     table: dict[tuple[_StateSet, State], Step] = {}
     met: dict[State, set[State]] = {}
     radix = _RADIX
+    compiled = False
 
     work = 0
     for ci in order:
         size = len(boundary)
-        digits = bound = 0
-        for _, n, b in polys:
-            digits += (n.bit_length() + radix) // radix
-            bound += b
-        work = _charge(work, len(polys) * size + digits)
-        # no coefficient after this crossing can exceed 8 times this sum,
+        work = _charge(work, len(los) * size + digits)
+        # no coefficient after this crossing can exceed 8 times the bound,
         # and each must stay below 2^(radix-1) to be read back
         if 8 * bound >= 1 << (radix - 1):
-            radix = _repack(polys, radix)
+            radix, bound = _repack(packs, radix)
         # the crossing's shape: each slot's boundary position, size + j
         # for the j-th fresh end, or -1 - (offset to the slot it is tied
         # to) for a curl.  The fresh ends take the place of the first swept
@@ -456,7 +454,6 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
         # turn swaps the A- and B-smoothings
         r = shape.index(max(shape))
         key = (size, *shape[r:], *shape[:r])
-        turn = -1 if r & 1 else 1
         step = table.get((states, key))
         if step is None:
             # charge each (shape, state) pair met for the first time, up to
@@ -470,47 +467,22 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
             work = _charge(work, 2 * len(boundary) * count)
             step = _STEPS.get((states, key))
             if step is None:
-                nxt, program = _Shape(key).compile(states.states)
-                step = _state_set(nxt, made), program
+                nxt, growth, program = _Shape(key).compile(states.states)
+                step = _state_set(nxt, made), growth, program
+                compiled = True
             table[states, key] = step
-        states, program = step
-
-        # feed k sends state k >> 1's polynomial, through its A-smoothing
-        # when k is even, to the successor its code names; the feeds of a
-        # successor add up in that order, and a sum that cancels to 0 is
-        # dropped and starts again from the successor's next feed
-        new: list = [None] * len(states.states)
-        zeroed = False
-        for k, code in enumerate(program):
-            e, p, b = polys[k >> 1]
-            e += -turn if k & 1 else turn
-            loops = code & 3
-            if loops:
-                for _ in range(loops):
-                    # times delta = -A^-2 (1 + A^4)
-                    e -= 2
-                    p = -(p + (p << radix))
-                b <<= loops
-            j = code >> 2
-            acc = new[j]
-            if acc is None:
-                new[j] = e, p, b
-            else:
-                acc = new[j] = _packed_add(acc, e, p, b, radix)
-                if not acc[1]:
-                    new[j] = None
-                    zeroed = True
-        polys = new
-        # a successor whose sum is 0 leaves the set
-        if zeroed and None in polys:
-            states = _state_set(tuple(s for s, q in zip(states.states, polys) if q is not None), made)
-            polys = [q for q in polys if q is not None]
+        states, growth, program = step
+        bound *= growth
+        los, packs, digits, dropped = _replay(program, los, packs, _SHIFTS[r & 1], radix)
+        if dropped:
+            gone = set(dropped)
+            states = _state_set(tuple(s for k, s in enumerate(states.states) if k not in gone), made)
 
     if states.states != ((1, 0),):
         raise AssertionError("bracket: contraction did not close the diagram")
-    _remember(table)
-    lo, n, _ = polys[0]
-    return LaurentPoly({lo + 4 * k: c for k, c in enumerate(_digits(n, radix)) if c})
+    if compiled:
+        _remember(table)
+    return LaurentPoly({los[0] + 4 * k: c for k, c in enumerate(_digits(packs[0], radix)) if c})
 
 
 def _charge(work: int, ints: int) -> int:
@@ -535,8 +507,9 @@ class _StateSet:
         self.states = states
 
 
-# a compiled step: the successor set and the program
-Step = tuple[_StateSet, tuple[int, ...]]
+# a compiled step: the successor set, the growth factor and the program
+# (see _Shape.compile)
+Step = tuple[_StateSet, int, tuple[int, ...]]
 
 
 def _state_set(states: tuple[State, ...], made: dict) -> _StateSet:
@@ -549,8 +522,8 @@ def _state_set(states: tuple[State, ...], made: dict) -> _StateSet:
 
 
 # the memo of compiled steps that every bracket sweep in the process
-# shares (see the module docstring): (state set, shape key) ->
-# (successor set, program), and each state set it names, by its states.
+# shares (see the module docstring): (state set, shape key) -> step, and
+# each state set it names, by its states.
 # Only _remember writes them, and they hold at most SWEEP_LIMIT ints,
 # counted in _memo_ints as the sweep charges them.
 _STEPS: dict[tuple[_StateSet, State], Step] = {}
@@ -561,7 +534,7 @@ _memo_lock = threading.Lock()
 
 def _remember(table: dict[tuple[_StateSet, State], Step]) -> None:
     """Add the steps a finished sweep used, its table of (state set,
-    shape key) -> (successor set, program), to the memo, first emptying
+    shape key) -> step, to the memo, first emptying
     the memo when the steps it lacks would take it past SWEEP_LIMIT.
 
     A step counts, for each of its states, twice the length of the
@@ -575,7 +548,7 @@ def _remember(table: dict[tuple[_StateSet, State], Step]) -> None:
         # a set another thread has since dropped from the memo counts all
         # its steps, which can only empty the memo early
         lacking = sum(2 * len(nxt.states[0]) * len(states.states)
-                      for (states, key), (nxt, _) in table.items()
+                      for (states, key), (nxt, _, _) in table.items()
                       if (_SETS.get(states.states, states), key) not in _STEPS)
         if _memo_ints + lacking > SWEEP_LIMIT:
             # a sweep still holding one of these sets finds its steps
@@ -583,12 +556,12 @@ def _remember(table: dict[tuple[_StateSet, State], Step]) -> None:
             _STEPS.clear()
             _SETS.clear()
             _memo_ints = 0
-        for (states, key), (nxt, program) in table.items():
+        for (states, key), (nxt, growth, program) in table.items():
             states = _SETS.get(states.states, states)
             ints = 2 * len(nxt.states[0]) * len(states.states)
             if (states, key) not in _STEPS and _memo_ints + ints <= SWEEP_LIMIT:
                 _SETS.setdefault(states.states, states)
-                _STEPS[states, key] = _SETS.setdefault(nxt.states, nxt), program
+                _STEPS[states, key] = _SETS.setdefault(nxt.states, nxt), growth, program
                 _memo_ints += ints
 
 
@@ -633,21 +606,30 @@ class _Shape:
         self.patterns = {pattern: self._joins(pattern)
                          for pattern in (tuple(m[k] for k in swept) for m in matchings)}
 
-    def compile(self, states: tuple[State, ...]) -> tuple[tuple[State, ...], tuple[int, ...]]:
+    def compile(self, states: tuple[State, ...]) -> tuple[tuple[State, ...], int, tuple[int, ...]]:
         """The step of this shape for a sorted state set: its successor
-        states, sorted, and its program.
+        states, sorted, its growth factor and its program.
 
-        State i of ``states`` feeds its A-successor (feed 2i) and its
-        B-successor (feed 2i + 1), for the smoothings of the turned
-        crossing; the program is the code of each feed in turn, 4 times
-        the index of the successor it feeds plus the loops it closes."""
+        State i of ``states`` feeds its A-successor and its B-successor,
+        for the smoothings of the turned crossing.  The program lists the
+        feeds successor by successor, and a successor's feeds in the order
+        of i, A before B.  A feed's code is 16 i + 8 (1 for B) + 2 times
+        the loops it closes, plus 1 on the last feed of its successor.
+        The growth factor is the largest 2^(A-loops) + 2^(B-loops) of a
+        state: the sum over the successors of their largest coefficient
+        is at most that times the same sum over the states."""
         rows = list(map(self.transitions, states))
-        nxt = tuple(sorted({*map(itemgetter(0), rows), *map(itemgetter(2), rows)}))
-        index = dict(zip(nxt, range(len(nxt))))
-        codes = []
-        for a, a_loops, b, b_loops in rows:
-            codes += 4 * index[a] + a_loops, 4 * index[b] + b_loops
-        return nxt, tuple(codes)
+        # feed k = 2i + (1 for B): its successor and the loops it closes;
+        # a stable sort by successor keeps each one's feeds in order
+        succ = list(chain.from_iterable(map(itemgetter(0, 2), rows)))
+        loops = list(chain.from_iterable(map(itemgetter(1, 3), rows)))
+        order = sorted(range(len(succ)), key=succ.__getitem__)
+        ordered = list(map(succ.__getitem__, order))
+        ordered.append(None)
+        last = list(map(ne, ordered, ordered[1:]))
+        program = tuple([8 * k + 2 * loops[k] + end for k, end in zip(order, last)])
+        growth = max((1 << a) + (1 << b) for a, b in set(zip(loops[0::2], loops[1::2])))
+        return tuple(compress(ordered, last)), growth, program
 
     def transitions(self, state: tuple[int, ...]) -> tuple:
         """``(A-state, A-loops, B-state, B-loops)`` of ``state``, for the
@@ -714,58 +696,96 @@ class _Shape:
         return tuple(out)
 
 
-def _packed_add(
-    acc: tuple[int, int, int], e: int, n: int, bound: int, radix: int
-) -> tuple[int, int, int]:
-    """Sum of two packed polynomials, with the sum of their bounds; its
-    middle entry is 0 when the sum is zero.
-
-    Both polynomials belong to one partial state, so their lowest
-    exponents lie in one class mod 4 (see the module docstring); any
-    other difference means the sweep is wrong, and raises.  The top end
-    needs no trimming, and the low end only when both start at one
-    exponent, since a packed polynomial's lowest digit is never zero.
-    The caller keeps every digit below 2^(radix-1) in absolute value, so
-    a digit is zero exactly when its bits are, and the low zero digits
-    are the whole digits among the sum's trailing zero bits."""
-    lo, m, b = acc
-    if e < lo:
-        lo, m, e, n = e, n, lo, m
-    if (e - lo) % 4:
-        raise AssertionError("bracket: partial state exponents differ mod 4")
-    if e > lo:
-        return lo, m + (n << radix * ((e - lo) >> 2)), b + bound
-    m += n
-    if m:
-        # the zero digits at the low end: m & -m is m's lowest set bit
-        low = ((m & -m).bit_length() - 1) // radix
-        m >>= radix * low
-        lo += 4 * low
-    return lo, m, b + bound
+# the A-exponent a feed adds, by the smoothing and the loops it closes
+# (the code's bits 3 to 1), for an even and an odd turn of the crossing:
+# A^(+-1) for the smoothing and A^-2 from each delta
+_SHIFTS = tuple(tuple((-turn if smoothing else turn) - 2 * loops
+                      for smoothing in (0, 1) for loops in range(4))
+                for turn in (1, -1))
 
 
-def _repack(polys: list[tuple[int, int, int]], radix: int) -> int:
-    """Bound each polynomial by its largest coefficient, in place, and
-    return the digit width to go on with.
+def _replay(
+    program: tuple[int, ...], los: list[int], packs: list[int], shifts: tuple[int, ...], radix: int
+) -> tuple[list[int], list[int], int, list[int]]:
+    """Replay a compiled step on the states' lowest exponents and packed
+    polynomials; return the successors' exponents and polynomials, their
+    digit count, and the indices of the successors whose sum is 0, which
+    leave the set.
 
-    The width doubles until 8 times the new sum of the bounds fits in
-    half a digit, so the next renormalisation is at least radix/2 - 1
-    doublings of that sum away; each polynomial is then repacked at the
-    new width."""
+    A feed sends state ``code >> 4``'s polynomial through one smoothing,
+    times delta = -A^-2 (1 + A^4), N -> -(N + N * 2^radix), once per loop
+    it closes, into the running sum of its successor; the code's low bit
+    closes that sum.  A sum that cancels to 0 starts again from the
+    successor's next feed.  Two polynomials of one partial state have
+    lowest exponents in one class mod 4 (see the module docstring); any
+    other difference means the sweep is wrong, and raises.  A sum needs
+    no trimming at the top end, and at the low end only when both start
+    at one exponent, since a packed polynomial's lowest digit is never
+    zero.  The caller keeps every digit below 2^(radix-1) in absolute
+    value, so a digit is zero exactly when its bits are, and the low
+    zero digits are the whole digits among the sum's trailing zero
+    bits."""
+    out_los, out_packs, dropped = [], [], []
+    put_lo, put_pack = out_los.append, out_packs.append
+    digits = acc = lo = 0
+    for code in program:
+        src = code >> 4
+        e = los[src] + shifts[code >> 1 & 7]
+        n = packs[src]
+        if code & 6:
+            n = -(n + (n << radix))
+            if code & 4:
+                n = -(n + (n << radix))
+        if not acc:
+            lo, acc = e, n
+        else:
+            d = e - lo
+            if d & 3:
+                raise AssertionError("bracket: partial state exponents differ mod 4")
+            if d > 0:
+                acc += n << radix * (d >> 2)
+            elif d:
+                lo, acc = e, n + (acc << radix * (-d >> 2))
+            else:
+                acc += n
+                if acc:
+                    # the zero digits at the low end: acc & -acc is its
+                    # lowest set bit
+                    low = ((acc & -acc).bit_length() - 1) // radix
+                    if low:
+                        acc >>= radix * low
+                        lo += 4 * low
+        if code & 1:
+            if acc:
+                put_lo(lo)
+                put_pack(acc)
+                digits += (acc.bit_length() + radix) // radix
+                acc = 0
+            else:
+                dropped.append(len(out_los) + len(dropped))
+    return out_los, out_packs, digits, dropped
+
+
+def _repack(packs: list[int], radix: int) -> tuple[int, int]:
+    """Decode each packed polynomial, in place, and return the digit
+    width to go on with and the sum of their largest coefficients.
+
+    The width doubles until 8 times that sum fits in half a digit, so
+    the next renormalisation is at least radix/2 - 1 doublings of the sum
+    away; each polynomial is then repacked at the new width."""
     half = 1 << (radix - 1)
-    tops = []
-    for _, n, _ in polys:
+    bound = 0
+    for n in packs:
         chunks = _chunks(n, radix)
         high, low = int.from_bytes(max(chunks), "big"), int.from_bytes(min(chunks), "big")
-        tops.append(max(high - half, half - low))
+        bound += max(high - half, half - low)
     wide = radix
-    while (8 * sum(tops)).bit_length() > wide // 2:
+    while (8 * bound).bit_length() > wide // 2:
         wide *= 2
-    for k, (lo, n, _) in enumerate(polys):
-        if wide != radix:
-            n = sum(c << (wide * j) for j, c in enumerate(_digits(n, radix)))
-        polys[k] = lo, n, tops[k]
-    return wide
+    if wide != radix:
+        for k, n in enumerate(packs):
+            packs[k] = sum(c << (wide * j) for j, c in enumerate(_digits(n, radix)))
+    return wide, bound
 
 
 def _chunks(n: int, radix: int) -> list[bytes]:

@@ -2,8 +2,9 @@
 
 These share no algorithmic code with the package: the bracket here
 enumerates all 2^c Kauffman states and counts loops with a union-find,
-the contraction order rescans every remaining crossing at each step,
-the polynomial product is a direct convolution on coefficient lists,
+the bracket of a braid closure is a Markov trace in the Temperley-Lieb
+algebra, the contraction order rescans every remaining crossing at each
+step, the polynomial product is a direct convolution on coefficient lists,
 the congruence search tries every bounded integer matrix with a
 Leibniz determinant, the Alexander polynomial is a Leibniz expansion
 over polynomial entries, and the signature comes from rational
@@ -13,6 +14,7 @@ pivoting on Schur complements.  Slow on purpose; keep inputs small.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from knotlab.laurent import LaurentPoly
@@ -186,3 +188,61 @@ def naive_signature(m) -> int:
             if i != p
         ]
     return sig
+
+
+def tl_bracket(strands: int, word) -> LaurentPoly:
+    """<closure of a braid> as the Markov trace in the Temperley-Lieb
+    algebra TL_n (Jones, Bull. AMS 1985), for a word of
+    ``(generator, over)`` letters, over in {"L", "R"}.
+
+    An element is a dict from non-crossing matchings of the 2n points
+    (top 0..n-1, bottom n..2n-1, as a tuple of partners) to polynomials
+    in A, kept as {exponent: coefficient}.  It starts at the identity and
+    is multiplied on the bottom by sigma_i = A 1 + A^-1 e_i for "L" and
+    sigma_i^-1 = A^-1 1 + A e_i for "R".  Multiplying a matching by e_i
+    joins its bottom points i and i+1 through a cap and gives it a new
+    cup there: when they were partners that closes a loop, a factor
+    delta = -A^2 - A^-2.  The trace joins top j to bottom j and takes
+    delta^(loops - 1).  Dimension Catalan(n); keep n small."""
+    n = strands
+    element = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
+    for g, over in word:
+        one, cup = (1, -1) if over == "L" else (-1, 1)
+        i, j = n + g, n + g + 1
+        out: dict = {}
+        for m, poly in element.items():
+            _accumulate(out.setdefault(m, {}), poly, one, 0)
+            if m[i] == j:
+                _accumulate(out[m], poly, cup, 1)
+            else:
+                joined = list(m)
+                a, b = m[i], m[j]
+                joined[a], joined[b] = b, a
+                joined[i], joined[j] = j, i
+                _accumulate(out.setdefault(tuple(joined), {}), poly, cup, 0)
+        element = out
+
+    total: dict[int, int] = {}
+    for m, poly in element.items():
+        seen = [False] * (2 * n)
+        loops = 0
+        for start in range(n):
+            if not seen[start]:
+                loops += 1
+                p = start
+                while not seen[p]:
+                    seen[p] = True
+                    q = m[p]
+                    seen[q] = True
+                    p = q - n if q >= n else q + n
+        _accumulate(total, poly, 0, loops - 1)
+    return LaurentPoly({e: c for e, c in total.items() if c})
+
+
+def _accumulate(into: dict[int, int], poly: dict[int, int], shift: int, loops: int) -> None:
+    """into += poly * A^shift * (-A^2 - A^-2)^loops, the power expanded by
+    the binomial theorem; all as {exponent: coefficient}."""
+    factor = {2 * loops - 4 * k: (-1) ** loops * math.comb(loops, k) for k in range(loops + 1)}
+    for e, c in poly.items():
+        for de, dc in factor.items():
+            into[e + shift + de] = into.get(e + shift + de, 0) + c * dc

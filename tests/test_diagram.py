@@ -16,8 +16,9 @@ from knotlab import diagram
 from knotlab.cli import main
 from knotlab.diagram import (
     PlanarDiagram,
+    _SHIFTS,
     _contraction_order,
-    _packed_add,
+    _replay,
     add_kink,
     connect_sum,
     jones,
@@ -33,7 +34,7 @@ from knotlab.family import LambdaSpec, lambda_diagram
 from knotlab.laurent import LaurentPoly, parse_poly
 from knotlab.morse import MorseBuilder
 
-from oracles import naive_bracket, naive_contraction_order
+from oracles import naive_bracket, naive_contraction_order, tl_bracket
 
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIGURE_EIGHT = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -233,23 +234,45 @@ def _packed(coeffs, radix=64):
     return sum(c << (radix * k) for k, c in enumerate(coeffs))
 
 
-def test_packed_add_aligns_trims_and_drops():
+def _sum(*feeds, radix=64):
+    """Replay one successor fed by one state per ``(exponent, packed)``
+    pair, each through its A-smoothing with no loops on an even turn,
+    which adds 1 to the exponent: the successor's (exponent, packed,
+    digits), or None when its sum is 0 and it is dropped."""
+    program = tuple(16 * i for i in range(len(feeds) - 1)) + (16 * len(feeds) - 15,)
+    los, packs, digits, dropped = _replay(program, [e - 1 for e, _ in feeds],
+                                          [n for _, n in feeds], _SHIFTS[0], radix)
+    if dropped:
+        assert (los, packs, digits, dropped) == ([], [], 0, [0])
+        return None
+    return los[0], packs[0], digits
+
+
+def test_replay_aligns_trims_and_drops():
     # 1 + A^4 plus -1 + 2A^8: the A^0 terms cancel, so the low end is trimmed
-    acc = (0, _packed([1, 1]), 1)
-    assert _packed_add(acc, 0, _packed([-1, 0, 2]), 2, 64) == (4, _packed([1, 2]), 3)
+    assert _sum((0, _packed([1, 1])), (0, _packed([-1, 0, 2]))) == (4, _packed([1, 2]), 2)
     # aligned by the lower exponent, whichever side has it; the top end cancels
-    assert _packed_add((4, _packed([3]), 3), -4, _packed([1, 0, -3]), 3, 64) == (-4, 1, 6)
-    assert _packed_add((-4, _packed([1, 0, -3]), 3), 4, _packed([3]), 3, 64) == (-4, 1, 6)
+    assert _sum((4, _packed([3])), (-4, _packed([1, 0, -3]))) == (-4, 1, 1)
+    assert _sum((-4, _packed([1, 0, -3])), (4, _packed([3]))) == (-4, 1, 1)
     # several low digits cancel at once, and negative digits borrow
-    assert _packed_add((0, _packed([1, 2, 3, -1]), 3), 0, _packed([-1, -2, -3, 0, 7]), 7, 64) \
-        == (12, _packed([-1, 7]), 10)
-    assert _packed_add((0, _packed([-5, 1], 8), 5), 4, _packed([-1], 8), 1, 8) == (0, -5, 6)
-    # a sum of zero is dropped by the caller
-    assert _packed_add((2, _packed([5, -1]), 5), 2, _packed([-5, 1]), 5, 64)[1] == 0
+    assert _sum((0, _packed([1, 2, 3, -1])), (0, _packed([-1, -2, -3, 0, 7]))) \
+        == (12, _packed([-1, 7]), 2)
+    assert _sum((0, _packed([-5, 1], 8)), (4, _packed([-1], 8)), radix=8) == (0, -5, 1)
+    # a sum of zero is dropped
+    assert _sum((2, _packed([5, -1])), (2, _packed([-5, 1]))) is None
+    # a sum that cancels to 0 partway starts again from the next feed
+    assert _sum((0, 1), (0, -1), (8, 5)) == (8, 5, 1)
     with pytest.raises(AssertionError, match="mod 4"):
-        _packed_add((0, 1, 1), 2, 1, 1, 64)
+        _sum((0, 1), (2, 1))
     with pytest.raises(AssertionError, match="mod 4"):
-        _packed_add((-6, 1, 1), 0, 1, 1, 64)
+        _sum((-6, 1), (0, 1))
+    # on an odd turn the B-smoothing adds 1; each loop multiplies by
+    # delta = -A^-2 - A^2.  Successor 0 is fed by state 1 closing one
+    # loop and successor 1 by state 0 closing two, so the first comes
+    # out -A^-1 (1 + A^4) and the second A^-3 (1 + 2A^4 + A^8)
+    program = (16 + 8 + 2 + 1, 8 + 4 + 1)
+    assert _replay(program, [0, 0], [1, 1], _SHIFTS[1], 64) \
+        == ([-1, -3], [_packed([-1, -1]), _packed([1, 2, 1])], 5, [])
 
 
 def _cycle(strands, word, start):
@@ -355,6 +378,28 @@ def test_bracket_matches_naive_on_braid_closures(data):
     assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_matches_temperley_lieb_trace(data):
+    # closures on up to 7 strands with up to 40 crossings hold over a
+    # hundred partial states a step, past what the state sum can check;
+    # the trace in TL_n shares no code with the sweep
+    strands = data.draw(st.integers(2, 7))
+    sign = st.sampled_from((1, -1))
+    letter = st.tuples(st.integers(0, strands - 2), sign)
+    word = data.draw(st.lists(letter, min_size=strands, max_size=41 - strands))
+    signs = data.draw(st.lists(sign, min_size=strands - 1, max_size=strands - 1))
+    word = _knotted(strands, word, signs)
+    d = _braid_closure(strands, word)
+    expected = tl_bracket(strands, [(g, "L" if s > 0 else "R") for g, s in word])
+    assert kauffman_bracket(d) == expected, str(d)
+    # a curl of sign s multiplies the bracket by -A^(3s)
+    curl = data.draw(st.sampled_from((0, 1, -1)))
+    if curl:
+        kinked = add_kink(d, data.draw(st.sampled_from(d.arcs)), curl)
+        assert kauffman_bracket(kinked) == LaurentPoly({3 * curl: -1}) * expected, str(kinked)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_swapped_labels_are_rejected_or_exact(data):
@@ -374,20 +419,23 @@ def test_swapped_labels_are_rejected_or_exact(data):
 
 def test_cut_keeps_the_sweep_narrow(monkeypatch):
     # the closure of (sigma_1 ... sigma_7)^5, every letter over from the
-    # left: the positive torus knot T(8,5).  Cut open beside its first
-    # crossing the sweep made 4,137 merges, beside its last 1,035; with
-    # the fresh ends kept in strand order it makes 1,004.
+    # left: the positive torus knot T(8,5).  A merge is a feed of a
+    # replayed step that is not its successor's first.  The sweep makes
+    # 1,035, 27 of which start a sum again after it cancelled to 0; cut
+    # open beside its first crossing it made about four times as many.
     d = _braid_closure(8, [(k % 7, 1) for k in range(35)])
-    calls = []
-    merge = diagram._packed_add
+    merges = []
+    replay = diagram._replay
 
-    def counted(*args):
-        calls.append(None)
-        return merge(*args)
+    def counted(program, *args):
+        out = replay(program, *args)
+        los, _, _, dropped = out
+        merges.append(len(program) - len(los) - len(dropped))
+        return out
 
-    monkeypatch.setattr(diagram, "_packed_add", counted)
+    monkeypatch.setattr(diagram, "_replay", counted)
     v = jones(d)
-    assert 0 < len(calls) < 1500
+    assert 0 < sum(merges) < 1500
     # Jones of T(p,q) is t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
     assert LaurentPoly({0: 1, 2: -1}) * v == LaurentPoly({14: 1, 20: -1, 23: -1, 27: 1})
 
@@ -407,10 +455,10 @@ def test_narrow_radix_renormalises_and_widens(monkeypatch):
     widths = []
     repack = diagram._repack
 
-    def recorded(states, radix):
-        wide = repack(states, radix)
+    def recorded(packs, radix):
+        wide, bound = repack(packs, radix)
         widths.append((radix, wide))
-        return wide
+        return wide, bound
 
     monkeypatch.setattr(diagram, "_RADIX", 8)
     monkeypatch.setattr(diagram, "_repack", recorded)
@@ -439,7 +487,7 @@ def _memo_snapshot():
 def _memo_contents_ints():
     """The ints the memo holds, counted as the sweep charges them."""
     return sum(2 * len(nxt.states[0]) * len(states.states)
-               for (states, _), (nxt, _) in diagram._STEPS.items())
+               for (states, _), (nxt, _, _) in diagram._STEPS.items())
 
 
 def _check_memo():
@@ -447,7 +495,7 @@ def _check_memo():
     as a key or as a successor, is the one ``_SETS`` keeps for its
     states."""
     assert diagram._memo_ints == _memo_contents_ints()
-    for (states, _), (nxt, _) in diagram._STEPS.items():
+    for (states, _), (nxt, _, _) in diagram._STEPS.items():
         assert diagram._SETS[states.states] is states
         assert diagram._SETS[nxt.states] is nxt
 
@@ -701,18 +749,18 @@ def test_memo_leaves_answers_alone(monkeypatch):
     for d in diagrams:
         kauffman_bracket(d)
     zeros, sets = [], []
-    merge, state_set = diagram._packed_add, diagram._state_set
+    replay, state_set = diagram._replay, diagram._state_set
 
     def counted(*args):
-        acc = merge(*args)
-        zeros.append(not acc[1])
-        return acc
+        out = replay(*args)
+        zeros.append(bool(out[3]))
+        return out
 
     def recorded(states, made):
         sets.append(states)
         return state_set(states, made)
 
-    monkeypatch.setattr(diagram, "_packed_add", counted)
+    monkeypatch.setattr(diagram, "_replay", counted)
     monkeypatch.setattr(diagram, "_state_set", recorded)
     for d, b in zip(diagrams, cold):
         assert kauffman_bracket(d) == b, str(d)
