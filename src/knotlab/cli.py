@@ -24,25 +24,9 @@ import json
 import os
 import sys
 
-from .diagram import jones, jones_q_from_bracket, kauffman_bracket, parse_pd
+# each command imports the modules it uses when it runs, so that a
+# one-shot call loads only those
 from .errors import KnotError
-from .family import (
-    LambdaSpec,
-    lambda_diagram,
-    lambda_seifert,
-    paper_report,
-    render_report,
-)
-from .laurent import LaurentPoly
-from .seifert import (
-    SeifertMatrix,
-    alexander,
-    format_matrix,
-    knot_determinant,
-    parse_matrix,
-    signature,
-)
-from .sequiv import brute_force_congruence, decide_first_sequiv
 
 __all__ = ["main"]
 
@@ -69,7 +53,9 @@ def _read_arg(value: str) -> str:
     return value
 
 
-def _seifert_from(value: str) -> SeifertMatrix:
+def _seifert_from(value: str):
+    from .seifert import SeifertMatrix, parse_matrix
+
     return SeifertMatrix(tuple(tuple(r) for r in parse_matrix(_read_arg(value))))
 
 
@@ -82,11 +68,13 @@ def _emit(args, inputs: dict, result: dict, text: str, paper_check=None) -> None
         print(text)
 
 
-def _poly_json(p: LaurentPoly) -> dict:
+def _poly_json(p) -> dict:
     return {str(e): c for e, c in p.items()}
 
 
 def cmd_jones(args) -> int:
+    from .diagram import jones_q_from_bracket, kauffman_bracket, parse_pd
+
     d = parse_pd(_read_arg(args.pd))
     w = d.writhe()
     bracket = kauffman_bracket(d)
@@ -109,6 +97,8 @@ def cmd_jones(args) -> int:
 
 
 def cmd_alexander(args) -> int:
+    from .seifert import alexander, knot_determinant
+
     m = _seifert_from(args.seifert)
     poly = alexander(m)
     det = knot_determinant(m)
@@ -119,6 +109,8 @@ def cmd_alexander(args) -> int:
 
 
 def cmd_signature(args) -> int:
+    from .seifert import signature
+
     m = _seifert_from(args.seifert)
     sig = signature(m)
     _emit(args, {"seifert": [list(r) for r in m.rows]}, {"signature": sig},
@@ -127,6 +119,9 @@ def cmd_signature(args) -> int:
 
 
 def cmd_sequiv(args) -> int:
+    from .seifert import format_matrix
+    from .sequiv import brute_force_congruence, decide_first_sequiv
+
     m = _seifert_from(args.seifert)
     report = decide_first_sequiv(m, args.ell, args.band)
     oracle = None
@@ -170,6 +165,10 @@ def cmd_sequiv(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    from .diagram import jones
+    from .family import LambdaSpec, lambda_diagram, lambda_seifert
+    from .seifert import alexander
+
     spec = LambdaSpec(args.n, args.m, args.p)
     m = lambda_seifert(spec)
     result: dict = {"seifert": [list(r) for r in m.rows]}
@@ -192,6 +191,8 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .family import paper_report, render_report
+
     if not args.paper:
         raise KnotError("report: nothing to do (use --paper)")
     lines = paper_report()

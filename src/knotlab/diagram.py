@@ -158,11 +158,10 @@ import heapq
 import re
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import itemgetter, ne
 
-from .errors import KnotError
+from .errors import KnotError, immutable
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -196,7 +195,6 @@ Crossing = tuple[int, int, int, int]
 State = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class PlanarDiagram:
     """A single-component oriented planar diagram, checked on
     construction.
@@ -209,28 +207,43 @@ class PlanarDiagram:
     (counterclockwise frame), -1 the other way.  So every instance in
     circulation is a valid diagram whose signs match its crossings.
     Instances are immutable; operations below return new diagrams.
+    Two diagrams are equal when their crossings and signs are.
     """
 
-    crossings: tuple[Crossing, ...]
-    signs: tuple[int, ...] = field(init=False)
-    # mate[t] is the other end of slot token t's arc; the bracket sweep
+    # _mate[t] is the other end of slot token t's arc; the bracket sweep
     # reads it instead of walking the strand again
-    _mate: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("crossings", "signs", "_mate")
 
-    def __post_init__(self):
-        if not isinstance(self.crossings, Sequence):
-            raise KnotError(f"pd: crossings must be a sequence, got {self.crossings!r}")
-        crossings = []
-        for q in self.crossings:
+    def __init__(self, crossings: Sequence[Sequence[int]]):
+        if not isinstance(crossings, Sequence):
+            raise KnotError(f"pd: crossings must be a sequence, got {crossings!r}")
+        quads = []
+        for q in crossings:
             if not isinstance(q, Sequence) or len(q) != 4:
                 raise KnotError(f"pd: crossing needs 4 arcs, got {q!r}")
             if not all(type(v) is int and v > 0 for v in q):
                 raise KnotError("pd: arc labels must be positive integers")
-            crossings.append(tuple(q))
-        mate, signs = _strand(crossings) if crossings else ([], [])
-        object.__setattr__(self, "crossings", tuple(crossings))
+            quads.append(tuple(q))
+        mate, signs = _strand(quads) if quads else ([], [])
+        object.__setattr__(self, "crossings", tuple(quads))
         object.__setattr__(self, "signs", tuple(signs))
         object.__setattr__(self, "_mate", tuple(mate))
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.crossings == other.crossings and self.signs == other.signs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.crossings, self.signs))
+
+    def __repr__(self) -> str:
+        return f"PlanarDiagram(crossings={self.crossings!r}, signs={self.signs!r})"
+
+    def __reduce__(self):
+        return PlanarDiagram, (self.crossings,)
 
     @property
     def arcs(self) -> tuple[int, ...]:

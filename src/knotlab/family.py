@@ -34,10 +34,8 @@ polynomials, and the connected-sum pair) and compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import PlanarDiagram, connect_sum as splice, jones, jones_twist, validate
-from .errors import KnotError
+from .errors import KnotError, immutable
 from .laurent import LaurentPoly, parse_poly
 from .morse import MorseBuilder
 from .seifert import CongruenceCertificate, SeifertMatrix, connected_sum
@@ -62,27 +60,45 @@ __all__ = [
 MAX_CROSSINGS = 39_000
 
 
-@dataclass(frozen=True)
 class LambdaSpec:
-    """Validated parameter triple: n, m even; p odd, |p| >= 3."""
+    """Validated parameter triple: n, m even; p odd, |p| >= 3.
+    Instances are immutable, and equal when n, m and p are."""
 
-    n: int
-    m: int
-    p: int
+    __slots__ = ("n", "m", "p")
 
-    def __post_init__(self):
-        for name in ("n", "m", "p"):
-            if not isinstance(getattr(self, name), int):
-                raise KnotError(f"lambda: {name} must be an int")
-        if self.n % 2 or self.m % 2:
+    def __init__(self, n: int, m: int, p: int):
+        for name, value in (("n", n), ("m", m), ("p", p)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise KnotError(f"lambda: {name} must be an int, got {value!r}")
+        if n % 2 or m % 2:
             raise KnotError("lambda: n and m must be even")
-        if self.p % 2 == 0 or abs(self.p) < 3:
+        if p % 2 == 0 or abs(p) < 3:
             raise KnotError("lambda: p must be odd with |p| >= 3")
-        crossings = 4 * abs(self.p) + abs(self.n) + abs(self.m)
+        crossings = 4 * abs(p) + abs(n) + abs(m)
         if crossings > MAX_CROSSINGS:
             raise KnotError(
-                f"lambda: {self} has {crossings} crossings, over the limit of {MAX_CROSSINGS}"
+                f"lambda: lambda({n},{m},{p}) has {crossings} crossings, "
+                f"over the limit of {MAX_CROSSINGS}"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.m, self.p) == (other.n, other.m, other.p)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.p))
+
+    def __repr__(self) -> str:
+        return f"LambdaSpec(n={self.n!r}, m={self.m!r}, p={self.p!r})"
+
+    def __reduce__(self):
+        return LambdaSpec, (self.n, self.m, self.p)
 
     def __str__(self) -> str:
         return f"lambda({self.n},{self.m},{self.p})"

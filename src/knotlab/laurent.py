@@ -16,10 +16,9 @@ variable letter chosen by the caller).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
-from .errors import KnotError
+from .errors import KnotError, immutable
 
 __all__ = ["LaurentPoly", "parse_poly"]
 
@@ -50,8 +49,7 @@ class LaurentPoly:
                     clean[exp] = c
         object.__setattr__(self, "_coeffs", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    __setattr__ = __delattr__ = immutable
 
     # -- constructors ------------------------------------------------------
 
@@ -157,8 +155,11 @@ class LaurentPoly:
             raise KnotError("laurent: odd exponent, cannot halve")
         return LaurentPoly({e // 2: c for e, c in self._coeffs.items()})
 
-    def evaluate(self, x: int | Fraction) -> Fraction:
-        """Exact evaluation at a nonzero rational point."""
+    def evaluate(self, x):
+        """Exact evaluation at a nonzero rational point (an int or a
+        ``Fraction``), as a ``Fraction``."""
+        from fractions import Fraction  # imports decimal; nothing else needs it
+
         x = Fraction(x)
         if x == 0:
             raise KnotError("laurent: cannot evaluate at 0")

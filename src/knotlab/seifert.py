@@ -31,10 +31,9 @@ eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .errors import KnotError
+from .errors import KnotError, immutable
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -121,21 +120,37 @@ def _block_sum(a: Rows, b: Rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) + (0,) * m for r in a) + tuple((0,) * n + tuple(r) for r in b)
 
 
-@dataclass(frozen=True)
 class CongruenceCertificate:
     """A unimodular integer matrix T, witnessing M' = T M T^T.
 
     Construction rejects non-square and non-unimodular matrices, so any
     certificate object in circulation is a valid basis change.
+    Instances are immutable, and equal when their rows are.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = _as_int_rows(self.rows, "certificate")
+    def __init__(self, rows: Rows):
+        rows = _as_int_rows(rows, "certificate")
         object.__setattr__(self, "rows", rows)
         if int_det(rows) not in (1, -1):
             raise KnotError("certificate: matrix is not unimodular")
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"CongruenceCertificate(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return CongruenceCertificate, (self.rows,)
 
     @property
     def size(self) -> int:
@@ -158,11 +173,21 @@ class CongruenceCertificate:
         return format_matrix(self.rows)
 
 
-@dataclass(frozen=True)
 class SeifertMatrix:
-    """Square integer matrix of even size with det(M - M^T) = 1."""
+    """Square integer matrix of even size with det(M - M^T) = 1.
 
-    rows: tuple[tuple[int, ...], ...]
+    Instances are immutable, and equal when their rows are.  ``__init__``
+    stores the rows and ``__post_init__`` normalises and checks them; the
+    check is looked up on the class at every construction, so a wrapper
+    set there (``perfbench/spans.py`` counts matrix builds this way) sees
+    each one.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Rows):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         rows = _as_int_rows(self.rows, "seifert")
@@ -174,6 +199,22 @@ class SeifertMatrix:
         d = int_det(skew)
         if d != 1:
             raise KnotError(f"seifert: det(M - M^T) = {d}, must be 1")
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"SeifertMatrix(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return SeifertMatrix, (self.rows,)
 
     # -- basics -----------------------------------------------------------
 

@@ -31,11 +31,9 @@ decision procedure above and shares no code with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Literal, Optional
 
-from .errors import KnotError
+from .errors import KnotError, immutable
 from .seifert import CongruenceCertificate, SeifertMatrix, int_det
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "brute_force_congruence",
     "connected_sum_certificate",
 ]
-
-Band = Literal["first", "second"]
 
 POSITIVE_NOTE = "first S-equivalence implies S-equivalence of the two forms"
 NEGATIVE_NOTE = (
@@ -60,10 +56,10 @@ NEGATIVE_NOTE = (
 ORACLE_ROWS = 1_000_000
 
 
-def _check_band(band: str) -> Band:
+def _check_band(band: str) -> str:
     if band not in ("first", "second"):
         raise KnotError(f"band must be 'first' or 'second', got {band!r}")
-    return band  # type: ignore[return-value]
+    return band
 
 
 def _check_genus_one(m: SeifertMatrix) -> None:
@@ -73,7 +69,7 @@ def _check_genus_one(m: SeifertMatrix) -> None:
         raise KnotError("twist: |a12 - a21| must be 1")
 
 
-def twist_form(m: SeifertMatrix, ell: int, band: Band = "first") -> SeifertMatrix:
+def twist_form(m: SeifertMatrix, ell: int, band: str = "first") -> SeifertMatrix:
     """Seifert matrix after ell extra full twists in one band."""
     _check_genus_one(m)
     band = _check_band(band)
@@ -83,7 +79,7 @@ def twist_form(m: SeifertMatrix, ell: int, band: Band = "first") -> SeifertMatri
     return SeifertMatrix(((a, b), (c, d - ell)))
 
 
-def _first_sequiv_rule(m: SeifertMatrix, ell: int, band: Band) -> tuple[bool, str]:
+def _first_sequiv_rule(m: SeifertMatrix, ell: int, band: str) -> tuple[bool, str]:
     """(equivalent, reason) for a checked genus-one M: the ell-twisted form
     is congruent to M exactly when ell = 0, or the other band's diagonal
     entry is 0 and s divides ell."""
@@ -98,24 +94,45 @@ def _first_sequiv_rule(m: SeifertMatrix, ell: int, band: Band) -> tuple[bool, st
     return True, f"{other_name} = 0 and s = {s} divides ell = {ell}"
 
 
-def first_sequiv_condition(m: SeifertMatrix, ell: int, band: Band = "first") -> bool:
+def first_sequiv_condition(m: SeifertMatrix, ell: int, band: str = "first") -> bool:
     """True iff the twisted form is congruent to M over the integers."""
     _check_genus_one(m)
     return _first_sequiv_rule(m, ell, _check_band(band))[0]
 
 
-@dataclass(frozen=True)
 class SEquivReport:
-    """Outcome of the decision procedure, with a witness when positive."""
+    """Outcome of the decision procedure, with a witness when positive.
+    Instances are immutable, and equal when every field is."""
 
-    matrix: SeifertMatrix
-    twisted: SeifertMatrix
-    ell: int
-    band: Band
-    equivalent: bool
-    certificate: Optional[CongruenceCertificate]
-    reason: str
-    note: str
+    __slots__ = ("matrix", "twisted", "ell", "band", "equivalent", "certificate",
+                 "reason", "note")
+
+    def __init__(self, matrix: SeifertMatrix, twisted: SeifertMatrix, ell: int, band: str,
+                 equivalent: bool, certificate: CongruenceCertificate | None,
+                 reason: str, note: str):
+        values = (matrix, twisted, ell, band, equivalent, certificate, reason, note)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = immutable
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SEquivReport({fields})"
+
+    def __reduce__(self):
+        return SEquivReport, self._fields()
 
     def as_dict(self) -> dict:
         return {
@@ -132,7 +149,7 @@ class SEquivReport:
         }
 
 
-def decide_first_sequiv(m: SeifertMatrix, ell: int, band: Band = "first") -> SEquivReport:
+def decide_first_sequiv(m: SeifertMatrix, ell: int, band: str = "first") -> SEquivReport:
     """Decide first S-equivalence of M and its ell-twisted form, and
     produce the unimodular certificate when the answer is positive."""
     _check_genus_one(m)
@@ -167,7 +184,7 @@ def verify_certificate(
 
 def brute_force_congruence(
     m: SeifertMatrix, target: SeifertMatrix, bound: int
-) -> Optional[CongruenceCertificate]:
+) -> CongruenceCertificate | None:
     """Search every integer matrix T with entries in [-bound, bound] for
     T M T^T = target, returning the first witness in lexicographic entry
     order (row-major, entries ascending), or None.
@@ -234,7 +251,7 @@ def brute_force_congruence(
 
     chosen: list[tuple[tuple[int, ...], list[int]]] = []
 
-    def extend(i: int) -> Optional[tuple[tuple[int, ...], ...]]:
+    def extend(i: int) -> tuple[tuple[int, ...], ...] | None:
         if i == n:
             rows = tuple(r for r, _ in chosen)
             return rows if int_det(rows) in (1, -1) else None

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knotlab
-from knotlab import cli, diagram
+from knotlab import cli, diagram, seifert
 from knotlab.cli import main
 from knotlab.diagram import jones, jones_twist
 from knotlab.family import LambdaSpec, lambda_diagram
@@ -62,7 +62,7 @@ def test_jones_sweeps_the_bracket_once(capsys, monkeypatch):
         calls.append(d)
         return sweep(d)
 
-    monkeypatch.setattr(cli, "kauffman_bracket", counting)
+    # the command imports the sweep from its module when it runs
     monkeypatch.setattr(diagram, "kauffman_bracket", counting)
     code, out, err = run(capsys, "jones", "--pd", LEFT_TREFOIL)
     assert code == 0
@@ -90,7 +90,7 @@ def test_oserror_inside_a_computation_propagates(capsys, monkeypatch):
     def expire(d):
         raise TimeoutError("still running")
 
-    monkeypatch.setattr(cli, "kauffman_bracket", expire)
+    monkeypatch.setattr(diagram, "kauffman_bracket", expire)
     with pytest.raises(TimeoutError):
         main(["jones", "--pd", LEFT_TREFOIL])
 
@@ -145,13 +145,13 @@ def test_alexander_text(capsys):
 
 def test_alexander_computes_the_determinant_once(capsys, monkeypatch):
     calls = []
-    det = cli.knot_determinant
+    det = seifert.knot_determinant
 
     def counting(m):
         calls.append(m)
         return det(m)
 
-    monkeypatch.setattr(cli, "knot_determinant", counting)
+    monkeypatch.setattr(seifert, "knot_determinant", counting)
     for json_flag in ((), ("--json",)):
         calls.clear()
         code, out, err = run(capsys, "alexander", "--seifert", "[[0,2],[1,0]]", *json_flag)

@@ -56,6 +56,13 @@ def test_spec_rejects_bad_triples():
         LambdaSpec(0, 0, 3.0)  # not an int
 
 
+def test_spec_rejects_bools():
+    # a bool is an int subclass, but no parameter is a truth value
+    for args, name in (((0, False, 3), "m"), ((True, 0, 3), "n"), ((0, 0, True), "p")):
+        with pytest.raises(KnotError, match=f"lambda: {name} must be an int, got (True|False)"):
+            LambdaSpec(*args)
+
+
 def test_spec_limits_its_crossings():
     # 4|p| + |n| + |m| is checked before anything is built; the largest
     # admitted diagram's PD code still fits the CLI's @file limit

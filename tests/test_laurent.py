@@ -140,6 +140,8 @@ def test_immutability():
     p = LaurentPoly({0: 1})
     with pytest.raises(AttributeError):
         p._coeffs = {}
+    with pytest.raises(AttributeError):
+        del p._coeffs
     assert hash(p) == hash(LaurentPoly({0: 1}))
 
 

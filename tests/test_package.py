@@ -1,11 +1,151 @@
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import knotlab
-from knotlab import diagram, family, laurent, morse, seifert, sequiv
+from knotlab import diagram, errors, family, laurent, morse, seifert, sequiv
+
+SRC = Path(knotlab.__file__).resolve().parent.parent
+TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+# modules no one-shot call needs (together about 10 ms to import), and the
+# knotlab modules that a Jones polynomial and an S-equivalence decision
+# have no use for; the CI step "Import footprint" checks the same sets
+HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
+NOT_FOR_JONES = HEAVY_STDLIB | {"knotlab.seifert", "knotlab.sequiv", "knotlab.morse",
+                                "knotlab.family"}
+NOT_FOR_SEQUIV = HEAVY_STDLIB | {"knotlab.diagram", "knotlab.morse", "knotlab.family"}
+
+
+def modules_added(code: str) -> set[str]:
+    """The modules that running ``code`` in a fresh interpreter imports.
+    ``-S`` skips ``site``, which on some installs imports ``typing``."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "sys.stdout.flush()\n"
+        "print('MODULES', *sorted(set(sys.modules) - before))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.splitlines()[-1].split()
+    assert last[0] == "MODULES"
+    return set(last[1:])
 
 
 def test_root_exports_each_module_all_once():
-    modules = (laurent, seifert, sequiv, diagram, morse, family)
-    expected = ["KnotError", *(n for mod in modules for n in mod.__all__), "__version__"]
+    modules = (errors, laurent, seifert, sequiv, diagram, morse, family)
+    expected = [*(n for mod in modules for n in getattr(mod, "__all__", ("KnotError",))),
+                "__version__"]
     assert sorted(knotlab.__all__) == sorted(expected)
     assert len(set(knotlab.__all__)) == len(knotlab.__all__)
+    listed = dir(knotlab)
     for name in knotlab.__all__:
         assert hasattr(knotlab, name), name
+        assert name in listed, name
+
+
+def test_root_reads_through_to_the_defining_module(monkeypatch):
+    assert knotlab.jones is diagram.jones
+    assert knotlab.KnotError is errors.KnotError
+
+    def replaced(d):
+        return "replaced"
+
+    # the root keeps no copy, so a replaced attribute is never stale there
+    monkeypatch.setattr(diagram, "jones", replaced)
+    assert knotlab.jones is replaced
+    assert "jones" not in vars(knotlab)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        knotlab.no_such_name
+    from knotlab import cli
+    assert cli.main
+
+
+def test_jones_from_the_root_loads_only_the_bracket():
+    added = modules_added(
+        f"import knotlab\nknotlab.jones(knotlab.parse_pd({TREFOIL!r}))")
+    assert "knotlab.diagram" in added
+    assert not added & NOT_FOR_JONES
+
+
+def test_cli_jones_loads_only_the_bracket():
+    added = modules_added(
+        f"from knotlab.cli import main\nassert main(['jones', '--pd', {TREFOIL!r}]) == 0")
+    assert "knotlab.diagram" in added
+    assert not added & NOT_FOR_JONES
+
+
+def test_cli_sequiv_loads_no_diagram_code():
+    added = modules_added(
+        "from knotlab.cli import main\n"
+        "assert main(['sequiv', '--seifert', '[[0,1],[2,0]]', '--ell', '3',"
+        " '--oracle-bound', '3']) == 0")
+    assert "knotlab.sequiv" in added
+    assert not added & NOT_FOR_SEQUIV
+
+
+# ---- the immutable value classes ----
+
+M = seifert.SeifertMatrix(((0, 1), (2, 0)))
+# (value, an equal value built separately, a different value, repr)
+VALUES = [
+    (M, seifert.SeifertMatrix([[0, 1], [2, 0]]), seifert.SeifertMatrix(((0, 2), (1, 0))),
+     "SeifertMatrix(rows=((0, 1), (2, 0)))"),
+    (seifert.CongruenceCertificate(((1, -1), (0, 1))),
+     seifert.CongruenceCertificate([[1, -1], [0, 1]]),
+     seifert.CongruenceCertificate.identity(2),
+     "CongruenceCertificate(rows=((1, -1), (0, 1)))"),
+    (diagram.parse_pd(TREFOIL), diagram.validate([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]),
+     diagram.mirror(diagram.parse_pd(TREFOIL)),
+     "PlanarDiagram(crossings=((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)),"
+     " signs=(-1, -1, -1))"),
+    (family.LambdaSpec(0, 0, 3), family.LambdaSpec(0, 0, 3), family.LambdaSpec(0, 0, -3),
+     "LambdaSpec(n=0, m=0, p=3)"),
+    (sequiv.decide_first_sequiv(M, 3), sequiv.decide_first_sequiv(M, 3, "first"),
+     sequiv.decide_first_sequiv(M, 6),
+     "SEquivReport(matrix=SeifertMatrix(rows=((0, 1), (2, 0))),"
+     " twisted=SeifertMatrix(rows=((-3, 1), (2, 0))), ell=3, band='first',"
+     " equivalent=True, certificate=CongruenceCertificate(rows=((1, -1), (0, 1))),"
+     " reason='a22 = 0 and s = 3 divides ell = 3',"
+     " note='first S-equivalence implies S-equivalence of the two forms')"),
+]
+VALUE_IDS = [type(case[0]).__name__ for case in VALUES]
+
+
+@pytest.mark.parametrize("value, same, other, text", VALUES, ids=VALUE_IDS)
+def test_value_class_equality_hash_and_repr(value, same, other, text):
+    assert value is not same
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    assert value != other
+    assert value != text and value != object()
+    assert repr(value) == text
+    # the hash of the tuple of compared fields, as a frozen dataclass's
+    fields = {"PlanarDiagram": ("crossings", "signs")}.get(type(value).__name__,
+                                                          type(value).__slots__)
+    assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
+
+
+@pytest.mark.parametrize("value", [case[0] for case in VALUES], ids=VALUE_IDS)
+def test_value_class_is_immutable_and_pickles(value):
+    for name in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, name)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert copy == value and repr(copy) == repr(value)
+
+
+def test_diagram_equality_ignores_the_arc_table():
+    d = diagram.parse_pd(TREFOIL)
+    e = diagram.parse_pd(TREFOIL)
+    object.__setattr__(e, "_mate", ())
+    assert d == e and hash(d) == hash(e)
+    assert "_mate" not in repr(d)

@@ -44,6 +44,25 @@ def test_rejects_invalid_forms():
         SeifertMatrix(((0, 1.5), (1, 0)))  # non-int
 
 
+def test_post_init_runs_from_the_class_at_every_build(monkeypatch):
+    # perfbench/spans.py counts matrix builds by wrapping this method on
+    # the class; a check inlined into __init__ would escape the count
+    check = SeifertMatrix.__dict__["__post_init__"]
+    builds = []
+
+    def counting(self):
+        builds.append(self)
+        check(self)
+
+    monkeypatch.setattr(SeifertMatrix, "__post_init__", counting)
+    a = SeifertMatrix(((0, 2), (1, 0)))
+    SeifertMatrix([[0, 2], [1, 0]])
+    with pytest.raises(KnotError):
+        SeifertMatrix(((0, 1), (1, 0)))
+    assert len(builds) == 3 and builds[0] is a
+    assert builds[1].rows == ((0, 2), (1, 0))
+
+
 def test_s_accessor():
     assert SeifertMatrix(((0, 2), (1, 0))).s == 3
     assert SeifertMatrix(((0, 1), (2, 0))).s == 3
