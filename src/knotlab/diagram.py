@@ -161,7 +161,7 @@ from collections.abc import Sequence
 from itertools import chain, compress
 from operator import itemgetter, ne
 
-from .errors import KnotError, immutable
+from .errors import KnotError, Value
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -195,7 +195,7 @@ Crossing = tuple[int, int, int, int]
 State = tuple[int, ...]
 
 
-class PlanarDiagram:
+class PlanarDiagram(Value):
     """A single-component oriented planar diagram, checked on
     construction.
 
@@ -206,13 +206,14 @@ class PlanarDiagram:
     crossing i, +1 when the over-strand runs from slot d to slot b
     (counterclockwise frame), -1 the other way.  So every instance in
     circulation is a valid diagram whose signs match its crossings.
-    Instances are immutable; operations below return new diagrams.
-    Two diagrams are equal when their crossings and signs are.
+    Operations below return new diagrams.
     """
 
     # _mate[t] is the other end of slot token t's arc; the bracket sweep
-    # reads it instead of walking the strand again
+    # reads it instead of walking the strand again.  It follows from the
+    # crossings, so it is not a field.
     __slots__ = ("crossings", "signs", "_mate")
+    _fields = ("crossings", "signs")
 
     def __init__(self, crossings: Sequence[Sequence[int]]):
         if not isinstance(crossings, Sequence):
@@ -229,20 +230,8 @@ class PlanarDiagram:
         object.__setattr__(self, "signs", tuple(signs))
         object.__setattr__(self, "_mate", tuple(mate))
 
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.crossings == other.crossings and self.signs == other.signs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.crossings, self.signs))
-
-    def __repr__(self) -> str:
-        return f"PlanarDiagram(crossings={self.crossings!r}, signs={self.signs!r})"
-
     def __reduce__(self):
+        # the constructor takes only the crossings and derives the rest
         return PlanarDiagram, (self.crossings,)
 
     @property

@@ -35,7 +35,7 @@ polynomials, and the connected-sum pair) and compares.
 from __future__ import annotations
 
 from .diagram import PlanarDiagram, connect_sum as splice, jones, jones_twist, validate
-from .errors import KnotError, immutable
+from .errors import KnotError, Value
 from .laurent import LaurentPoly, parse_poly
 from .morse import MorseBuilder
 from .seifert import CongruenceCertificate, SeifertMatrix, connected_sum
@@ -60,9 +60,8 @@ __all__ = [
 MAX_CROSSINGS = 39_000
 
 
-class LambdaSpec:
-    """Validated parameter triple: n, m even; p odd, |p| >= 3.
-    Instances are immutable, and equal when n, m and p are."""
+class LambdaSpec(Value):
+    """Validated parameter triple: n, m even; p odd, |p| >= 3."""
 
     __slots__ = ("n", "m", "p")
 
@@ -83,22 +82,6 @@ class LambdaSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
-
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.m, self.p) == (other.n, other.m, other.p)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.p))
-
-    def __repr__(self) -> str:
-        return f"LambdaSpec(n={self.n!r}, m={self.m!r}, p={self.p!r})"
-
-    def __reduce__(self):
-        return LambdaSpec, (self.n, self.m, self.p)
 
     def __str__(self) -> str:
         return f"lambda({self.n},{self.m},{self.p})"

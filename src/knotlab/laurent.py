@@ -18,12 +18,12 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator, Mapping
 
-from .errors import KnotError, immutable
+from .errors import KnotError, Value
 
 __all__ = ["LaurentPoly", "parse_poly"]
 
 
-class LaurentPoly:
+class LaurentPoly(Value):
     """An element of Z[t, t^-1].
 
     >>> p = LaurentPoly({0: 1, 1: -1})
@@ -48,8 +48,6 @@ class LaurentPoly:
                 if c:
                     clean[exp] = c
         object.__setattr__(self, "_coeffs", clean)
-
-    __setattr__ = __delattr__ = immutable
 
     # -- constructors ------------------------------------------------------
 
@@ -125,12 +123,8 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
     def __hash__(self) -> int:
+        # the field is a dict, which has no hash
         return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self) -> bool:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import KnotError, immutable
+from .errors import KnotError, Value
 from .seifert import CongruenceCertificate, SeifertMatrix, int_det
 
 __all__ = [
@@ -100,9 +100,8 @@ def first_sequiv_condition(m: SeifertMatrix, ell: int, band: str = "first") -> b
     return _first_sequiv_rule(m, ell, _check_band(band))[0]
 
 
-class SEquivReport:
-    """Outcome of the decision procedure, with a witness when positive.
-    Instances are immutable, and equal when every field is."""
+class SEquivReport(Value):
+    """Outcome of the decision procedure, with a witness when positive."""
 
     __slots__ = ("matrix", "twisted", "ell", "band", "equivalent", "certificate",
                  "reason", "note")
@@ -113,26 +112,6 @@ class SEquivReport:
         values = (matrix, twisted, ell, band, equivalent, certificate, reason, note)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    __setattr__ = __delattr__ = immutable
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"SEquivReport({fields})"
-
-    def __reduce__(self):
-        return SEquivReport, self._fields()
 
     def as_dict(self) -> dict:
         return {

@@ -169,6 +169,20 @@ def test_alexander_rejects_bad_matrix(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_alexander_size_limit(capsys, tmp_path):
+    # the block sum of 362 bands, one row per line: the largest matrix an
+    # @file holds, refused before any determinant
+    n = 724
+    path = tmp_path / "bands.txt"
+    path.write_text("".join(
+        " ".join(str(int(j == i + 1 and i % 2 == 0)) for j in range(n)) + "\n"
+        for i in range(n)))
+    assert path.stat().st_size <= cli.MAX_ARG_BYTES
+    code, out, err = run(capsys, "alexander", "--seifert", f"@{path}")
+    assert code == 1 and out == ""
+    assert err == f"error: seifert: {n} rows, over the limit of {seifert.MAX_SIZE}\n"
+
+
 def test_alexander_bad_literal_is_an_error_with_one_message(capsys):
     # a long chain of unary signs used to end in a RecursionError
     # traceback from the literal parser, and a malformed literal's message

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -143,6 +145,17 @@ def test_immutability():
     with pytest.raises(AttributeError):
         del p._coeffs
     assert hash(p) == hash(LaurentPoly({0: 1}))
+
+
+@given(polys)
+def test_pickle_and_copy_round_trip(p):
+    duplicates = [pickle.loads(pickle.dumps(p, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    duplicates += [copy.copy(p), copy.deepcopy(p)]
+    for q in duplicates:
+        assert type(q) is LaurentPoly
+        assert q == p and hash(q) == hash(p) and str(q) == str(p)
+        assert q._coeffs is not p._coeffs
 
 
 def test_rejects_non_int():

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import subprocess
 import sys
@@ -115,6 +116,10 @@ VALUES = [
      " note='first S-equivalence implies S-equivalence of the two forms')"),
 ]
 VALUE_IDS = [type(case[0]).__name__ for case in VALUES]
+# LaurentPoly's field is a dict, so its hash is its own (see below)
+POLY = laurent.parse_poly("t^-1 - 2 + t")
+ALL_VALUES = [case[0] for case in VALUES] + [POLY]
+ALL_IDS = VALUE_IDS + ["LaurentPoly"]
 
 
 @pytest.mark.parametrize("value, same, other, text", VALUES, ids=VALUE_IDS)
@@ -131,7 +136,15 @@ def test_value_class_equality_hash_and_repr(value, same, other, text):
     assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
 
 
-@pytest.mark.parametrize("value", [case[0] for case in VALUES], ids=VALUE_IDS)
+def test_laurent_poly_equality_hash_and_repr():
+    same = laurent.LaurentPoly({1: 1, -1: 1, 0: -2})
+    assert POLY is not same and POLY == same and not POLY != same
+    assert hash(POLY) == hash(same) == hash(frozenset({-1: 1, 0: -2, 1: 1}.items()))
+    assert POLY != laurent.LaurentPoly.one() and POLY != "t^-1 - 2 + t"
+    assert repr(POLY) == "LaurentPoly('t^-1 - 2 + t')"
+
+
+@pytest.mark.parametrize("value", ALL_VALUES, ids=ALL_IDS)
 def test_value_class_is_immutable_and_pickles(value):
     for name in (*type(value).__slots__, "extra"):
         with pytest.raises(AttributeError, match="is immutable"):
@@ -141,6 +154,16 @@ def test_value_class_is_immutable_and_pickles(value):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(value, protocol))
         assert copy == value and repr(copy) == repr(value)
+
+
+@pytest.mark.parametrize("value", ALL_VALUES, ids=ALL_IDS)
+def test_value_class_copies(value):
+    for duplicate in (copy.copy(value), copy.deepcopy(value)):
+        assert type(duplicate) is type(value)
+        assert duplicate == value and hash(duplicate) == hash(value)
+        # every slot, the diagram's arc table too, which it rebuilds
+        for name in type(value).__slots__:
+            assert getattr(duplicate, name) == getattr(value, name)
 
 
 def test_diagram_equality_ignores_the_arc_table():

@@ -44,6 +44,21 @@ def test_rejects_invalid_forms():
         SeifertMatrix(((0, 1.5), (1, 0)))  # non-int
 
 
+def _block_sum_of_bands(n):
+    """The n x n block sum of ((0, 1), (0, 0))."""
+    return tuple(tuple(int(j == i + 1 and i % 2 == 0) for j in range(n)) for i in range(n))
+
+
+def test_size_limit_refuses_before_the_determinant(monkeypatch):
+    assert SeifertMatrix(_block_sum_of_bands(seifert.MAX_SIZE)).size == seifert.MAX_SIZE
+    dets = []
+    monkeypatch.setattr(seifert, "int_det", lambda rows: dets.append(rows) or 1)
+    n = seifert.MAX_SIZE + 2
+    with pytest.raises(KnotError, match=f"{n} rows, over the limit of {seifert.MAX_SIZE}"):
+        SeifertMatrix(_block_sum_of_bands(n))
+    assert dets == []
+
+
 def test_post_init_runs_from_the_class_at_every_build(monkeypatch):
     # perfbench/spans.py counts matrix builds by wrapping this method on
     # the class; a check inlined into __init__ would escape the count
@@ -277,6 +292,14 @@ def test_enlarge_rejects_wrong_length():
         enlarge_first(m, (1,))
     with pytest.raises(KnotError):
         enlarge_second(m, (1, 2, 3))
+
+
+@pytest.mark.parametrize("q", [(2.7, 3), ("3", 0), (True, 0)])
+def test_enlarge_rejects_non_int_twist_entries(q):
+    m = SeifertMatrix(((0, 2), (1, 0)))
+    for enlarge in (enlarge_first, enlarge_second):
+        with pytest.raises(KnotError, match="entries must be ints"):
+            enlarge(m, q)
 
 
 @given(genus_one(), st.lists(st.integers(-7, 7), min_size=2, max_size=2))
