@@ -37,7 +37,12 @@ class LaurentPoly(Value):
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         clean = {}
-        if coeffs:
+        if coeffs is not None:
+            if not isinstance(coeffs, Mapping):
+                raise KnotError(
+                    f"laurent: coefficients must be a mapping exponent -> coefficient, "
+                    f"got {type(coeffs).__name__}"
+                )
             for exp, c in coeffs.items():
                 if (
                     not (isinstance(exp, int) and isinstance(c, int))

@@ -52,7 +52,8 @@ __all__ = [
 
 Rows = Sequence[Sequence[int]]
 
-# the most rows a SeifertMatrix may have, checked before its determinant.
+# the most rows a SeifertMatrix or CongruenceCertificate may have, checked
+# before its determinant.
 # alexander and signature take about n^4 steps: at 64 rows (genus 32) each
 # takes 0.6 s on a sparse block sum and 2 s on a dense congruent form
 # (2-vCPU Xeon), while a 1 MiB @file could hold a 724-row matrix.
@@ -60,20 +61,23 @@ MAX_SIZE = 64
 
 
 def int_det(rows: Rows) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination).
-    Entries must be ints; a bool, float or string raises KnotError
-    instead of being converted."""
+    """Exact determinant of an integer matrix: ad - bc for a 2x2 matrix,
+    Bareiss elimination for a larger one.  Entries must be ints; a bool,
+    float or string raises KnotError instead of being converted."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise KnotError("matrix is not square")
     if n == 0:
         return 1
-    a = [list(r) for r in rows]
-    for row in a:
+    for row in rows:
         for x in row:
             # the type() test lets plain ints skip both isinstance calls
             if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
                 raise KnotError(f"int_det: entries must be ints, got {x!r}")
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    a = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -99,12 +103,10 @@ def _as_int_rows(rows: Rows, what: str) -> tuple[tuple[int, ...], ...]:
     for r in rows:
         if len(r) != n:
             raise KnotError(f"{what}: matrix must be square")
-        row = []
         for x in r:
-            if isinstance(x, bool) or not isinstance(x, int):
+            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
                 raise KnotError(f"{what}: entries must be ints, got {x!r}")
-            row.append(x)
-        out.append(tuple(row))
+        out.append(tuple(r))
     return tuple(out)
 
 
@@ -138,6 +140,8 @@ class CongruenceCertificate(Value):
     def __init__(self, rows: Rows):
         rows = _as_int_rows(rows, "certificate")
         object.__setattr__(self, "rows", rows)
+        if len(rows) > MAX_SIZE:
+            raise KnotError(f"certificate: {len(rows)} rows, over the limit of {MAX_SIZE}")
         if int_det(rows) not in (1, -1):
             raise KnotError("certificate: matrix is not unimodular")
 

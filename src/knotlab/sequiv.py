@@ -21,16 +21,20 @@ says no genus-preserving congruence exists, it does not decide full
 S-equivalence.
 
 ``brute_force_congruence`` is an exhaustive search for a congruence
-with bounded entries.  It builds T one row at a time, keeps only rows
-whose value under the form matches the target's diagonal, and drops a
-partial T as soon as one off-diagonal entry misses, so it returns the
-lexicographically first witness without visiting every matrix.  Its
-arithmetic is exact on Python ints.  It exists to cross-check the
-decision procedure above and shares no code with it.
+with bounded entries.  A row r of T must satisfy r M r^T = target[i][i],
+a quadratic in r's last entry once the others are fixed, so the search
+tries every choice of the other entries and solves for the last one
+exactly instead of trying each value.  It then builds T one row at a
+time and drops a partial T as soon as one off-diagonal entry misses, so
+it returns the lexicographically first witness without visiting every
+matrix.  Its arithmetic is exact on Python ints.  It exists to
+cross-check the decision procedure above and shares no code with it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from math import isqrt
 from operator import mul
 
 from .errors import KnotError, Value
@@ -50,9 +54,13 @@ NEGATIVE_NOTE = (
     "no genus-preserving congruence exists; full S-equivalence is not decided"
 )
 
-# the most candidate rows, (2*bound + 1)^n, one oracle search may try.  At
-# that count a 2x2 search takes about half a second; a larger bound is
-# refused before the search starts.
+# the most candidate rows, (2*bound + 1)^n, one oracle search may consider;
+# it bounds the rows the search keeps.  At that count (bound 499) a 2x2
+# search takes about 1 ms when each row's last entry has at most two
+# solutions, and up to 1.5 s when M = ((0, 1), (0, 0)) admits every last
+# entry of the rows starting with 0 and the depth-first search tries
+# about 2,000 x 2,000 row pairs (2-vCPU Xeon).  A larger bound is refused
+# before the search starts.
 ORACLE_ROWS = 1_000_000
 
 
@@ -161,6 +169,32 @@ def verify_certificate(
 # -- exhaustive oracle ---------------------------------------------------------
 
 
+def _integer_roots(a: int, b: int, c: int, bound: int) -> Sequence[int]:
+    """The integers x in [-bound, bound] with a x^2 + b x + c = 0, ascending."""
+    if a == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        x, r = divmod(-c, b)
+        return (x,) if r == 0 and -bound <= x <= bound else ()
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return ()
+    s = isqrt(disc)
+    if s * s != disc:
+        return ()
+    # negating the equation keeps its roots and makes a > 0, so that
+    # (-b - s) / 2a <= (-b + s) / 2a
+    if a < 0:
+        a, b = -a, -b
+    lo, r = divmod(-b - s, 2 * a)
+    roots = (lo,) if r == 0 and -bound <= lo <= bound else ()
+    if s:
+        hi, r = divmod(-b + s, 2 * a)
+        if r == 0 and -bound <= hi <= bound:
+            roots += (hi,)
+    return roots
+
+
 def brute_force_congruence(
     m: SeifertMatrix, target: SeifertMatrix, bound: int
 ) -> CongruenceCertificate | None:
@@ -169,17 +203,22 @@ def brute_force_congruence(
     order (row-major, entries ascending), or None.
 
     Independent of the decision procedure by construction: it knows
-    nothing about twists.  Row i of T must satisfy r M r^T = target[i][i],
-    so only the (2*bound+1)^n candidate rows passing that test are kept,
-    in ascending order.  A depth-first search then picks rows in order,
-    dropping a row as soon as r_j M r_i^T or r_i M r_j^T misses the
+    nothing about twists.  Row i of T must satisfy r M r^T = target[i][i].
+    With its first n - 1 entries fixed, of value q under the form, and
+    last entry x, r M r^T = a x^2 + lin x + q, where a = M[n-1][n-1] and
+    lin is linear in the fixed entries.  So every choice of the first
+    n - 1 entries is tried, and for each distinct diagonal value t the
+    last entry is solved exactly (an integer square root when a != 0)
+    and kept when it lies in [-bound, bound]; the rows kept come out in
+    ascending order.  A depth-first search then picks rows in order,
+    dropping a row r as soon as r . (r_j M) or r . (r_j M^T) misses the
     target against an earlier row j, and accepts the first complete T
     with det T = +-1.  Row-major entry order is lexicographic order on
     the sequence of rows, so that first leaf is the lexicographically
     first witness.  All arithmetic is on Python ints and therefore
     exact for entries of any size.  Matrices larger than 4x4 are
     rejected, and so is a bound giving more than ORACLE_ROWS candidate
-    rows.
+    rows, (2*bound+1)^n.
     """
     if bound < 0:
         raise KnotError("oracle: bound must be >= 0")
@@ -204,42 +243,46 @@ def brute_force_congruence(
         return CongruenceCertificate(())
 
     mm, tt = m.rows, target.rows
-    diagonal = {tt[i][i] for i in range(n)}
+    last = n - 1
     sym = [[mm[i][j] + mm[j][i] for j in range(n)] for i in range(n)]
-    # Grow candidate rows one entry at a time, carrying each prefix's value
-    # under the form; complete rows are kept only when that value is on the
-    # target's diagonal.  Ascending entries at every step keep the rows in
-    # lexicographic order.
-    grown: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for i in range(n):
-        prefixes, grown = grown, []
-        last = i == n - 1
-        for p, q in prefixes:
-            lin = sum(map(mul, p, sym[i]))
+    # Grow the first n - 1 entries of every row, carrying each prefix's
+    # value under the form and the coefficient lin of the last entry.
+    # Ascending entries at every step keep the prefixes in lexicographic
+    # order.
+    prefixes: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    for i in range(last):
+        grown = []
+        for p, q, lin in prefixes:
+            step = sum(map(mul, p, sym[i]))
             for x in range(-bound, bound + 1):
-                value = q + x * (lin + mm[i][i] * x)
-                if not last or value in diagonal:
-                    grown.append((p + (x,), value))
-    # value of r M r^T -> [(r, r M)], r ascending
-    columns = list(zip(*mm))
-    rows_by_value: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
-    for r, value in grown:
-        v = [sum(map(mul, r, c)) for c in columns]
-        rows_by_value.setdefault(value, []).append((r, v))
-    choices = [rows_by_value.get(tt[i][i], []) for i in range(n)]
+                grown.append((p + (x,), q + x * (step + mm[i][i] * x), lin + x * sym[i][last]))
+        prefixes = grown
+    # value of r M r^T -> rows r ascending; the last entry is solved for
+    rows_by_value: dict[int, list[tuple[int, ...]]] = {tt[i][i]: [] for i in range(n)}
+    a = mm[last][last]
+    for p, q, lin in prefixes:
+        for t, kept in rows_by_value.items():
+            for x in _integer_roots(a, lin, q - t, bound):
+                kept.append(p + (x,))
+    choices = [rows_by_value[tt[i][i]] for i in range(n)]
+    columns = tuple(zip(*mm))
 
-    chosen: list[tuple[tuple[int, ...], list[int]]] = []
+    # each chosen row r above the last, with r M and r M^T
+    chosen: list[tuple[tuple[int, ...], list[int], list[int]]] = []
 
     def extend(i: int) -> tuple[tuple[int, ...], ...] | None:
-        if i == n:
-            rows = tuple(r for r, _ in chosen)
-            return rows if int_det(rows) in (1, -1) else None
-        for r, v in choices[i]:
-            for j, (rj, vj) in enumerate(chosen):
-                if sum(map(mul, vj, r)) != tt[j][i] or sum(map(mul, v, rj)) != tt[i][j]:
+        for r in choices[i]:
+            for j, (_, rm, rmt) in enumerate(chosen):
+                if sum(map(mul, r, rm)) != tt[j][i] or sum(map(mul, r, rmt)) != tt[i][j]:
                     break
             else:
-                chosen.append((r, v))
+                if i == last:
+                    rows = tuple(c[0] for c in chosen) + (r,)
+                    if int_det(rows) in (1, -1):
+                        return rows
+                    continue
+                chosen.append((r, [sum(map(mul, r, c)) for c in columns],
+                               [sum(map(mul, r, row)) for row in mm]))
                 found = extend(i + 1)
                 chosen.pop()
                 if found is not None:

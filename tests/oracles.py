@@ -5,10 +5,11 @@ enumerates all 2^c Kauffman states and counts loops with a union-find,
 the bracket of a braid closure is a Markov trace in the Temperley-Lieb
 algebra, the contraction order rescans every remaining crossing at each
 step, the polynomial product is a direct convolution on coefficient lists,
-the congruence search tries every bounded integer matrix with a
-Leibniz determinant, the Alexander polynomial is a Leibniz expansion
-over polynomial entries, and the signature comes from rational
-pivoting on Schur complements.  Slow on purpose; keep inputs small.
+the congruence searches try every bounded integer matrix or scan every
+value of every row entry, with a Leibniz determinant, the Alexander
+polynomial is a Leibniz expansion over polynomial entries, and the
+signature comes from rational pivoting on Schur complements.  Slow on
+purpose; keep inputs small.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from knotlab.laurent import LaurentPoly
 
@@ -142,6 +144,56 @@ def naive_congruence(m, target, bound: int):
         ):
             return tuple(tuple(r) for r in t)
     return None
+
+
+def scan_congruence(m, target, bound: int):
+    """The same first witness as ``naive_congruence``, found by a
+    row-pruned search: grow every candidate row entry by entry, scanning
+    all 2b+1 values of each, keep the rows r with r M r^T on the
+    target's diagonal, and pick rows depth-first, dropping one as soon as
+    it misses an off-diagonal target entry against an earlier row.  Takes
+    and returns plain tuples of rows; (2b+1)^n rows."""
+    n = len(m)
+    if n == 0:
+        return ()
+    diagonal = {target[i][i] for i in range(n)}
+    sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    grown = [((), 0)]
+    for i in range(n):
+        prefixes, grown = grown, []
+        last = i == n - 1
+        for p, q in prefixes:
+            lin = sum(map(mul, p, sym[i]))
+            for x in range(-bound, bound + 1):
+                value = q + x * (lin + m[i][i] * x)
+                if not last or value in diagonal:
+                    grown.append((p + (x,), value))
+    columns = list(zip(*m))
+    rows_by_value = {}
+    for r, value in grown:
+        v = [sum(map(mul, r, c)) for c in columns]
+        rows_by_value.setdefault(value, []).append((r, v))
+    choices = [rows_by_value.get(target[i][i], []) for i in range(n)]
+
+    chosen = []
+
+    def extend(i):
+        if i == n:
+            rows = tuple(r for r, _ in chosen)
+            return rows if leibniz_det(rows) in (1, -1) else None
+        for r, v in choices[i]:
+            for j, (rj, vj) in enumerate(chosen):
+                if sum(map(mul, vj, r)) != target[j][i] or sum(map(mul, v, rj)) != target[i][j]:
+                    break
+            else:
+                chosen.append((r, v))
+                found = extend(i + 1)
+                chosen.pop()
+                if found is not None:
+                    return found
+        return None
+
+    return extend(0)
 
 
 def naive_alexander(m) -> LaurentPoly:

@@ -158,6 +158,17 @@ def test_pickle_and_copy_round_trip(p):
         assert q._coeffs is not p._coeffs
 
 
+@pytest.mark.parametrize("bad", ["1 - 2t", [(0, 1)], 5])
+def test_rejects_non_mapping(bad):
+    with pytest.raises(KnotError, match="mapping"):
+        LaurentPoly(bad)
+
+
+def test_none_and_empty_mapping_give_zero():
+    assert LaurentPoly(None) == LaurentPoly({}) == LaurentPoly.zero()
+    assert not LaurentPoly(None)
+
+
 def test_rejects_non_int():
     with pytest.raises(KnotError):
         LaurentPoly({0: 1.5})

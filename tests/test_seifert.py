@@ -19,7 +19,7 @@ from knotlab.seifert import (
 )
 
 from conftest import genus_one, unimodular
-from oracles import convolve, naive_alexander, naive_signature
+from oracles import convolve, leibniz_det, naive_alexander, naive_signature
 
 
 # ---- validation ----
@@ -105,6 +105,30 @@ def test_int_det():
             int_det(bad)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "1"])
+def test_int_det_2x2_refuses_non_int_entries(bad):
+    for i in range(2):
+        for j in range(2):
+            rows = [[1, 0], [0, 1]]
+            rows[i][j] = bad
+            with pytest.raises(KnotError, match="ints"):
+                int_det(rows)
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9) | st.integers(-2**70, 2**70), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(square_matrices)
+def test_int_det_matches_leibniz(rows):
+    assert int_det(rows) == leibniz_det(rows)
+
+
 def test_parse_matrix():
     assert parse_matrix("[[0,2],[1,0]]") == [[0, 2], [1, 0]]
     assert parse_matrix("0 2\n1 0") == [[0, 2], [1, 0]]
@@ -125,6 +149,20 @@ def test_certificate_validation():
         CongruenceCertificate(((1, 0), (0, 2)))
     with pytest.raises(KnotError):
         CongruenceCertificate(((1, 0), (1,)))
+
+
+def test_certificate_size_limit_refuses_before_the_determinant(monkeypatch):
+    limit = seifert.MAX_SIZE
+    assert CongruenceCertificate.identity(limit).size == limit
+    half = CongruenceCertificate.identity(limit // 2)
+    rest = CongruenceCertificate.identity(limit // 2 + 1)
+    dets = []
+    monkeypatch.setattr(seifert, "int_det", lambda rows: dets.append(rows) or 1)
+    with pytest.raises(KnotError, match=f"{limit + 2} rows, over the limit of {limit}"):
+        CongruenceCertificate.identity(limit + 2)
+    with pytest.raises(KnotError, match=f"{limit + 1} rows, over the limit of {limit}"):
+        half.direct_sum(rest)
+    assert dets == []
 
 
 def test_certificate_apply():

@@ -18,7 +18,7 @@ from knotlab.sequiv import (
 )
 
 from conftest import genus_one
-from oracles import naive_congruence
+from oracles import naive_congruence, scan_congruence
 
 M0 = SeifertMatrix(((0, 1), (2, 0)))  # s = 3
 
@@ -193,6 +193,60 @@ def test_oracle_matches_naive_enumeration(m, ell, band, bound):
     witness = brute_force_congruence(m, target, bound)
     expected = naive_congruence(m.rows, target.rows, bound)
     assert (None if witness is None else witness.rows) == expected
+
+
+@settings(deadline=None)
+@given(genus_one(), st.integers(-6, 6), st.sampled_from(("first", "second")),
+       st.integers(0, 6))
+def test_oracle_matches_row_scan(m, ell, band, bound):
+    target = twist_form(m, ell, band)
+    witness = brute_force_congruence(m, target, bound)
+    expected = scan_congruence(m.rows, target.rows, bound)
+    assert (None if witness is None else witness.rows) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(genus_one(2), genus_one(2), st.integers(-2, 2), st.sampled_from(("first", "second")))
+def test_oracle_matches_row_scan_on_block_sums(a, b, ell, band):
+    m = connected_sum(a, b)
+    target = connected_sum(twist_form(a, ell, band), b)
+    witness = brute_force_congruence(m, target, 1)
+    expected = scan_congruence(m.rows, target.rows, 1)
+    assert (None if witness is None else witness.rows) == expected
+
+
+# One search per branch of the last-entry solve.  Row (p, x) of a 2x2 T
+# has value a x^2 + lin x + q with a = M[1][1], lin = p (M[0][1] + M[1][0])
+# and q = p^2 M[0][0]; each case names the branch some (p, x) reaches.
+_B = 2**64
+_SOLVE_CASES = {
+    # a = 0, lin = 3p: one root when 3p divides q - t
+    "linear": (((0, 1), (2, 0)), ((-3, 1), (2, 0)), 2, ((-1, 1), (0, -1))),
+    # a = lin = 0 at p = 0 with q = t = 0: every x in the box
+    "every x": (((0, 1), (0, 0)), ((0, 1), (0, 0)), 1, ((-1, 0), (0, -1))),
+    # a = -1, value p x - x^2: t = 0 at p = 2 has the two roots 0 and 2
+    "a < 0": (((0, 1), (0, -1)), ((0, 1), (0, -3)), 2, ((-1, 0), (2, -1))),
+    # value p^2 + p x + x^2: t = 3 at p = 2 has discriminant 0 (the double
+    # root x = -1), t = 1 at p = 2 has -8 and t = 3 at p = 0 has 12
+    "zero, negative and non-square discriminants": (
+        ((1, 1), (0, 1)), ((3, 2), (1, 1)), 2, ((-2, 1), (-1, 0))),
+    # t = 31 at p = 1: x^2 + x - 30 has roots 5 and -6, both outside [-2, 2]
+    "roots outside the box": (((1, 1), (0, 1)), ((31, 6), (5, 1)), 2, None),
+    # ... and only 5 inside [-5, 5]
+    "one root inside the box": (((1, 1), (0, 1)), ((31, 6), (5, 1)), 5, ((-1, -5), (0, -1))),
+    # T = ((1, 1), (0, 1)); t = 2B + 1 at p = 1 has discriminant (2^65 + 1)^2,
+    # whose square root in floating point is 2^65
+    "2^64 entries": (((_B, 1), (0, _B)), ((2 * _B + 1, _B + 1), (_B, _B)), 1,
+                     ((-1, -1), (0, -1))),
+}
+
+
+@pytest.mark.parametrize("m, target, bound, expected", _SOLVE_CASES.values(),
+                         ids=_SOLVE_CASES.keys())
+def test_oracle_last_entry_solve(m, target, bound, expected):
+    witness = brute_force_congruence(SeifertMatrix(m), SeifertMatrix(target), bound)
+    assert (None if witness is None else witness.rows) == expected
+    assert scan_congruence(m, target, bound) == expected
 
 
 def test_oracle_is_exact_for_huge_entries():
