@@ -13,7 +13,8 @@ UTF-8 file of at most 1 MiB.  Every subcommand takes --json for
 machine-readable output with the shape {"command", "input", "result",
 "paper_check"}.  Exit status: 0 on success (a negative mathematical
 answer is still success), 1 on a domain error (invalid matrix,
-inconsistent diagram, input over a size limit, ...) or when the reader
+inconsistent diagram, input over a size limit, a result holding an
+integer too long for Python to write out, ...) or when the reader
 closes stdout before the output is written, 2 on usage errors.
 """
 
@@ -266,6 +267,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except KnotError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except ValueError as e:
+        # writing out an int past the interpreter's limit on int-to-text
+        # conversion, in whatever command; any other ValueError is a bug
+        if "integer string conversion" not in str(e):
+            raise
+        print(f"error: the result holds an integer of over {sys.get_int_max_str_digits()} "
+              "digits, more than Python converts to text", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the flush

@@ -76,20 +76,19 @@ the shapes of each sigma_i repeat with every period of the word.
 Every sweep in the process shares one memo of compiled steps, keyed by
 (state set, shape) like the call's own table of the steps it has used.
 A call reads the memo only when that table misses, and compiles a step
-only when the memo misses too; a compile works out the successors of
-every state of its set.  A sorted set is one object in the memo however
-a sweep reached it, so a diagram swept again compiles nothing, and its
-mirror, a curl added to it, or another braid on as many strands
-compiles only the steps it does not share.  The call charges each
-(shape, state) pair it meets for the first time to the sweep limit
-below, whether or not the memo had a step for it, so the work a sweep
-counts, and the point where it is refused, do not depend on what
-earlier sweeps left.  A call that compiled a step adds the steps it
-used that the memo lacks only when it finishes, so a refused sweep
-leaves the memo as it was.
-The memo counts the ints it holds in the unit the sweep charges them, is
-emptied all at once before that count would pass SWEEP_LIMIT, and
-leaves out a step that would not fit even then.
+only when the memo misses too; ``_learn`` compiles it, working out the
+successors of every state of its set, and stores it in the memo at
+once.  A sorted set is one object in the memo however a sweep reached
+it, so a diagram swept again compiles nothing, and its mirror, a curl
+added to it, or another braid on as many strands compiles only the
+steps it does not share.  The call charges each (shape, state) pair it
+meets for the first time to the sweep limit below, whether or not the
+memo had a step for it, so the work a sweep counts, and the point where
+it is refused, do not depend on what earlier sweeps left; a refused
+sweep keeps the steps it compiled.  The memo counts the ints it holds
+in the unit the sweep charges them, is emptied all at once before a
+step would take that count past SWEEP_LIMIT, and leaves out a step that
+would not fit even then.
 
 The sweep cuts the knot open at slot 0 of the last crossing in its
 order and ties the cut arc's two ends to sentinel tokens.  The cut
@@ -158,8 +157,8 @@ import heapq
 import re
 import threading
 from collections.abc import Sequence
-from itertools import chain, compress
-from operator import itemgetter, ne
+from itertools import compress
+from operator import ne
 
 from .errors import KnotError, Value
 from .laurent import LaurentPoly
@@ -404,9 +403,7 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     # first crossing swept gives 70; see the module docstring)
     t0 = 4 * order[-1]
     boundary = [-1, -2, t0, mate[t0]]
-    # the state sets this call made that the memo lacks, by their states
-    made: dict[tuple[State, ...], _StateSet] = {}
-    states = _state_set(((2, 3, 0, 1),), made)
+    states = _state_set(((2, 3, 0, 1),))
     # each state's lowest A-exponent and packed coefficients, in the order
     # of states.states; the digit count of those, and a bound on the sum
     # over the states of their largest coefficient
@@ -417,7 +414,6 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     table: dict[tuple[_StateSet, State], Step] = {}
     met: dict[State, set[State]] = {}
     radix = _RADIX
-    compiled = False
 
     work = 0
     for ci in order:
@@ -467,23 +463,16 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
             if work + 2 * len(boundary) * count > SWEEP_LIMIT:
                 count = (SWEEP_LIMIT - work) // (2 * len(boundary)) + 1
             work = _charge(work, 2 * len(boundary) * count)
-            step = _STEPS.get((states, key))
-            if step is None:
-                nxt, growth, program = _Shape(key).compile(states.states)
-                step = _state_set(nxt, made), growth, program
-                compiled = True
-            table[states, key] = step
+            step = table[states, key] = _STEPS.get((states, key)) or _learn(states, key)
         states, growth, program = step
         bound *= growth
         los, packs, digits, dropped = _replay(program, los, packs, _SHIFTS[r & 1], radix)
         if dropped:
             gone = set(dropped)
-            states = _state_set(tuple(s for k, s in enumerate(states.states) if k not in gone), made)
+            states = _state_set(tuple(s for k, s in enumerate(states.states) if k not in gone))
 
     if states.states != ((1, 0),):
         raise AssertionError("bracket: contraction did not close the diagram")
-    if compiled:
-        _remember(table)
     return LaurentPoly({los[0] + 4 * k: c for k, c in enumerate(_digits(packs[0], radix)) if c})
 
 
@@ -501,7 +490,8 @@ def _charge(work: int, ints: int) -> int:
 class _StateSet:
     """The partial states a sweep holds before a crossing, sorted.  The
     memo is keyed by these objects, so finding a compiled step hashes no
-    state; ``_state_set`` gives one set of states one object."""
+    state; ``_learn`` keeps one object for each set it compiles a step
+    of, and ``_state_set`` finds it again."""
 
     __slots__ = ("states",)
 
@@ -510,23 +500,19 @@ class _StateSet:
 
 
 # a compiled step: the successor set, the growth factor and the program
-# (see _Shape.compile)
+# (see _compile)
 Step = tuple[_StateSet, int, tuple[int, ...]]
 
 
-def _state_set(states: tuple[State, ...], made: dict) -> _StateSet:
-    """The memo's state set with these states, else the one this sweep
-    made for them, else a new one that ``made`` keeps."""
-    found = _SETS.get(states) or made.get(states)
-    if found is None:
-        found = made[states] = _StateSet(states)
-    return found
+def _state_set(states: tuple[State, ...]) -> _StateSet:
+    """The memo's state set with these states, else a new one."""
+    return _SETS.get(states) or _StateSet(states)
 
 
 # the memo of compiled steps that every bracket sweep in the process
 # shares (see the module docstring): (state set, shape key) -> step, and
 # each state set it names, by its states.
-# Only _remember writes them, and they hold at most SWEEP_LIMIT ints,
+# Only _learn writes them, and the steps hold at most SWEEP_LIMIT ints,
 # counted in _memo_ints as the sweep charges them.
 _STEPS: dict[tuple[_StateSet, State], Step] = {}
 _SETS: dict[tuple[State, ...], _StateSet] = {}
@@ -534,41 +520,42 @@ _memo_ints = 0
 _memo_lock = threading.Lock()
 
 
-def _remember(table: dict[tuple[_StateSet, State], Step]) -> None:
-    """Add the steps a finished sweep used, its table of (state set,
-    shape key) -> step, to the memo, first emptying
-    the memo when the steps it lacks would take it past SWEEP_LIMIT.
+def _learn(states: _StateSet, key: State) -> Step:
+    """Compile the step of shape ``key`` for ``states`` and add it to the
+    memo, first emptying the memo when the step would take it past
+    SWEEP_LIMIT.
 
     A step counts, for each of its states, twice the length of the
     boundary it leads to, as the sweep charges a (shape, state) pair met
     for the first time.  A sweep charges a state met in two sets of one
-    shape once, so its steps may not all fit even in an empty memo; a
-    step that does not fit is left out.  A set of the sweep's whose
-    states the memo already names is replaced by the memo's."""
+    shape once, so a step may not fit even in an empty memo; such a step
+    is left out.  Either way the set and its successor become the memo's
+    objects for their states, so the sweep meets each again as the same
+    object."""
+    nxt, growth, program = _compile(key, states.states)
+    ints = 2 * len(nxt[0]) * len(states.states)
     global _memo_ints
     with _memo_lock:
-        # a set another thread has since dropped from the memo counts all
-        # its steps, which can only empty the memo early
-        lacking = sum(2 * len(nxt.states[0]) * len(states.states)
-                      for (states, key), (nxt, _, _) in table.items()
-                      if (_SETS.get(states.states, states), key) not in _STEPS)
-        if _memo_ints + lacking > SWEEP_LIMIT:
-            # a sweep still holding one of these sets finds its steps
-            # gone, and compiles them again
+        if _memo_ints + ints > SWEEP_LIMIT:
+            # a sweep still holding one of the memo's sets finds its
+            # steps gone, and compiles them again
             _STEPS.clear()
             _SETS.clear()
             _memo_ints = 0
-        for (states, key), (nxt, growth, program) in table.items():
-            states = _SETS.get(states.states, states)
-            ints = 2 * len(nxt.states[0]) * len(states.states)
-            if (states, key) not in _STEPS and _memo_ints + ints <= SWEEP_LIMIT:
-                _SETS.setdefault(states.states, states)
-                _STEPS[states, key] = _SETS.setdefault(nxt.states, nxt), growth, program
+        # another thread may have stored this step since the caller looked
+        states = _SETS.setdefault(states.states, states)
+        step = _STEPS.get((states, key))
+        if step is None:
+            step = _SETS.setdefault(nxt, _StateSet(nxt)), growth, program
+            if ints <= SWEEP_LIMIT:
+                _STEPS[states, key] = step
                 _memo_ints += ints
+    return step
 
 
-class _Shape:
-    """How a crossing of one shape acts on a positional state.
+def _compile(key: State, states: tuple[State, ...]) -> tuple[tuple[State, ...], int, tuple[int, ...]]:
+    """The step of a crossing of shape ``key`` for a sorted state set:
+    its successor states, sorted, its growth factor and its program.
 
     ``key`` is ``(size, e0, e1, e2, e3)``: the boundary length and the
     entries of slots 0 to 3 of the turned crossing (see
@@ -578,124 +565,106 @@ class _Shape:
     and only moves, so a state's successor differs from the state only
     where the crossing's joins reach.  Those joins depend only on which
     swept ends the state pairs with each other, its pattern, and are
-    worked out for every pattern when the shape is made.  A sweep makes
-    a shape only to compile one step of it (see ``compile``).
-    """
+    worked out by ``_joins`` the first time a state of the set has it.
 
-    def __init__(self, key: tuple[int, ...]):
-        self.key = key
-        size, *self.shape = key
-        self.size = size
-        self.swept = swept = sorted(k for k in self.shape if 0 <= k < size)
-        self.ins = ins = swept[0] if swept else size
-        # the old position behind each new one, -1 for a fresh end
-        self.back = [k for k in range(size) if k not in swept]
-        self.back[ins:ins] = [-1] * sum(k >= size for k in self.shape)
-        # and the other way; a swept position keeps -1, and the joins
-        # overwrite every partner that pointed there
-        self.remap = [-1] * size
-        for new, k in enumerate(self.back):
-            if k >= 0:
-                self.remap[k] = new
-        # a pattern gives each swept position its partner when that is
-        # swept too, else -1; every partial matching of them is one, grown
-        # one position at a time (a -1 key it leaves behind is never read)
-        matchings: list[dict[int, int]] = [{}]
-        for k in swept:
-            matchings = [m for m in matchings if k in m] + [
-                {**m, k: q, q: k} for m in matchings if k not in m
-                for q in [-1] + [q for q in swept if q > k and q not in m]]
-        self.patterns = {pattern: self._joins(pattern)
-                         for pattern in (tuple(m[k] for k in swept) for m in matchings)}
-
-    def compile(self, states: tuple[State, ...]) -> tuple[tuple[State, ...], int, tuple[int, ...]]:
-        """The step of this shape for a sorted state set: its successor
-        states, sorted, its growth factor and its program.
-
-        State i of ``states`` feeds its A-successor and its B-successor,
-        for the smoothings of the turned crossing.  The program lists the
-        feeds successor by successor, and a successor's feeds in the order
-        of i, A before B.  A feed's code is 16 i + 8 (1 for B) + 2 times
-        the loops it closes, plus 1 on the last feed of its successor.
-        The growth factor is the largest 2^(A-loops) + 2^(B-loops) of a
-        state: the sum over the successors of their largest coefficient
-        is at most that times the same sum over the states."""
-        rows = list(map(self.transitions, states))
-        # feed k = 2i + (1 for B): its successor and the loops it closes;
-        # a stable sort by successor keeps each one's feeds in order
-        succ = list(chain.from_iterable(map(itemgetter(0, 2), rows)))
-        loops = list(chain.from_iterable(map(itemgetter(1, 3), rows)))
-        order = sorted(range(len(succ)), key=succ.__getitem__)
-        ordered = list(map(succ.__getitem__, order))
-        ordered.append(None)
-        last = list(map(ne, ordered, ordered[1:]))
-        program = tuple([8 * k + 2 * loops[k] + end for k, end in zip(order, last)])
-        growth = max((1 << a) + (1 << b) for a, b in set(zip(loops[0::2], loops[1::2])))
-        return tuple(compress(ordered, last)), growth, program
-
-    def transitions(self, state: tuple[int, ...]) -> tuple:
-        """``(A-state, A-loops, B-state, B-loops)`` of ``state``, for the
-        smoothings of the turned crossing."""
-        swept, remap = self.swept, self.remap
-        joined = self.patterns[tuple(state[k] if state[k] in swept else -1 for k in swept)]
-        base = [k if k < 0 else remap[state[k]] for k in self.back]
-        out = []
-        for pairs, loops in joined:
+    State i of ``states`` feeds its A-successor and its B-successor,
+    for the smoothings of the turned crossing.  The program lists the
+    feeds successor by successor, and a successor's feeds in the order
+    of i, A before B.  A feed's code is 16 i + 8 (1 for B) + 2 times
+    the loops it closes, plus 1 on the last feed of its successor.
+    The growth factor is the largest 2^(A-loops) + 2^(B-loops) of a
+    state: the sum over the successors of their largest coefficient
+    is at most that times the same sum over the states."""
+    size, *shape = key
+    swept = sorted(k for k in shape if 0 <= k < size)
+    ins = swept[0] if swept else size
+    # the old position behind each new one, -1 for a fresh end, and the
+    # other way; a swept position keeps -1, and the joins overwrite every
+    # partner that pointed there
+    back = [k for k in range(size) if k not in swept]
+    back[ins:ins] = [-1] * sum(k >= size for k in shape)
+    remap = [-1] * size
+    for new, k in enumerate(back):
+        if k >= 0:
+            remap[k] = new
+    patterns: dict[State, tuple] = {}
+    # feed k = 2i + (1 for B): its successor and the loops it closes
+    succ: list[State] = []
+    loops: list[int] = []
+    for state in states:
+        pattern = tuple([state[k] if state[k] in swept else -1 for k in swept])
+        joined = patterns.get(pattern)
+        if joined is None:
+            joined = patterns[pattern] = _joins(key, swept, pattern)
+        base = [k if k < 0 else remap[state[k]] for k in back]
+        for pairs, closed in joined:
             partners = base.copy()
             for u, v in pairs:
                 u = u if u >= 0 else remap[state[~u]]
                 v = v if v >= 0 else remap[state[~v]]
                 partners[u] = v
                 partners[v] = u
-            out += (tuple(partners), loops)
-        return tuple(out)
+            succ.append(tuple(partners))
+            loops.append(closed)
+    # a stable sort by successor keeps each one's feeds in order
+    order = sorted(range(len(succ)), key=succ.__getitem__)
+    ordered = list(map(succ.__getitem__, order))
+    ordered.append(None)
+    last = list(map(ne, ordered, ordered[1:]))
+    program = tuple([8 * k + 2 * loops[k] + end for k, end in zip(order, last)])
+    growth = max((1 << a) + (1 << b) for (_, a), (_, b) in patterns.values())
+    return tuple(compress(ordered, last)), growth, program
 
-    def _joins(self, pattern: tuple[int, ...]) -> tuple:
-        """For each smoothing, the pairs of outside ends it joins and its
-        closed loop count.  An outside end is its new position, or ``~k``
-        for the new position of the partner of swept position k, which
-        varies with the state."""
-        size, shape = self.size, self.shape
-        slot_at = {k: s for s, k in enumerate(shape) if 0 <= k < size}
-        inner: dict[int, int] = {}  # slot -> slot it is tied to
-        outer: dict[int, int] = {}  # slot -> its outside end
-        for s, k in enumerate(shape):
-            if k >= size:
-                outer[s] = self.ins + k - size
-            elif k >= 0:
-                q = pattern[self.swept.index(k)]
-                if q >= 0:
-                    inner[s] = slot_at[q]
-                else:
-                    outer[s] = ~k
+
+def _joins(key: State, swept: list[int], pattern: State) -> tuple:
+    """For each smoothing of a crossing of shape ``key``, the pairs of
+    outside ends it joins and its closed loop count, for the states
+    whose swept positions, ``swept`` in order, have the partners in
+    ``pattern`` (-1 for a partner that is not swept).  An outside end is
+    its new position, or ``~k`` for the new position of the partner of
+    swept position k, which varies with the state."""
+    size, *shape = key
+    ins = swept[0] if swept else size
+    slot_at = {k: s for s, k in enumerate(shape) if 0 <= k < size}
+    inner: dict[int, int] = {}  # slot -> slot it is tied to
+    outer: dict[int, int] = {}  # slot -> its outside end
+    for s, k in enumerate(shape):
+        if k >= size:
+            outer[s] = ins + k - size
+        elif k >= 0:
+            q = pattern[swept.index(k)]
+            if q >= 0:
+                inner[s] = slot_at[q]
             else:
-                inner[s] = (s - 1 - k) & 3
-        out = []
-        for joins in ((1, 0, 3, 2), (3, 2, 1, 0)):  # A: ab cd, B: ad bc
-            seen: set[int] = set()
-            pairs = []
-            for s in outer:
-                if s not in seen:
-                    t = joins[s]
-                    while t in inner:
-                        seen.add(t)
-                        t = inner[t]
-                        seen.add(t)
-                        t = joins[t]
-                    seen.update((s, t))
-                    pairs.append((outer[s], outer[t]))
-            loops = 0
-            for s in range(4):
-                if s not in seen:
-                    loops += 1
-                    t = s
-                    while t not in seen:
-                        seen.add(t)
-                        t = joins[t]
-                        seen.add(t)
-                        t = inner[t]
-            out.append((tuple(pairs), loops))
-        return tuple(out)
+                outer[s] = ~k
+        else:
+            inner[s] = (s - 1 - k) & 3
+    out = []
+    for joins in ((1, 0, 3, 2), (3, 2, 1, 0)):  # A: ab cd, B: ad bc
+        seen: set[int] = set()
+        pairs = []
+        for s in outer:
+            if s not in seen:
+                t = joins[s]
+                while t in inner:
+                    seen.add(t)
+                    t = inner[t]
+                    seen.add(t)
+                    t = joins[t]
+                seen.update((s, t))
+                pairs.append((outer[s], outer[t]))
+        loops = 0
+        for s in range(4):
+            if s not in seen:
+                loops += 1
+                t = s
+                while t not in seen:
+                    seen.add(t)
+                    t = joins[t]
+                    seen.add(t)
+                    t = inner[t]
+        out.append((tuple(pairs), loops))
+    return tuple(out)
 
 
 # the A-exponent a feed adds, by the smoothing and the loops it closes

@@ -75,8 +75,12 @@ class LambdaSpec(Value):
             raise KnotError("lambda: p must be odd with |p| >= 3")
         crossings = 4 * abs(p) + abs(n) + abs(m)
         if crossings > MAX_CROSSINGS:
+            # past 64 bits an int is named by its size: the decimal text of
+            # a huge int can pass the interpreter's int-to-text digit limit
+            sn, sm, sp, sc = (v if v.bit_length() <= 64 else f"<{v.bit_length()} bits>"
+                              for v in (n, m, p, crossings))
             raise KnotError(
-                f"lambda: lambda({n},{m},{p}) has {crossings} crossings, "
+                f"lambda: lambda({sn},{sm},{sp}) has {sc} crossings, "
                 f"over the limit of {MAX_CROSSINGS}"
             )
         object.__setattr__(self, "n", n)

@@ -64,9 +64,7 @@ def int_det(rows: Rows) -> int:
     """Exact determinant of an integer matrix: ad - bc for a 2x2 matrix,
     Bareiss elimination for a larger one.  Entries must be ints; a bool,
     float or string raises KnotError instead of being converted."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise KnotError("matrix is not square")
+    n = _square(rows, "int_det")
     if n == 0:
         return 1
     for row in rows:
@@ -97,12 +95,22 @@ def int_det(rows: Rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _square(rows: Rows, what: str) -> int:
+    """The size of the square matrix ``rows``; KnotError unless it is a
+    sequence of that many rows of that many entries each."""
+    try:
+        n = len(rows)
+        if all(len(r) == n for r in rows):
+            return n
+    except TypeError:  # the matrix or a row has no length
+        raise KnotError(f"{what}: a matrix must be a sequence of rows") from None
+    raise KnotError(f"{what}: matrix must be square")
+
+
 def _as_int_rows(rows: Rows, what: str) -> tuple[tuple[int, ...], ...]:
+    _square(rows, what)
     out = []
-    n = len(rows)
     for r in rows:
-        if len(r) != n:
-            raise KnotError(f"{what}: matrix must be square")
         for x in r:
             if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
                 raise KnotError(f"{what}: entries must be ints, got {x!r}")
@@ -157,6 +165,8 @@ class CongruenceCertificate(Value):
 
     @classmethod
     def identity(cls, size: int) -> "CongruenceCertificate":
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise KnotError("certificate: the size of an identity must be an int >= 0")
         return cls(tuple(tuple(int(i == j) for j in range(size)) for i in range(size)))
 
     def direct_sum(self, other: "CongruenceCertificate") -> "CongruenceCertificate":

@@ -220,8 +220,8 @@ def brute_force_congruence(
     rejected, and so is a bound giving more than ORACLE_ROWS candidate
     rows, (2*bound+1)^n.
     """
-    if bound < 0:
-        raise KnotError("oracle: bound must be >= 0")
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise KnotError("oracle: bound must be an int >= 0")
     n = m.size
     if n != target.size:
         raise KnotError("oracle: size mismatch")
@@ -298,6 +298,4 @@ def connected_sum_certificate(
 ) -> CongruenceCertificate:
     """Lift a certificate along connected sum with a fixed summand:
     T (+) I_pad."""
-    if pad < 0:
-        raise KnotError("pad must be >= 0")
     return t.direct_sum(CongruenceCertificate.identity(pad))

@@ -197,6 +197,25 @@ def test_alexander_bad_literal_is_an_error_with_one_message(capsys):
         assert len(messages) == 1 and " at 0x" not in err, err
 
 
+def test_results_too_long_to_write_out_are_an_error_with_one_message(capsys, tmp_path):
+    # an 8 KB Seifert matrix whose Alexander coefficients and determinant
+    # have about 8,000 digits, and a twisted entry of 4,301 digits: each
+    # passes Python's limit on converting an int to text
+    big = 10**4000
+    path = tmp_path / "big.txt"
+    path.write_text(str([[big, 1], [0, big]]))
+    nines = "9" * 4300
+    calls = [("alexander", "--seifert", f"@{path}"),
+             ("sequiv", "--seifert", f"[[{nines},1],[0,0]]", "--ell", f"-{nines}")]
+    for argv in calls:
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *flags)
+            assert code == 1 and out == "", argv
+            assert err == (f"error: the result holds an integer of over "
+                           f"{sys.get_int_max_str_digits()} digits, more than Python "
+                           "converts to text\n"), argv
+
+
 def test_signature_text(capsys):
     code, out, err = run(capsys, "signature", "--seifert", "[[-1,1],[0,-1]]")
     assert code == 0

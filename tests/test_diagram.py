@@ -479,11 +479,6 @@ def _empty_memo(monkeypatch):
     monkeypatch.setattr(diagram, "_memo_ints", 0)
 
 
-def _memo_snapshot():
-    """A copy of the memo's steps and state sets."""
-    return dict(diagram._STEPS), dict(diagram._SETS)
-
-
 def _memo_contents_ints():
     """The ints the memo holds, counted as the sweep charges them."""
     return sum(2 * len(nxt.states[0]) * len(states.states)
@@ -506,14 +501,14 @@ def _count_table(monkeypatch):
     shape key of each."""
     _empty_memo(monkeypatch)
     counts = {"compiled": 0, "keys": []}
-    compile_ = diagram._Shape.compile
+    compile_ = diagram._compile
 
-    def counting_compile(self, states):
+    def counting_compile(key, states):
         counts["compiled"] += 1
-        counts["keys"].append(self.key)
-        return compile_(self, states)
+        counts["keys"].append(key)
+        return compile_(key, states)
 
-    monkeypatch.setattr(diagram._Shape, "compile", counting_compile)
+    monkeypatch.setattr(diagram, "_compile", counting_compile)
     return counts
 
 
@@ -756,9 +751,9 @@ def test_memo_leaves_answers_alone(monkeypatch):
         zeros.append(bool(out[3]))
         return out
 
-    def recorded(states, made):
+    def recorded(states):
         sets.append(states)
-        return state_set(states, made)
+        return state_set(states)
 
     monkeypatch.setattr(diagram, "_replay", counted)
     monkeypatch.setattr(diagram, "_state_set", recorded)
@@ -770,20 +765,6 @@ def test_memo_leaves_answers_alone(monkeypatch):
     # and after a crossing where a successor's sum ended at 0
     assert any(zeros)
     assert len(sets) > len(diagrams)
-
-
-def test_refused_sweep_leaves_the_memo_alone(monkeypatch):
-    _empty_memo(monkeypatch)
-    # one sweep of the 8-strand braid leaves steps of the shapes T(8, 5)
-    # meets; T(8, 5) would add more to them, but is refused first
-    kauffman_bracket(_braid_closure(8, [(k, 1) for k in range(7)]))
-    memo, ints = _memo_snapshot(), diagram._memo_ints
-    assert memo and ints
-    monkeypatch.setattr(diagram, "SWEEP_LIMIT", 10_000)
-    with pytest.raises(KnotError, match="sweep work reached"):
-        kauffman_bracket(_braid_closure(8, [(k % 7, 1) for k in range(35)]))
-    assert _memo_snapshot() == memo
-    assert diagram._memo_ints == ints
 
 
 def test_memo_stays_within_the_sweep_limit(monkeypatch):

@@ -71,9 +71,13 @@ def test_spec_limits_its_crossings():
     assert len(d.crossings) == MAX_CROSSINGS
     assert len(str(d).encode()) <= MAX_ARG_BYTES
     LambdaSpec(0, 0, 1001)
-    for n, m, p in ((4, 2, -9749), (2_000_000, 0, 3), (0, 0, -(10**100) - 1)):
+    for n, m, p in ((4, 2, -9749), (2_000_000, 0, 3), (0, 0, -(10**100) - 1),
+                    (0, 0, 10**5000 + 1), (2 * 10**5000, 0, 3)):
         with pytest.raises(KnotError, match=r"crossings, over the limit of 39000"):
             LambdaSpec(n, m, p)
+    # past 64 bits a parameter is named by its size, not its digits
+    with pytest.raises(KnotError, match=r"^lambda: lambda\(0,0,<16610 bits>\) has <16612 bits> "):
+        LambdaSpec(0, 0, 10**5000 + 1)
 
 
 # ---- Seifert matrices ----

@@ -151,6 +151,21 @@ def test_certificate_validation():
         CongruenceCertificate(((1, 0), (1,)))
 
 
+def test_certificate_identity_refuses_bad_sizes():
+    assert CongruenceCertificate.identity(0).rows == ()
+    for bad in (-1, 1.5, "2", True):
+        with pytest.raises(KnotError, match="size of an identity must be an int >= 0"):
+            CongruenceCertificate.identity(bad)
+
+
+def test_rows_that_are_not_sequences_are_refused():
+    # a matrix, or a row of it, that has no length
+    for build in (SeifertMatrix, CongruenceCertificate, int_det):
+        for bad in (5, [1, 2], [[0, 1], 2]):
+            with pytest.raises(KnotError, match="a matrix must be a sequence of rows"):
+                build(bad)
+
+
 def test_certificate_size_limit_refuses_before_the_determinant(monkeypatch):
     limit = seifert.MAX_SIZE
     assert CongruenceCertificate.identity(limit).size == limit

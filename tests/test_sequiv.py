@@ -168,6 +168,11 @@ def test_oracle_trivial_and_rejected_sizes():
     # a bound whose decimal text is past the interpreter's digit limit
     with pytest.raises(KnotError, match="bound of 16610 bits"):
         brute_force_congruence(M0, M0, 10**5000)
+    # a bound that is not an int is refused, not truncated or compared;
+    # True is not taken as 1
+    for bad in (1.5, "2", True):
+        with pytest.raises(KnotError, match="bound must be an int"):
+            brute_force_congruence(M0, M0, bad)
 
 
 def test_oracle_4x4_small_bound():
@@ -277,8 +282,9 @@ def test_connected_sum_certificate():
     lifted = connected_sum_certificate(t, 2)
     assert lifted.rows == ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert connected_sum_certificate(t, 0).rows == t.rows
-    with pytest.raises(KnotError):
-        connected_sum_certificate(t, -1)
+    for bad in (-1, 1.5, "2", True):
+        with pytest.raises(KnotError, match="must be an int >= 0"):
+            connected_sum_certificate(t, bad)
 
 
 # ---- the package as a fresh interpreter sees it ----
