@@ -81,14 +81,14 @@ successors of every state of its set, and stores it in the memo at
 once.  A sorted set is one object in the memo however a sweep reached
 it, so a diagram swept again compiles nothing, and its mirror, a curl
 added to it, or another braid on as many strands compiles only the
-steps it does not share.  The call charges each (shape, state) pair it
-meets for the first time to the sweep limit below, whether or not the
-memo had a step for it, so the work a sweep counts, and the point where
-it is refused, do not depend on what earlier sweeps left; a refused
-sweep keeps the steps it compiled.  The memo counts the ints it holds
-in the unit the sweep charges them, is emptied all at once before a
-step would take that count past SWEEP_LIMIT, and leaves out a step that
-would not fit even then.
+steps it does not share.  The call charges each step the first time
+its table misses it to the sweep limit below, whether or not the memo
+had it, so the work a sweep counts, and the point where it is refused,
+do not depend on what earlier sweeps left; a refused sweep keeps the
+steps it compiled.  The memo counts the ints it holds as the sweep
+charged them, and is emptied all at once before a step would take that
+count past SWEEP_LIMIT; a step the sweep was charged for fits in an
+empty memo, so every step compiled is stored.
 
 The sweep cuts the knot open at slot 0 of the last crossing in its
 order and ties the cut arc's two ends to sentinel tokens.  The cut
@@ -142,13 +142,14 @@ The sweep limits itself by the cost of a crossing.  It keeps one
 running count, the ints its partial states hold, summed over
 crossings: before each crossing, the number of states times the
 boundary length (the states) plus the digit counts of all their packed
-coefficients; and for each (shape, state) pair the call meets for the
-first time, twice the new boundary length (its two successor states),
-so the limit bounds the call's steps, and the memo, too.  When the count passes
-SWEEP_LIMIT the sweep raises a KnotError naming the count reached.
-The count follows both ways a sweep gets expensive: wide sweeps with
-many states, and long narrow ones whose coefficients spread over more
-A^4 steps with the crossings swept.
+coefficients; and for each step the call uses for the first time,
+twice the new boundary length for each of its states (the two
+successors it works out for each), so the limit bounds the call's
+steps, and the memo, too.  When the count passes SWEEP_LIMIT the sweep
+raises a KnotError naming the count reached.  The count follows both
+ways a sweep gets expensive: wide sweeps with many states, and long
+narrow ones whose coefficients spread over more A^4 steps with the
+crossings swept.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ __all__ = [
 # the most partial-state and step ints one bracket sweep may hold, summed
 # over its crossings, and the most the memo of compiled steps keeps (see
 # the module docstring).
-# lambda(-2, -6, -121), 492 crossings, reaches 550,210 and an 8-strand,
-# 5-sweep braid closure 29,610, while lambda(0, 0, 1001), 4,004
+# lambda(-2, -6, -121), 492 crossings, reaches 551,146 and an 8-strand,
+# 5-sweep braid closure 32,578, while lambda(0, 0, 1001), 4,004
 # crossings, reaches 13.2 million.  A 12-strand, 13-sweep closure passes
 # it after a few seconds.
 SWEEP_LIMIT = 15_000_000
@@ -409,10 +410,8 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     # over the states of their largest coefficient
     los, packs = [0], [1]
     digits = bound = 1
-    # (state set, shape key) -> step: the steps this call has used; and
-    # shape key -> the states it has charged a step of that shape for
+    # (state set, shape key) -> step: the steps this call has used
     table: dict[tuple[_StateSet, State], Step] = {}
-    met: dict[State, set[State]] = {}
     radix = _RADIX
 
     work = 0
@@ -454,16 +453,11 @@ def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
         key = (size, *shape[r:], *shape[:r])
         step = table.get((states, key))
         if step is None:
-            # charge each (shape, state) pair met for the first time, up to
-            # the one that passes the limit, as a state-by-state count would
-            seen = met.setdefault(key, set())
-            count = len(seen)
-            seen.update(states.states)
-            count = len(seen) - count
-            if work + 2 * len(boundary) * count > SWEEP_LIMIT:
-                count = (SWEEP_LIMIT - work) // (2 * len(boundary)) + 1
-            work = _charge(work, 2 * len(boundary) * count)
-            step = table[states, key] = _STEPS.get((states, key)) or _learn(states, key)
+            # charge a step the first time the call uses it, whether or not
+            # the memo had it: two successors of the new boundary per state
+            ints = 2 * len(boundary) * len(states.states)
+            work = _charge(work, ints)
+            step = table[states, key] = _STEPS.get((states, key)) or _learn(states, key, ints)
         states, growth, program = step
         bound *= growth
         los, packs, digits, dropped = _replay(program, los, packs, _SHIFTS[r & 1], radix)
@@ -520,20 +514,13 @@ _memo_ints = 0
 _memo_lock = threading.Lock()
 
 
-def _learn(states: _StateSet, key: State) -> Step:
+def _learn(states: _StateSet, key: State, ints: int) -> Step:
     """Compile the step of shape ``key`` for ``states`` and add it to the
-    memo, first emptying the memo when the step would take it past
-    SWEEP_LIMIT.
-
-    A step counts, for each of its states, twice the length of the
-    boundary it leads to, as the sweep charges a (shape, state) pair met
-    for the first time.  A sweep charges a state met in two sets of one
-    shape once, so a step may not fit even in an empty memo; such a step
-    is left out.  Either way the set and its successor become the memo's
-    objects for their states, so the sweep meets each again as the same
-    object."""
+    memo, first emptying the memo when the step's ``ints``, as the sweep
+    charged them, would take it past SWEEP_LIMIT.  The set and its
+    successor become the memo's objects for their states, so the sweep
+    meets each again as the same object."""
     nxt, growth, program = _compile(key, states.states)
-    ints = 2 * len(nxt[0]) * len(states.states)
     global _memo_ints
     with _memo_lock:
         if _memo_ints + ints > SWEEP_LIMIT:
@@ -546,10 +533,8 @@ def _learn(states: _StateSet, key: State) -> Step:
         states = _SETS.setdefault(states.states, states)
         step = _STEPS.get((states, key))
         if step is None:
-            step = _SETS.setdefault(nxt, _StateSet(nxt)), growth, program
-            if ints <= SWEEP_LIMIT:
-                _STEPS[states, key] = step
-                _memo_ints += ints
+            step = _STEPS[states, key] = _SETS.setdefault(nxt, _StateSet(nxt)), growth, program
+            _memo_ints += ints
     return step
 
 

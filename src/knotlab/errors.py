@@ -1,4 +1,5 @@
-"""Shared exception type, and the base of the immutable value classes.
+"""Shared exception type, how a refusal names an int, and the base of
+the immutable value classes.
 
 Every rejection of mathematically invalid input raises KnotError, so the
 command line layer can distinguish domain errors (exit code 1) from bugs.
@@ -7,6 +8,14 @@ command line layer can distinguish domain errors (exit code 1) from bugs.
 
 class KnotError(ValueError):
     """Raised when an input fails a documented validity check."""
+
+
+def int_text(value: int) -> str:
+    """An int as a refusal names it: its digits up to 64 bits, and
+    ``<N bits>`` past that, since the decimal text of a huge int can pass
+    the interpreter's int-to-text digit limit."""
+    bits = value.bit_length()
+    return str(value) if bits <= 64 else f"<{bits} bits>"
 
 
 class Value:

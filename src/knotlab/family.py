@@ -35,7 +35,7 @@ polynomials, and the connected-sum pair) and compares.
 from __future__ import annotations
 
 from .diagram import PlanarDiagram, connect_sum as splice, jones, jones_twist, validate
-from .errors import KnotError, Value
+from .errors import KnotError, Value, int_text
 from .laurent import LaurentPoly, parse_poly
 from .morse import MorseBuilder
 from .seifert import CongruenceCertificate, SeifertMatrix, connected_sum
@@ -75,10 +75,7 @@ class LambdaSpec(Value):
             raise KnotError("lambda: p must be odd with |p| >= 3")
         crossings = 4 * abs(p) + abs(n) + abs(m)
         if crossings > MAX_CROSSINGS:
-            # past 64 bits an int is named by its size: the decimal text of
-            # a huge int can pass the interpreter's int-to-text digit limit
-            sn, sm, sp, sc = (v if v.bit_length() <= 64 else f"<{v.bit_length()} bits>"
-                              for v in (n, m, p, crossings))
+            sn, sm, sp, sc = map(int_text, (n, m, p, crossings))
             raise KnotError(
                 f"lambda: lambda({sn},{sm},{sp}) has {sc} crossings, "
                 f"over the limit of {MAX_CROSSINGS}"

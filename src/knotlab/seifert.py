@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import KnotError, Value
+from .errors import KnotError, Value, int_text
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -167,6 +167,8 @@ class CongruenceCertificate(Value):
     def identity(cls, size: int) -> "CongruenceCertificate":
         if isinstance(size, bool) or not isinstance(size, int) or size < 0:
             raise KnotError("certificate: the size of an identity must be an int >= 0")
+        if size > MAX_SIZE:
+            raise KnotError(f"certificate: {int_text(size)} rows, over the limit of {MAX_SIZE}")
         return cls(tuple(tuple(int(i == j) for j in range(size)) for i in range(size)))
 
     def direct_sum(self, other: "CongruenceCertificate") -> "CongruenceCertificate":
@@ -202,7 +204,7 @@ class SeifertMatrix(Value):
         skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
         d = int_det(skew)
         if d != 1:
-            raise KnotError(f"seifert: det(M - M^T) = {d}, must be 1")
+            raise KnotError(f"seifert: det(M - M^T) = {int_text(d)}, must be 1")
 
     # -- basics -----------------------------------------------------------
 

@@ -37,7 +37,7 @@ from collections.abc import Sequence
 from math import isqrt
 from operator import mul
 
-from .errors import KnotError, Value
+from .errors import KnotError, Value, int_text
 from .seifert import CongruenceCertificate, SeifertMatrix, int_det
 
 __all__ = [
@@ -229,15 +229,9 @@ def brute_force_congruence(
         raise KnotError("oracle: matrices larger than 4x4 are not supported")
     rows = (2 * bound + 1) ** n
     if rows > ORACLE_ROWS:
-        # past 64 bits the bound is named by its size: the decimal text of
-        # a huge int can pass the interpreter's int-to-text digit limit
-        if bound.bit_length() > 64:
-            raise KnotError(
-                f"oracle: a bound of {bound.bit_length()} bits gives over "
-                f"{ORACLE_ROWS} candidate rows"
-            )
         raise KnotError(
-            f"oracle: bound {bound} gives {rows} candidate rows, over the limit of {ORACLE_ROWS}"
+            f"oracle: bound {int_text(bound)} gives {int_text(rows)} candidate rows, "
+            f"over the limit of {ORACLE_ROWS}"
         )
     if n == 0:
         return CongruenceCertificate(())

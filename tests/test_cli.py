@@ -183,6 +183,16 @@ def test_alexander_size_limit(capsys, tmp_path):
     assert err == f"error: seifert: {n} rows, over the limit of {seifert.MAX_SIZE}\n"
 
 
+def test_alexander_huge_skew_determinant_is_an_input_error(capsys, tmp_path):
+    # 3,001 digits parse, but det(M - M^T) = 10^6000 does not fit the
+    # interpreter's int-to-text digit limit: a bad input all the same
+    path = tmp_path / "huge.txt"
+    path.write_text(f"[[0, {10**3000}], [0, 0]]")
+    code, out, err = run(capsys, "alexander", "--seifert", f"@{path}")
+    assert code == 1 and out == ""
+    assert err == "error: seifert: det(M - M^T) = <19932 bits>, must be 1\n"
+
+
 def test_alexander_bad_literal_is_an_error_with_one_message(capsys):
     # a long chain of unary signs used to end in a RecursionError
     # traceback from the literal parser, and a malformed literal's message

@@ -655,8 +655,8 @@ def test_jones_twist_algebra():
 # ---- sweep limit ----
 
 def test_sweep_limit_refuses_with_the_count(tmp_path, monkeypatch, capsys):
-    # the all-"L" 8-strand, 5-sweep closure holds 29,610 partial-state and
-    # table ints over its sweep
+    # the all-"L" 8-strand, 5-sweep closure holds 32,578 partial-state and
+    # step ints over its sweep
     d = _braid_closure(8, [(k % 7, 1) for k in range(35)])
     monkeypatch.setattr(diagram, "SWEEP_LIMIT", 10_000)
     with pytest.raises(KnotError, match=r"sweep work reached \d+ .*limit of 10000") as exc:
@@ -672,13 +672,15 @@ def test_sweep_limit_refuses_with_the_count(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_limit_pins_the_work_count(monkeypatch):
-    # lambda(-2, -6, -121), 492 crossings, holds exactly 550,210
-    # partial-state and table ints over its sweep, and the all-"L"
-    # 8-strand, 5-sweep closure 29,610, whether the memo of compiled
-    # steps starts empty or already holds every step
+    # lambda(-2, -6, -121), 492 crossings, holds exactly 551,146
+    # partial-state and step ints over its sweep, and the all-"L"
+    # 8-strand, 5-sweep closure 32,578, whether the memo of compiled
+    # steps starts empty or already holds every step.  A step is charged
+    # for each of its states, so a state met in two sets of one shape is
+    # charged in each
     _empty_memo(monkeypatch)
-    cases = [(lambda_diagram(LambdaSpec(-2, -6, -121)), 550_210),
-             (_braid_closure(8, [(k % 7, 1) for k in range(35)]), 29_610)]
+    cases = [(lambda_diagram(LambdaSpec(-2, -6, -121)), 551_146),
+             (_braid_closure(8, [(k % 7, 1) for k in range(35)]), 32_578)]
     for memo in ("empty", "full"):
         for d, work in cases:
             monkeypatch.setattr(diagram, "SWEEP_LIMIT", work - 1)

@@ -42,6 +42,9 @@ def test_rejects_invalid_forms():
         SeifertMatrix(((0, 1), (1,)))  # ragged
     with pytest.raises(KnotError):
         SeifertMatrix(((0, 1.5), (1, 0)))  # non-int
+    # det = 10^6000, more digits than the interpreter turns into text
+    with pytest.raises(KnotError, match=r"^seifert: det\(M - M\^T\) = <19932 bits>, must be 1$"):
+        SeifertMatrix(((0, 10**3000), (0, 0)))
 
 
 def _block_sum_of_bands(n):
@@ -151,11 +154,19 @@ def test_certificate_validation():
         CongruenceCertificate(((1, 0), (1,)))
 
 
-def test_certificate_identity_refuses_bad_sizes():
+def test_certificate_identity_refuses_bad_sizes(monkeypatch):
     assert CongruenceCertificate.identity(0).rows == ()
     for bad in (-1, 1.5, "2", True):
         with pytest.raises(KnotError, match="size of an identity must be an int >= 0"):
             CongruenceCertificate.identity(bad)
+    # a size over the limit is refused before any row is built, work
+    # that grows as the size squared
+    limit = seifert.MAX_SIZE
+    monkeypatch.setattr(seifert, "_as_int_rows", lambda rows, what: pytest.fail("rows built"))
+    with pytest.raises(KnotError, match=f"^certificate: {limit + 1} rows, over the limit of {limit}$"):
+        CongruenceCertificate.identity(limit + 1)
+    with pytest.raises(KnotError, match=f"^certificate: <16610 bits> rows, over the limit of {limit}$"):
+        CongruenceCertificate.identity(10**5000)
 
 
 def test_rows_that_are_not_sequences_are_refused():

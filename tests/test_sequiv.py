@@ -166,7 +166,7 @@ def test_oracle_trivial_and_rejected_sizes():
     with pytest.raises(KnotError, match="1002001 candidate rows"):
         brute_force_congruence(M0, M0, 500)
     # a bound whose decimal text is past the interpreter's digit limit
-    with pytest.raises(KnotError, match="bound of 16610 bits"):
+    with pytest.raises(KnotError, match="^oracle: bound <16610 bits> gives <33222 bits> candidate rows, "):
         brute_force_congruence(M0, M0, 10**5000)
     # a bound that is not an int is refused, not truncated or compared;
     # True is not taken as 1
@@ -285,6 +285,8 @@ def test_connected_sum_certificate():
     for bad in (-1, 1.5, "2", True):
         with pytest.raises(KnotError, match="must be an int >= 0"):
             connected_sum_certificate(t, bad)
+    with pytest.raises(KnotError, match=r"^certificate: <16610 bits> rows, over the limit of 64$"):
+        connected_sum_certificate(t, 10**5000)
 
 
 # ---- the package as a fresh interpreter sees it ----
