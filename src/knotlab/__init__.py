@@ -29,8 +29,8 @@ _EXPORTS = {
     "sequiv": ("twist_form", "first_sequiv_condition", "decide_first_sequiv",
                "verify_certificate", "brute_force_congruence",
                "connected_sum_certificate"),
-    "diagram": ("PlanarDiagram", "parse_pd", "kauffman_bracket", "jones", "jones_q",
-                "jones_twist", "mirror", "add_kink", "connect_sum", "validate"),
+    "diagram": ("PlanarDiagram", "parse_pd", "kauffman_bracket", "jones", "jones_twist",
+                "mirror", "add_kink", "connect_sum", "validate"),
     "morse": ("MorseBuilder",),
     "family": ("LambdaSpec", "lambda_seifert", "lambda_diagram", "lambda_twist",
                "seifert_by_linking", "paper_report", "render_report"),

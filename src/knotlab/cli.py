@@ -74,12 +74,12 @@ def _poly_json(p) -> dict:
 
 
 def cmd_jones(args) -> int:
-    from .diagram import jones_q_from_bracket, kauffman_bracket, parse_pd
+    from .diagram import _jones_from_bracket, kauffman_bracket, parse_pd
 
     d = parse_pd(_read_arg(args.pd))
     w = d.writhe()
     bracket = kauffman_bracket(d)
-    v = jones_q_from_bracket(bracket, w).halve_exponents()
+    v = _jones_from_bracket(bracket, w)
     result = {
         "jones": str(v),
         "coefficients": _poly_json(v),

@@ -28,8 +28,9 @@ B-smoothing joins (a,d) and (b,c),
     <L> = A <L_A> + A^-1 <L_B>,    <unknot> = 1,
     closed loop factor delta = -A^2 - A^-2,
 
-and the Jones polynomial is (-A)^(-3w) <D> rewritten in q = A^-2 and
-then in t = q^2.  Knots always yield integer powers of t.
+and the Jones polynomial is V(t) = (-A)^(-3w) <D> with t = A^-4, read
+off the bracket term by term.  For a knot every exponent of <D> is 3w
+mod 4, so V has integer powers of t.
 
 The bracket is computed by sweeping crossings one at a time, in a
 greedy order that keeps few arcs open, and keeping the set of partial
@@ -161,7 +162,7 @@ from collections.abc import Sequence
 from itertools import compress
 from operator import ne
 
-from .errors import KnotError, Value
+from .errors import KnotError, Value, value_text
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -169,7 +170,6 @@ __all__ = [
     "parse_pd",
     "kauffman_bracket",
     "jones",
-    "jones_q",
     "jones_twist",
     "mirror",
     "add_kink",
@@ -217,11 +217,11 @@ class PlanarDiagram(Value):
 
     def __init__(self, crossings: Sequence[Sequence[int]]):
         if not isinstance(crossings, Sequence):
-            raise KnotError(f"pd: crossings must be a sequence, got {crossings!r}")
+            raise KnotError(f"pd: crossings must be a sequence, got {value_text(crossings)}")
         quads = []
         for q in crossings:
             if not isinstance(q, Sequence) or len(q) != 4:
-                raise KnotError(f"pd: crossing needs 4 arcs, got {q!r}")
+                raise KnotError(f"pd: crossing needs 4 arcs, got {value_text(q)}")
             if not all(type(v) is int and v > 0 for v in q):
                 raise KnotError("pd: arc labels must be positive integers")
             quads.append(tuple(q))
@@ -260,7 +260,7 @@ def parse_pd(text: str) -> PlanarDiagram:
         s = s[3:-1]
     leftovers = _X_TOKEN.sub(" ", s)
     if leftovers.strip(" \t\n,;"):
-        raise KnotError(f"pd: unrecognized text {leftovers.strip()!r}")
+        raise KnotError(f"pd: unrecognized text {value_text(leftovers.strip())}")
     try:
         quads = [tuple(int(g) for g in m.groups()) for m in _X_TOKEN.finditer(s)]
     except ValueError as e:  # past the interpreter's int-conversion digit limit
@@ -308,7 +308,7 @@ def _strand(crossings: Sequence[Crossing]) -> tuple[list[int], list[int]]:
     mate = [0] * (4 * len(crossings))
     for arc, pair in sorted(ends.items()):
         if len(pair) != 2:
-            raise KnotError(f"pd: arc {arc} appears {len(pair)} times, must be 2")
+            raise KnotError(f"pd: arc {value_text(arc)} appears {len(pair)} times, must be 2")
         t, u = pair
         mate[t], mate[u] = u, t
 
@@ -317,7 +317,7 @@ def _strand(crossings: Sequence[Crossing]) -> tuple[list[int], list[int]]:
     while t := mate[t ^ 2]:
         slot = t & 3
         if slot == 2:
-            raise KnotError(f"pd: inconsistent orientation at arc {crossings[t >> 2][2]}")
+            raise KnotError(f"pd: inconsistent orientation at arc {value_text(crossings[t >> 2][2])}")
         if slot:
             signs[t >> 2] = 1 if slot == 3 else -1
         passed += 2
@@ -767,28 +767,24 @@ def _digits(n: int, radix: int) -> list[int]:
 # -- Jones ---------------------------------------------------------------------
 
 
-def jones_q(diagram: PlanarDiagram) -> LaurentPoly:
-    """Jones polynomial in the variable q = t^(1/2) = A^-2."""
-    return jones_q_from_bracket(kauffman_bracket(diagram), diagram.writhe())
-
-
-def jones_q_from_bracket(bracket: LaurentPoly, w: int) -> LaurentPoly:
-    """The writhe normalization (-A^3)^(-w) <D>, rewritten in q = A^-2."""
-    normalized = bracket.shift(-3 * w)
-    if w % 2:
-        normalized = -normalized
-    out: dict[int, int] = {}
-    for e, c in normalized.items():
-        if e % 2:
-            raise AssertionError("jones: odd A-exponent after normalization")
-        out[-e // 2] = c
-    return LaurentPoly(out)
-
-
 def jones(diagram: PlanarDiagram) -> LaurentPoly:
-    """Jones polynomial in t.  For knots every q-exponent is even, so
-    this is always representable."""
-    return jones_q(diagram).halve_exponents()
+    """Jones polynomial in t."""
+    return _jones_from_bracket(kauffman_bracket(diagram), diagram.writhe())
+
+
+def _jones_from_bracket(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
+    """V(t) = (-A)^(-3w) <D> with t = A^-4: the bracket's term c A^e
+    becomes (-1)^w c t^(-(e - 3w)/4).  For a knot every e - 3w is a
+    multiple of 4; any other exponent means the bracket is wrong, not
+    the input, and raises."""
+    sign = -1 if writhe % 2 else 1
+    out = {}
+    for e, c in bracket.items():
+        k, r = divmod(3 * writhe - e, 4)
+        if r:
+            raise AssertionError("jones: bracket exponent not 3 * writhe mod 4")
+        out[k] = sign * c
+    return LaurentPoly(out)
 
 
 def jones_twist(v: LaurentPoly, ell: int) -> LaurentPoly:
@@ -831,7 +827,7 @@ def _sink_slot(diagram: PlanarDiagram, arc: int) -> tuple[int, int]:
         for slot, val in enumerate(x):
             if val == arc and (slot == 0 or slot == over_in):
                 return ci, slot
-    raise KnotError(f"pd: unknown arc {arc}")
+    raise KnotError(f"pd: unknown arc {value_text(arc)}")
 
 
 def add_kink(diagram: PlanarDiagram, arc: int, sign: int) -> PlanarDiagram:
@@ -842,7 +838,7 @@ def add_kink(diagram: PlanarDiagram, arc: int, sign: int) -> PlanarDiagram:
     if not diagram.crossings:
         raise KnotError("pd: cannot kink the zero-crossing unknot")
     if arc not in diagram.arcs:
-        raise KnotError(f"pd: unknown arc {arc}")
+        raise KnotError(f"pd: unknown arc {value_text(arc)}")
     top = max(diagram.arcs)
     z, w = top + 1, top + 2  # z continues the arc, w is the little loop
     ci, slot = _sink_slot(diagram, arc)
@@ -868,9 +864,9 @@ def connect_sum(d1: PlanarDiagram, arc1: int | None, d2: PlanarDiagram,
     if arc1 is None or arc2 is None:
         raise KnotError("pd: connect sum needs an arc in each diagram")
     if arc1 not in d1.arcs:
-        raise KnotError(f"pd: unknown arc {arc1}")
+        raise KnotError(f"pd: unknown arc {value_text(arc1)}")
     if arc2 not in d2.arcs:
-        raise KnotError(f"pd: unknown arc {arc2}")
+        raise KnotError(f"pd: unknown arc {value_text(arc2)}")
     offset = max(d1.arcs)
     rows2 = [[a + offset for a in x] for x in d2.crossings]
     arc2o = arc2 + offset

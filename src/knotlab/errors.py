@@ -1,4 +1,4 @@
-"""Shared exception type, how a refusal names an int, and the base of
+"""Shared exception type, how a refusal names an input, and the base of
 the immutable value classes.
 
 Every rejection of mathematically invalid input raises KnotError, so the
@@ -10,12 +10,21 @@ class KnotError(ValueError):
     """Raised when an input fails a documented validity check."""
 
 
-def int_text(value: int) -> str:
-    """An int as a refusal names it: its digits up to 64 bits, and
-    ``<N bits>`` past that, since the decimal text of a huge int can pass
-    the interpreter's int-to-text digit limit."""
-    bits = value.bit_length()
-    return str(value) if bits <= 64 else f"<{bits} bits>"
+def value_text(value) -> str:
+    """An input as a refusal names it, so that formatting the refusal
+    never fails.  An int is its digits up to 64 bits and ``<N bits>``
+    past that, since the decimal text of a huge int can pass the
+    interpreter's int-to-text digit limit; any other value is its repr,
+    cut to 200 characters; a value whose repr raises (a tuple holding a
+    huge int) is ``<unprintable T>``, T its type's name."""
+    if type(value) is int:
+        bits = value.bit_length()
+        return str(value) if bits <= 64 else f"<{bits} bits>"
+    try:
+        text = repr(value)
+    except Exception:  # a foreign __repr__ may raise anything
+        return f"<unprintable {type(value).__name__}>"
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 class Value:

@@ -35,7 +35,7 @@ polynomials, and the connected-sum pair) and compares.
 from __future__ import annotations
 
 from .diagram import PlanarDiagram, connect_sum as splice, jones, jones_twist, validate
-from .errors import KnotError, Value, int_text
+from .errors import KnotError, Value, value_text
 from .laurent import LaurentPoly, parse_poly
 from .morse import MorseBuilder
 from .seifert import CongruenceCertificate, SeifertMatrix, connected_sum
@@ -68,14 +68,14 @@ class LambdaSpec(Value):
     def __init__(self, n: int, m: int, p: int):
         for name, value in (("n", n), ("m", m), ("p", p)):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise KnotError(f"lambda: {name} must be an int, got {value!r}")
+                raise KnotError(f"lambda: {name} must be an int, got {value_text(value)}")
         if n % 2 or m % 2:
             raise KnotError("lambda: n and m must be even")
         if p % 2 == 0 or abs(p) < 3:
             raise KnotError("lambda: p must be odd with |p| >= 3")
         crossings = 4 * abs(p) + abs(n) + abs(m)
         if crossings > MAX_CROSSINGS:
-            sn, sm, sp, sc = map(int_text, (n, m, p, crossings))
+            sn, sm, sp, sc = map(value_text, (n, m, p, crossings))
             raise KnotError(
                 f"lambda: lambda({sn},{sm},{sp}) has {sc} crossings, "
                 f"over the limit of {MAX_CROSSINGS}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator, Mapping
 
-from .errors import KnotError, Value
+from .errors import KnotError, Value, value_text
 
 __all__ = ["LaurentPoly", "parse_poly"]
 
@@ -124,10 +124,6 @@ class LaurentPoly(Value):
             n >>= 1
         return result
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
     def __hash__(self) -> int:
         # the field is a dict, which has no hash
         return hash(frozenset(self._coeffs.items()))
@@ -141,25 +137,17 @@ class LaurentPoly(Value):
         """The image under t -> t^-1 (mirror image on Jones polynomials)."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
 
-    def reindex(self, factor: int) -> "LaurentPoly":
-        """Multiply every exponent by a positive integer (variable substitution
-        t -> t^factor)."""
-        if factor <= 0:
-            raise KnotError("laurent: reindex factor must be positive")
-        return LaurentPoly({e * factor: c for e, c in self._coeffs.items()})
-
-    def halve_exponents(self) -> "LaurentPoly":
-        """Substitute t^2 -> t; every exponent must be even."""
-        if any(e % 2 for e in self._coeffs):
-            raise KnotError("laurent: odd exponent, cannot halve")
-        return LaurentPoly({e // 2: c for e, c in self._coeffs.items()})
-
     def evaluate(self, x):
         """Exact evaluation at a nonzero rational point (an int or a
-        ``Fraction``), as a ``Fraction``."""
+        ``Fraction``), as a ``Fraction``.  A point ``Fraction`` cannot
+        take (NaN, an infinity, text that is no number) raises KnotError;
+        a value of a type it does not take, TypeError."""
         from fractions import Fraction  # imports decimal; nothing else needs it
 
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (ValueError, OverflowError):
+            raise KnotError(f"laurent: cannot evaluate at {value_text(x)}") from None
         if x == 0:
             raise KnotError("laurent: cannot evaluate at 0")
         total = Fraction(0)
@@ -226,10 +214,10 @@ def parse_poly(text: str, var: str = "t") -> LaurentPoly:
     while pos < len(s):
         m = _TERM.match(s, pos)
         if not m or m.end() == pos:
-            raise KnotError(f"laurent: cannot parse {s[pos:]!r}")
+            raise KnotError(f"laurent: cannot parse {value_text(s[pos:])}")
         sign = m.group("sign")
         if sign is None and not first:
-            raise KnotError(f"laurent: missing +/- before {s[pos:]!r}")
+            raise KnotError(f"laurent: missing +/- before {value_text(s[pos:])}")
         name = m.group("var1") or m.group("var2")
         if name is not None and name != var:
             raise KnotError(f"laurent: unexpected variable {name!r}, want {var!r}")

@@ -42,7 +42,7 @@ from the incoming under-strand) for single-curve pictures.
 
 from __future__ import annotations
 
-from .errors import KnotError
+from .errors import KnotError, value_text
 
 __all__ = ["MorseBuilder"]
 
@@ -133,7 +133,7 @@ class MorseBuilder:
         bit = self._bits.make()
         if flow is not None:
             if flow not in ("lr", "rl"):
-                raise KnotError(f"morse: flow must be 'lr' or 'rl', got {flow!r}")
+                raise KnotError(f"morse: flow must be 'lr' or 'rl', got {value_text(flow)}")
             # value 1 makes the left end flow down, i.e. travel left-to-right
             self._pins.append((bit, 1 if flow == "lr" else 0))
         self._front[i:i] = [(arc, bit, 0, label), (arc, bit, 1, label)]
@@ -148,7 +148,7 @@ class MorseBuilder:
 
     def crossing(self, i: int, over: str = "L") -> None:
         if over not in ("L", "R"):
-            raise KnotError(f"morse: over must be 'L' or 'R', got {over!r}")
+            raise KnotError(f"morse: over must be 'L' or 'R', got {value_text(over)}")
         self._check_open(i, width=2)
         left, right = self._front[i], self._front[i + 1]
         al = self._arcs.make()
@@ -163,9 +163,9 @@ class MorseBuilder:
             raise KnotError("morse: builder already finished")
         if insert:
             if not 0 <= i <= len(self._front):
-                raise KnotError(f"morse: cap position {i} out of range")
+                raise KnotError(f"morse: cap position {value_text(i)} out of range")
         elif not 0 <= i <= len(self._front) - width:
-            raise KnotError(f"morse: position {i} out of range")
+            raise KnotError(f"morse: position {value_text(i)} out of range")
 
     # -- resolution ----------------------------------------------------------
 

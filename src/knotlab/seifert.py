@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import KnotError, Value, int_text
+from .errors import KnotError, Value, value_text
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -64,14 +64,9 @@ def int_det(rows: Rows) -> int:
     """Exact determinant of an integer matrix: ad - bc for a 2x2 matrix,
     Bareiss elimination for a larger one.  Entries must be ints; a bool,
     float or string raises KnotError instead of being converted."""
-    n = _square(rows, "int_det")
+    n = _int_square(rows, "int_det")
     if n == 0:
         return 1
-    for row in rows:
-        for x in row:
-            # the type() test lets plain ints skip both isinstance calls
-            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
-                raise KnotError(f"int_det: entries must be ints, got {x!r}")
     if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
@@ -95,27 +90,27 @@ def int_det(rows: Rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _square(rows: Rows, what: str) -> int:
+def _int_square(rows: Rows, what: str) -> int:
     """The size of the square matrix ``rows``; KnotError unless it is a
-    sequence of that many rows of that many entries each."""
+    sequence of that many rows of that many ints each."""
     try:
         n = len(rows)
-        if all(len(r) == n for r in rows):
-            return n
+        square = all(len(r) == n for r in rows)
     except TypeError:  # the matrix or a row has no length
         raise KnotError(f"{what}: a matrix must be a sequence of rows") from None
-    raise KnotError(f"{what}: matrix must be square")
+    if not square:
+        raise KnotError(f"{what}: matrix must be square")
+    for row in rows:
+        for x in row:
+            # the type() test lets plain ints skip both isinstance calls
+            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+                raise KnotError(f"{what}: entries must be ints, got {value_text(x)}")
+    return n
 
 
 def _as_int_rows(rows: Rows, what: str) -> tuple[tuple[int, ...], ...]:
-    _square(rows, what)
-    out = []
-    for r in rows:
-        for x in r:
-            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
-                raise KnotError(f"{what}: entries must be ints, got {x!r}")
-        out.append(tuple(r))
-    return tuple(out)
+    _int_square(rows, what)
+    return tuple(map(tuple, rows))
 
 
 def _mat_mul(a, b):
@@ -168,7 +163,7 @@ class CongruenceCertificate(Value):
         if isinstance(size, bool) or not isinstance(size, int) or size < 0:
             raise KnotError("certificate: the size of an identity must be an int >= 0")
         if size > MAX_SIZE:
-            raise KnotError(f"certificate: {int_text(size)} rows, over the limit of {MAX_SIZE}")
+            raise KnotError(f"certificate: {value_text(size)} rows, over the limit of {MAX_SIZE}")
         return cls(tuple(tuple(int(i == j) for j in range(size)) for i in range(size)))
 
     def direct_sum(self, other: "CongruenceCertificate") -> "CongruenceCertificate":
@@ -204,7 +199,7 @@ class SeifertMatrix(Value):
         skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
         d = int_det(skew)
         if d != 1:
-            raise KnotError(f"seifert: det(M - M^T) = {int_text(d)}, must be 1")
+            raise KnotError(f"seifert: det(M - M^T) = {value_text(d)}, must be 1")
 
     # -- basics -----------------------------------------------------------
 
@@ -264,7 +259,7 @@ def parse_matrix(text: str) -> list[list[int]]:
             try:
                 rows.append([int(tok) for tok in line.replace(",", " ").split()])
             except ValueError:
-                raise KnotError(f"matrix: bad row {line!r}") from None
+                raise KnotError(f"matrix: bad row {value_text(line)}") from None
     if not rows or any(len(r) != len(rows) for r in rows):
         raise KnotError("matrix: rows must form a square matrix")
     return rows

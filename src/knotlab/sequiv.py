@@ -37,7 +37,7 @@ from collections.abc import Sequence
 from math import isqrt
 from operator import mul
 
-from .errors import KnotError, Value, int_text
+from .errors import KnotError, Value, value_text
 from .seifert import CongruenceCertificate, SeifertMatrix, int_det
 
 __all__ = [
@@ -66,7 +66,7 @@ ORACLE_ROWS = 1_000_000
 
 def _check_band(band: str) -> str:
     if band not in ("first", "second"):
-        raise KnotError(f"band must be 'first' or 'second', got {band!r}")
+        raise KnotError(f"band must be 'first' or 'second', got {value_text(band)}")
     return band
 
 
@@ -96,10 +96,10 @@ def _first_sequiv_rule(m: SeifertMatrix, ell: int, band: str) -> tuple[bool, str
     if ell == 0:
         return True, "ell = 0, forms are equal"
     if other != 0:
-        return False, f"{other_name} = {other} != 0"
+        return False, f"{other_name} = {value_text(other)} != 0"
     if ell % abs(s) != 0:
-        return False, f"s = {s} does not divide ell = {ell}"
-    return True, f"{other_name} = 0 and s = {s} divides ell = {ell}"
+        return False, f"s = {value_text(s)} does not divide ell = {value_text(ell)}"
+    return True, f"{other_name} = 0 and s = {value_text(s)} divides ell = {value_text(ell)}"
 
 
 def first_sequiv_condition(m: SeifertMatrix, ell: int, band: str = "first") -> bool:
@@ -230,7 +230,7 @@ def brute_force_congruence(
     rows = (2 * bound + 1) ** n
     if rows > ORACLE_ROWS:
         raise KnotError(
-            f"oracle: bound {int_text(bound)} gives {int_text(rows)} candidate rows, "
+            f"oracle: bound {value_text(bound)} gives {value_text(rows)} candidate rows, "
             f"over the limit of {ORACLE_ROWS}"
         )
     if n == 0:

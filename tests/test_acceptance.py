@@ -16,7 +16,6 @@ from knotlab.diagram import (
     add_kink,
     connect_sum,
     jones,
-    jones_q,
     jones_twist,
     kauffman_bracket,
     mirror,
@@ -183,12 +182,13 @@ def test_criterion_7_property_sweep():
             for sign in (1, -1):
                 ok = ok and jones(add_kink(d, arc, sign)) == v
 
-    # mirror duality and even q-exponents
+    # mirror duality, and bracket exponents 3w mod 4, so V has integer
+    # powers of t
     samples = [trefoil, fig8, lambda_diagram(BASE),
                lambda_diagram(LambdaSpec(2, 0, 3))]
     for d in samples:
         ok = ok and jones(mirror(d)) == jones(d).substitute_inverse()
-        ok = ok and all(e % 2 == 0 for e, _ in jones_q(d).items())
+        ok = ok and all((e - 3 * d.writhe()) % 4 == 0 for e, _ in kauffman_bracket(d).items())
 
     # contraction agrees with the brute-force state sum on small inputs
     small = [parse_pd("X[1,1,2,2]"), parse_pd("X[1,2,2,1]"), trefoil,

@@ -22,7 +22,6 @@ from knotlab.diagram import (
     add_kink,
     connect_sum,
     jones,
-    jones_q,
     jones_twist,
     kauffman_bracket,
     mirror,
@@ -156,7 +155,6 @@ def test_unknot_polynomials():
     d = parse_pd("")
     assert kauffman_bracket(d) == LaurentPoly.one()
     assert jones(d) == LaurentPoly.one()
-    assert jones_q(d) == LaurentPoly.one()
 
 
 def test_kink_brackets():
@@ -180,10 +178,23 @@ def test_figure_eight_jones():
     assert jones(mirror(d)) == expected
 
 
-def test_jones_q_doubles_exponents():
+def test_bracket_exponents_are_3w_mod_4():
+    # what makes V a polynomial in t = A^-4 after the writhe normalization
     for text in (LEFT_TREFOIL, FIGURE_EIGHT):
         d = parse_pd(text)
-        assert jones_q(d) == jones(d).reindex(2)
+        w = d.writhe()
+        assert all((e - 3 * w) % 4 == 0 for e, _ in kauffman_bracket(d).items())
+
+
+def test_bracket_fault_is_an_internal_error(monkeypatch):
+    # a bracket off by A^2 is the sweep's fault, not the input's: jones()
+    # and the jones command both raise AssertionError, never KnotError
+    sweep = diagram.kauffman_bracket
+    monkeypatch.setattr(diagram, "kauffman_bracket", lambda d: sweep(d) * LaurentPoly.term(1, 2))
+    with pytest.raises(AssertionError, match="^jones: "):
+        jones(parse_pd(LEFT_TREFOIL))
+    with pytest.raises(AssertionError, match="^jones: "):
+        main(["jones", "--pd", LEFT_TREFOIL])
 
 
 # ---- contraction agrees with the brute-force state sum ----

@@ -172,3 +172,52 @@ def test_diagram_equality_ignores_the_arc_table():
     object.__setattr__(e, "_mate", ())
     assert d == e and hash(d) == hash(e)
     assert "_mate" not in repr(d)
+
+
+class _NoRepr:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+@pytest.mark.parametrize("value, text", [
+    (-(2**63), str(-(2**63))), (2**64 - 1, str(2**64 - 1)), (2**64, "<65 bits>"),
+    (True, "True"), ("lr?", "'lr?'"), ((1, 2), "(1, 2)"),
+    ("x" * 300, "'" + "x" * 196 + "..."), ((10**5000,), "<unprintable tuple>"),
+    (_NoRepr(), "<unprintable _NoRepr>"),
+], ids=["int64_min", "uint64_max", "65_bits", "bool", "text", "tuple", "long_text",
+        "tuple_of_huge_int", "raising_repr"])
+def test_value_text(value, text):
+    assert errors.value_text(value) == text
+
+
+HUGE = 10**5000
+
+
+def _trefoil():
+    return diagram.parse_pd(TREFOIL)
+
+
+# each refusal echoes a huge int, or a value whose repr holds one; every
+# one fails while it is formatted unless value_text formats it
+@pytest.mark.parametrize("call, message", [
+    (lambda: diagram.add_kink(_trefoil(), HUGE, 1), "pd: unknown arc <16610 bits>"),
+    (lambda: diagram.connect_sum(_trefoil(), 1, _trefoil(), HUGE), "pd: unknown arc <16610 bits>"),
+    (lambda: morse.MorseBuilder().crossing(HUGE), "morse: position <16610 bits> out of range"),
+    (lambda: morse.MorseBuilder().cap(HUGE), "morse: cap position <16610 bits> out of range"),
+    (lambda: morse.MorseBuilder().crossing(0, HUGE),
+     "morse: over must be 'L' or 'R', got <16610 bits>"),
+    (lambda: morse.MorseBuilder().cap(0, flow=HUGE),
+     "morse: flow must be 'lr' or 'rl', got <16610 bits>"),
+    (lambda: sequiv.decide_first_sequiv(seifert.SeifertMatrix(((0, 1), (2, 0))), 3, HUGE),
+     "band must be 'first' or 'second', got <16610 bits>"),
+    (lambda: diagram.PlanarDiagram(HUGE), "pd: crossings must be a sequence, got <16610 bits>"),
+    (lambda: diagram.PlanarDiagram([[HUGE]]), "pd: crossing needs 4 arcs, got <unprintable list>"),
+    (lambda: family.LambdaSpec((HUGE,), 0, 3), "lambda: n must be an int, got <unprintable tuple>"),
+    (lambda: seifert.int_det([[(HUGE,), 1], [1, 1]]),
+     "int_det: entries must be ints, got <unprintable tuple>"),
+], ids=["add_kink", "connect_sum", "crossing_position", "cap_position", "crossing_over",
+        "cap_flow", "band", "crossings", "crossing", "lambda_spec", "int_det"])
+def test_refusals_echoing_huge_values_are_knot_errors(call, message):
+    with pytest.raises(errors.KnotError) as refusal:
+        call()
+    assert str(refusal.value) == message

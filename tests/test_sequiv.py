@@ -153,6 +153,18 @@ def test_oracle_is_lexicographically_first():
     assert w.rows == ((-1, 0), (0, -1))
 
 
+def test_huge_ell_gets_its_answer():
+    m = SeifertMatrix(((0, 1), (2, 0)))
+    ell = 3 * 10**5000
+    report = decide_first_sequiv(m, ell)
+    assert report.equivalent
+    assert report.reason == "a22 = 0 and s = 3 divides ell = <16612 bits>"
+    assert verify_certificate(m, report.twisted, report.certificate)
+    assert first_sequiv_condition(m, ell)
+    assert not first_sequiv_condition(m, ell + 1)
+    assert decide_first_sequiv(m, ell + 1).reason == "s = 3 does not divide ell = <16612 bits>"
+
+
 def test_oracle_trivial_and_rejected_sizes():
     empty = SeifertMatrix(())
     assert brute_force_congruence(empty, empty, 0).rows == ()
