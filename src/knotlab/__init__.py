@@ -26,9 +26,8 @@ _EXPORTS = {
     "seifert": ("SeifertMatrix", "CongruenceCertificate", "int_det", "alexander",
                 "signature", "knot_determinant", "parse_matrix", "enlarge_first",
                 "enlarge_second", "try_reduce", "connected_sum"),
-    "sequiv": ("twist_form", "first_sequiv_condition", "decide_first_sequiv",
-               "verify_certificate", "brute_force_congruence",
-               "connected_sum_certificate"),
+    "sequiv": ("twist_form", "decide_first_sequiv", "verify_certificate",
+               "brute_force_congruence", "connected_sum_certificate"),
     "diagram": ("PlanarDiagram", "parse_pd", "kauffman_bracket", "jones", "jones_twist",
                 "mirror", "add_kink", "connect_sum", "validate"),
     "morse": ("MorseBuilder",),

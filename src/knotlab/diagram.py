@@ -162,7 +162,7 @@ from collections.abc import Sequence
 from itertools import compress
 from operator import ne
 
-from .errors import KnotError, Value, value_text
+from .errors import KnotError, Value, check_int, value_text
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -800,7 +800,7 @@ def jones_twist(v: LaurentPoly, ell: int) -> LaurentPoly:
     this formula's value.  Valid for either sign of ell; iterating the
     one-twist case gives the same closed form.
     """
-    factor = LaurentPoly.term(1, 2 * ell)
+    factor = LaurentPoly.term(1, 2 * check_int(ell, "jones: ell"))
     return factor * v + LaurentPoly.one() - factor
 
 
@@ -837,11 +837,9 @@ def add_kink(diagram: PlanarDiagram, arc: int, sign: int) -> PlanarDiagram:
         raise KnotError("kink sign must be +1 or -1")
     if not diagram.crossings:
         raise KnotError("pd: cannot kink the zero-crossing unknot")
-    if arc not in diagram.arcs:
-        raise KnotError(f"pd: unknown arc {value_text(arc)}")
+    ci, slot = _sink_slot(diagram, arc)
     top = max(diagram.arcs)
     z, w = top + 1, top + 2  # z continues the arc, w is the little loop
-    ci, slot = _sink_slot(diagram, arc)
     out = [list(x) for x in diagram.crossings]
     out[ci][slot] = z
     if sign > 0:
@@ -863,17 +861,13 @@ def connect_sum(d1: PlanarDiagram, arc1: int | None, d2: PlanarDiagram,
         return d2
     if arc1 is None or arc2 is None:
         raise KnotError("pd: connect sum needs an arc in each diagram")
-    if arc1 not in d1.arcs:
-        raise KnotError(f"pd: unknown arc {value_text(arc1)}")
-    if arc2 not in d2.arcs:
-        raise KnotError(f"pd: unknown arc {value_text(arc2)}")
-    offset = max(d1.arcs)
-    rows2 = [[a + offset for a in x] for x in d2.crossings]
-    arc2o = arc2 + offset
+    # both sinks first, so an unknown arc is refused before any label is
+    # shifted; shifting the labels moves no slot
     c1, s1 = _sink_slot(d1, arc1)
-    # shifting the labels moves no slot
     c2, s2 = _sink_slot(d2, arc2)
+    offset = max(d1.arcs)
     rows1 = [list(x) for x in d1.crossings]
-    rows1[c1][s1] = arc2o
+    rows2 = [[a + offset for a in x] for x in d2.crossings]
+    rows1[c1][s1] = arc2 + offset
     rows2[c2][s2] = arc1
     return validate(rows1 + rows2)

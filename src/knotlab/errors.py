@@ -1,5 +1,5 @@
-"""Shared exception type, how a refusal names an input, and the base of
-the immutable value classes.
+"""Shared exception type, how a refusal names an input, the int check
+that parameters share, and the base of the immutable value classes.
 
 Every rejection of mathematically invalid input raises KnotError, so the
 command line layer can distinguish domain errors (exit code 1) from bugs.
@@ -25,6 +25,15 @@ def value_text(value) -> str:
     except Exception:  # a foreign __repr__ may raise anything
         return f"<unprintable {type(value).__name__}>"
     return text if len(text) <= 200 else text[:197] + "..."
+
+
+def check_int(value, name: str) -> int:
+    """``value`` when it is an int; KnotError naming it otherwise.  A
+    bool is refused, not taken as 0 or 1.  ``name`` leads the message,
+    as in ``"lambda: n must be an int, got 3.0"``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise KnotError(f"{name} must be an int, got {value_text(value)}")
+    return value
 
 
 class Value:

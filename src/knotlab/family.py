@@ -35,7 +35,7 @@ polynomials, and the connected-sum pair) and compares.
 from __future__ import annotations
 
 from .diagram import PlanarDiagram, connect_sum as splice, jones, jones_twist, validate
-from .errors import KnotError, Value, value_text
+from .errors import KnotError, Value, check_int, value_text
 from .laurent import LaurentPoly, parse_poly
 from .morse import MorseBuilder
 from .seifert import CongruenceCertificate, SeifertMatrix, connected_sum
@@ -67,8 +67,7 @@ class LambdaSpec(Value):
 
     def __init__(self, n: int, m: int, p: int):
         for name, value in (("n", n), ("m", m), ("p", p)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise KnotError(f"lambda: {name} must be an int, got {value_text(value)}")
+            check_int(value, f"lambda: {name}")
         if n % 2 or m % 2:
             raise KnotError("lambda: n and m must be even")
         if p % 2 == 0 or abs(p) < 3:
@@ -98,6 +97,7 @@ def lambda_seifert(spec: LambdaSpec) -> SeifertMatrix:
 
 def lambda_twist(spec: LambdaSpec, ell: int, band: str = "first") -> LambdaSpec:
     """The spec after ell extra full twists in one band."""
+    check_int(ell, "lambda: ell")
     if _check_band(band) == "first":
         return LambdaSpec(spec.n + 2 * ell, spec.m, spec.p)
     return LambdaSpec(spec.n, spec.m + 2 * ell, spec.p)
@@ -380,7 +380,7 @@ def paper_report() -> list[dict]:
 
 def render_report(lines: list[dict]) -> str:
     out = []
-    width = max(len(l["label"]) for l in lines)
+    width = max((len(l["label"]) for l in lines), default=0)
     for l in lines:
         row = f"{l['status']:<17} {l['label']:<{width}}  computed: {l['computed']}"
         if l["status"] != "MATCH":

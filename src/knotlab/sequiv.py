@@ -1,16 +1,18 @@
 """Deciding first S-equivalence after a band twist.
 
-Setting: a genus-one Seifert matrix M = ((a11, a12), (a21, a22)) with
-|a12 - a21| = 1, and the knot obtained by giving one of the two bands
-ell extra full twists.  Twisting the first band replaces a11 by
-a11 - ell; twisting the second replaces a22 by a22 - ell.  Write
-s = a12 + a21 (odd, so never zero).
+Setting: a genus-one Seifert matrix M = ((a11, a12), (a21, a22)), and
+the knot obtained by giving one of the two bands ell extra full twists.
+Twisting the first band replaces a11 by a11 - ell; twisting the second
+replaces a22 by a22 - ell.  M - M^T = ((0, a12 - a21), (a21 - a12, 0))
+has determinant (a12 - a21)^2, and a SeifertMatrix has det(M - M^T) = 1,
+so |a12 - a21| = 1 and s = a12 + a21 = (a12 - a21) + 2 a21 is odd, so
+never zero.
 
 The twisted form is congruent to M by a unimodular basis change -- i.e.
 the two matrices are "first S-equivalent", S-equivalent without any
-enlargement moves -- precisely when the *other* band is untwisted
-(a22 = 0 for a first-band twist, a11 = 0 for a second-band twist) and
-s divides ell.  In that case an explicit certificate is
+enlargement moves -- precisely when ell = 0, or the *other* band is
+untwisted (a22 = 0 for a first-band twist, a11 = 0 for a second-band
+twist) and s divides ell.  In that case an explicit certificate is
 
     first band:   T = ((1, -ell/s), (0, 1))
     second band:  T = ((1, 0), (-ell/s, 1))
@@ -18,7 +20,8 @@ s divides ell.  In that case an explicit certificate is
 and one checks T M T^T recovers the twisted matrix.  A positive answer
 implies the knots are S-equivalent outright; a negative answer only
 says no genus-preserving congruence exists, it does not decide full
-S-equivalence.
+S-equivalence.  ``decide_first_sequiv`` is the one place that applies
+this rule; its report's ``equivalent`` is the yes/no answer.
 
 ``brute_force_congruence`` is an exhaustive search for a congruence
 with bounded entries.  A row r of T must satisfy r M r^T = target[i][i],
@@ -37,12 +40,11 @@ from collections.abc import Sequence
 from math import isqrt
 from operator import mul
 
-from .errors import KnotError, Value, value_text
+from .errors import KnotError, Value, check_int, value_text
 from .seifert import CongruenceCertificate, SeifertMatrix, int_det
 
 __all__ = [
     "twist_form",
-    "first_sequiv_condition",
     "decide_first_sequiv",
     "verify_certificate",
     "brute_force_congruence",
@@ -70,42 +72,15 @@ def _check_band(band: str) -> str:
     return band
 
 
-def _check_genus_one(m: SeifertMatrix) -> None:
-    if m.genus != 1:
-        raise KnotError("twist: genus-one matrix required")
-    if abs(m.rows[0][1] - m.rows[1][0]) != 1:
-        raise KnotError("twist: |a12 - a21| must be 1")
-
-
 def twist_form(m: SeifertMatrix, ell: int, band: str = "first") -> SeifertMatrix:
     """Seifert matrix after ell extra full twists in one band."""
-    _check_genus_one(m)
-    band = _check_band(band)
+    if m.genus != 1:
+        raise KnotError("twist: genus-one matrix required")
+    check_int(ell, "twist: ell")
     (a, b), (c, d) = m.rows
-    if band == "first":
+    if _check_band(band) == "first":
         return SeifertMatrix(((a - ell, b), (c, d)))
     return SeifertMatrix(((a, b), (c, d - ell)))
-
-
-def _first_sequiv_rule(m: SeifertMatrix, ell: int, band: str) -> tuple[bool, str]:
-    """(equivalent, reason) for a checked genus-one M: the ell-twisted form
-    is congruent to M exactly when ell = 0, or the other band's diagonal
-    entry is 0 and s divides ell."""
-    s = m.s
-    other_name, other = ("a22", m.rows[1][1]) if band == "first" else ("a11", m.rows[0][0])
-    if ell == 0:
-        return True, "ell = 0, forms are equal"
-    if other != 0:
-        return False, f"{other_name} = {value_text(other)} != 0"
-    if ell % abs(s) != 0:
-        return False, f"s = {value_text(s)} does not divide ell = {value_text(ell)}"
-    return True, f"{other_name} = 0 and s = {value_text(s)} divides ell = {value_text(ell)}"
-
-
-def first_sequiv_condition(m: SeifertMatrix, ell: int, band: str = "first") -> bool:
-    """True iff the twisted form is congruent to M over the integers."""
-    _check_genus_one(m)
-    return _first_sequiv_rule(m, ell, _check_band(band))[0]
 
 
 class SEquivReport(Value):
@@ -138,15 +113,25 @@ class SEquivReport(Value):
 
 def decide_first_sequiv(m: SeifertMatrix, ell: int, band: str = "first") -> SEquivReport:
     """Decide first S-equivalence of M and its ell-twisted form, and
-    produce the unimodular certificate when the answer is positive."""
-    _check_genus_one(m)
-    band = _check_band(band)
-    twisted = twist_form(m, ell, band)
-    equivalent, reason = _first_sequiv_rule(m, ell, band)
+    produce the unimodular certificate when the answer is positive: the
+    twisted form is congruent to M exactly when ell = 0, or the other
+    band's diagonal entry is 0 and s divides ell."""
+    twisted = twist_form(m, ell, band)  # checks M, ell and band
+    (a11, a12), (a21, a22) = m.rows
+    s = a12 + a21
+    name, other = ("a22", a22) if band == "first" else ("a11", a11)
+    if ell == 0:
+        equivalent, reason = True, "ell = 0, forms are equal"
+    elif other != 0:
+        equivalent, reason = False, f"{name} = {value_text(other)} != 0"
+    elif ell % s != 0:
+        equivalent, reason = False, f"s = {value_text(s)} does not divide ell = {value_text(ell)}"
+    else:
+        equivalent, reason = True, f"{name} = 0 and s = {value_text(s)} divides ell = {value_text(ell)}"
     cert = None
     if equivalent:
         # ell = 0 gives k = 0, and so the identity, on either band
-        k = ell // m.s
+        k = ell // s
         rows = ((1, -k), (0, 1)) if band == "first" else ((1, 0), (-k, 1))
         cert = CongruenceCertificate(rows)
         if cert.apply(m) != twisted:

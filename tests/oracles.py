@@ -6,7 +6,8 @@ the bracket of a braid closure is a Markov trace in the Temperley-Lieb
 algebra, the contraction order rescans every remaining crossing at each
 step, the polynomial product is a direct convolution on coefficient lists,
 the congruence searches try every bounded integer matrix or scan every
-value of every row entry, with a Leibniz determinant, the Alexander
+value of every row entry, with a Leibniz determinant, the first
+S-equivalence rule is read off a form's four entries, the Alexander
 polynomial is a Leibniz expansion over polynomial entries, and the
 signature comes from rational pivoting on Schur complements.  Slow on
 purpose; keep inputs small.
@@ -144,6 +145,16 @@ def naive_congruence(m, target, bound: int):
         ):
             return tuple(tuple(r) for r in t)
     return None
+
+
+def published_rule(rows, ell: int, band: str) -> bool:
+    """The published first-S-equivalence rule, read off the four entries
+    of a genus-one form given as plain rows: its ell-twist on ``band`` is
+    congruent to it exactly when ell = 0, or the other band's diagonal
+    entry is 0 and s = a12 + a21 divides ell."""
+    (a11, a12), (a21, a22) = rows
+    other = a22 if band == "first" else a11
+    return ell == 0 or (other == 0 and ell % (a12 + a21) == 0)
 
 
 def scan_congruence(m, target, bound: int):

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import io
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -599,3 +601,40 @@ def test_golden_output(capsys, argv, json_flag):
     code, out, err = run(capsys, *argv, *json_flag)
     assert (code, err) == (0, "")
     assert out == golden[" ".join([*argv, *json_flag])]
+
+
+# ---- README's examples ----
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_sequiv_example(capsys):
+    text = README.read_text()
+    block = text.split("```text\n$ knotlab sequiv ", 1)[1].split("```", 1)[0]
+    command, *expected = block.splitlines()
+    code, out, err = run(capsys, "sequiv", *shlex.split(command))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expected
+
+
+def test_readme_library_snippet():
+    # each statement runs in turn; a trailing comment that is a Python
+    # literal is the value README promises, as its str or its repr
+    snippet = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    lines = snippet.splitlines()
+    scope = {}
+    checked = 0
+    for stmt in ast.parse(snippet).body:
+        exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        try:
+            ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            continue  # prose, such as "exact Laurent polynomial in t"
+        if isinstance(stmt, ast.Assign):
+            value = scope[stmt.targets[0].id]
+        else:
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
+        assert comment in (str(value), repr(value)), ast.unparse(stmt)
+        checked += 1
+    assert checked == 3

@@ -621,7 +621,7 @@ def test_add_kink_rejects_bad_input():
     d = parse_pd(LEFT_TREFOIL)
     with pytest.raises(KnotError):
         add_kink(d, 1, 0)
-    with pytest.raises(KnotError):
+    with pytest.raises(KnotError, match=r"^pd: unknown arc 99$"):
         add_kink(d, 99, 1)
     with pytest.raises(KnotError):
         add_kink(parse_pd(""), 1, 1)
@@ -638,8 +638,14 @@ def test_connect_sum_rejects_bad_arcs():
     d = parse_pd(LEFT_TREFOIL)
     with pytest.raises(KnotError):
         connect_sum(d, None, d, 1)
-    with pytest.raises(KnotError):
+    with pytest.raises(KnotError, match=r"^pd: unknown arc 99$"):
         connect_sum(d, 1, d, 99)
+    with pytest.raises(KnotError, match=r"^pd: unknown arc 99$"):
+        connect_sum(d, 99, d, 1)
+    # refused before d2's labels are shifted, where "x" + offset would
+    # raise TypeError
+    with pytest.raises(KnotError, match=r"^pd: unknown arc 'x'$"):
+        connect_sum(d, 1, d, "x")
 
 
 def test_connect_sum_jones_is_multiplicative():

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -183,3 +184,26 @@ def test_rejects_non_int():
         LaurentPoly({False: 1})
     with pytest.raises(KnotError):
         LaurentPoly({0: 1}) ** -1
+
+
+def test_power_limit_is_checked_before_the_work():
+    one_minus_t = LaurentPoly({0: 1, 1: -1})
+    assert one_minus_t ** 20 == LaurentPoly(
+        {k: (-1) ** k * math.comb(20, k) for k in range(21)})
+    # n + 1 terms of at most n bits each: 256 terms of 4 words at n = 255,
+    # 257 of 5 at n = 256
+    assert len(list((one_minus_t ** 255).items())) == 256
+    with pytest.raises(KnotError, match=r"^laurent: power 256 could take 1285 words, "
+                                        r"over the limit of 1024$"):
+        one_minus_t ** 256
+    # refused before the first multiplication, so neither runs for long
+    with pytest.raises(KnotError, match=r"^laurent: power <100 bits> could take <194 bits> "):
+        one_minus_t ** 10**30
+    with pytest.raises(KnotError, match=r"^laurent: power <16610 bits> could take "):
+        one_minus_t ** 10**5000
+    # True is not taken as 1
+    with pytest.raises(KnotError, match="only nonnegative integer powers"):
+        one_minus_t ** True
+    # a unit and zero take one word at any power
+    assert LaurentPoly({3: -1}) ** 10**30 == LaurentPoly({3 * 10**30: 1})
+    assert LaurentPoly.zero() ** 10**30 == LaurentPoly.zero()

@@ -12,12 +12,14 @@ from knotlab import diagram, errors, family, laurent, morse, seifert, sequiv
 SRC = Path(knotlab.__file__).resolve().parent.parent
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 # modules no one-shot call needs (together about 10 ms to import), and the
-# knotlab modules that a Jones polynomial and an S-equivalence decision
-# have no use for; the CI step "Import footprint" checks the same sets
+# knotlab modules that a Jones polynomial, an S-equivalence decision and
+# an Alexander polynomial have no use for; the CI step "Import footprint"
+# checks the same sets
 HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
 NOT_FOR_JONES = HEAVY_STDLIB | {"knotlab.seifert", "knotlab.sequiv", "knotlab.morse",
                                 "knotlab.family"}
 NOT_FOR_SEQUIV = HEAVY_STDLIB | {"knotlab.diagram", "knotlab.morse", "knotlab.family"}
+NOT_FOR_ALEXANDER = NOT_FOR_SEQUIV | {"knotlab.sequiv"}
 
 
 def modules_added(code: str) -> set[str]:
@@ -88,6 +90,14 @@ def test_cli_sequiv_loads_no_diagram_code():
         " '--oracle-bound', '3']) == 0")
     assert "knotlab.sequiv" in added
     assert not added & NOT_FOR_SEQUIV
+
+
+def test_cli_alexander_loads_only_the_seifert_code():
+    added = modules_added(
+        "from knotlab.cli import main\n"
+        "assert main(['alexander', '--seifert', '[[0,2],[1,0]]']) == 0")
+    assert "knotlab.seifert" in added
+    assert not added & NOT_FOR_ALEXANDER
 
 
 # ---- the immutable value classes ----
@@ -218,6 +228,26 @@ def _trefoil():
 ], ids=["add_kink", "connect_sum", "crossing_position", "cap_position", "crossing_over",
         "cap_flow", "band", "crossings", "crossing", "lambda_spec", "int_det"])
 def test_refusals_echoing_huge_values_are_knot_errors(call, message):
+    with pytest.raises(errors.KnotError) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
+# each twist function names ell when it is refused; a bool is not taken
+# as 0 or 1
+@pytest.mark.parametrize("call, message", [
+    (lambda: sequiv.decide_first_sequiv(M, 1.5), "twist: ell must be an int, got 1.5"),
+    (lambda: sequiv.decide_first_sequiv(M, True), "twist: ell must be an int, got True"),
+    (lambda: sequiv.twist_form(M, "3", "second"), "twist: ell must be an int, got '3'"),
+    (lambda: family.lambda_twist(family.LambdaSpec(0, 0, 3), 1.5),
+     "lambda: ell must be an int, got 1.5"),
+    (lambda: family.lambda_twist(family.LambdaSpec(0, 0, 3), True, "second"),
+     "lambda: ell must be an int, got True"),
+    (lambda: diagram.jones_twist(POLY, True), "jones: ell must be an int, got True"),
+    (lambda: diagram.jones_twist(POLY, 1.5), "jones: ell must be an int, got 1.5"),
+], ids=["decide_float", "decide_bool", "twist_form_text", "lambda_twist_float",
+        "lambda_twist_bool", "jones_twist_bool", "jones_twist_float"])
+def test_twist_functions_name_ell(call, message):
     with pytest.raises(errors.KnotError) as refusal:
         call()
     assert str(refusal.value) == message

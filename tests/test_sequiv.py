@@ -12,13 +12,12 @@ from knotlab.sequiv import (
     brute_force_congruence,
     connected_sum_certificate,
     decide_first_sequiv,
-    first_sequiv_condition,
     twist_form,
     verify_certificate,
 )
 
 from conftest import genus_one
-from oracles import naive_congruence, scan_congruence
+from oracles import naive_congruence, published_rule, scan_congruence
 
 M0 = SeifertMatrix(((0, 1), (2, 0)))  # s = 3
 
@@ -48,19 +47,23 @@ def test_twist_is_additive_and_invertible(m, ell, band):
 
 # ---- the decision procedure ----
 
+def _equivalent(m, ell, band="first"):
+    return decide_first_sequiv(m, ell, band).equivalent
+
+
 def test_condition_golden():
     # s = 3: multiples of 3 twist to congruent forms, others do not
     for ell in (-6, -3, 0, 3, 6, 9):
-        assert first_sequiv_condition(M0, ell)
+        assert _equivalent(M0, ell)
     for ell in (-4, -1, 1, 2, 4, 7):
-        assert not first_sequiv_condition(M0, ell)
+        assert not _equivalent(M0, ell)
     # nonzero opposite diagonal blocks everything except ell = 0
     busy = SeifertMatrix(((0, 1), (2, 5)))
-    assert first_sequiv_condition(busy, 0)
-    assert not first_sequiv_condition(busy, 3)
+    assert _equivalent(busy, 0)
+    assert not _equivalent(busy, 3)
     # second band keys on a11 instead
-    assert first_sequiv_condition(busy, 3, "second")
-    assert not first_sequiv_condition(SeifertMatrix(((5, 1), (2, 0))), 3, "second")
+    assert _equivalent(busy, 3, "second")
+    assert not _equivalent(SeifertMatrix(((5, 1), (2, 0))), 3, "second")
 
 
 def test_certificate_golden():
@@ -101,13 +104,13 @@ def test_negative_s_divisibility():
         report = decide_first_sequiv(m, ell)
         assert report.equivalent
         assert verify_certificate(m, report.twisted, report.certificate)
-    assert not first_sequiv_condition(m, 4)
+    assert not _equivalent(m, 4)
 
 
 @given(genus_one(), st.integers(-9, 9), st.sampled_from(("first", "second")))
 def test_positive_decisions_carry_verifying_certificates(m, ell, band):
     report = decide_first_sequiv(m, ell, band)
-    assert report.equivalent == first_sequiv_condition(m, ell, band)
+    assert report.equivalent == published_rule(m.rows, ell, band)
     if report.equivalent:
         assert verify_certificate(m, report.twisted, report.certificate)
     else:
@@ -137,7 +140,7 @@ def test_oracle_finds_known_witness():
 
 def test_oracle_respects_bound():
     target = twist_form(M0, 30)  # needs T with entry -10
-    assert first_sequiv_condition(M0, 30)
+    assert _equivalent(M0, 30)
     assert brute_force_congruence(M0, target, 4) is None
     assert brute_force_congruence(M0, target, 10) is not None
 
@@ -160,8 +163,7 @@ def test_huge_ell_gets_its_answer():
     assert report.equivalent
     assert report.reason == "a22 = 0 and s = 3 divides ell = <16612 bits>"
     assert verify_certificate(m, report.twisted, report.certificate)
-    assert first_sequiv_condition(m, ell)
-    assert not first_sequiv_condition(m, ell + 1)
+    assert not _equivalent(m, ell + 1)
     assert decide_first_sequiv(m, ell + 1).reason == "s = 3 does not divide ell = <16612 bits>"
 
 
@@ -281,7 +283,7 @@ def test_oracle_is_exact_for_huge_entries():
 def test_oracle_agrees_with_decision(m, ell, band):
     target = twist_form(m, ell, band)
     witness = brute_force_congruence(m, target, 5)
-    expected = first_sequiv_condition(m, ell, band)
+    expected = _equivalent(m, ell, band)
     assert (witness is not None) == expected
     if witness is not None:
         assert verify_certificate(m, target, witness)
