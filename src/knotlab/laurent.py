@@ -212,7 +212,14 @@ class LaurentPoly(Value):
         return self.format()
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.format()!r})"
+        """The text form; past the interpreter's int-to-text digit limit,
+        where ``str()`` raises ValueError as ``str(int)`` does, the
+        mapping with each int named by ``value_text``."""
+        try:
+            return f"LaurentPoly({self.format()!r})"
+        except ValueError:
+            terms = ", ".join(f"{value_text(e)}: {value_text(c)}" for e, c in self.items())
+            return f"LaurentPoly({{{terms}}})"
 
 
 _TERM = re.compile(

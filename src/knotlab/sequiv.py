@@ -27,11 +27,15 @@ this rule; its report's ``equivalent`` is the yes/no answer.
 with bounded entries.  A row r of T must satisfy r M r^T = target[i][i],
 a quadratic in r's last entry once the others are fixed, so the search
 tries every choice of the other entries and solves for the last one
-exactly instead of trying each value.  It then builds T one row at a
-time and drops a partial T as soon as one off-diagonal entry misses, so
-it returns the lexicographically first witness without visiting every
-matrix.  Its arithmetic is exact on Python ints.  It exists to
-cross-check the decision procedure above and shares no code with it.
+exactly instead of trying each value.  For a 2x2 form the second row
+is solved for too: every second row with det T = +-1 is one particular
+row plus k times the first, and the off-diagonal entries are linear in
+k, so each first row kept costs O(1) work.  A 4x4 search builds T one
+row at a time and drops a partial T as soon as one off-diagonal entry
+misses.  Both return the lexicographically first witness without
+visiting every matrix.  The arithmetic is exact on
+Python ints.  The search exists to cross-check the decision procedure
+above and shares no code with it.
 """
 
 from __future__ import annotations
@@ -57,12 +61,14 @@ NEGATIVE_NOTE = (
 )
 
 # the most candidate rows, (2*bound + 1)^n, one oracle search may consider;
-# it bounds the rows the search keeps.  At that count (bound 499) a 2x2
-# search takes about 1 ms when each row's last entry has at most two
-# solutions, and up to 1.5 s when M = ((0, 1), (0, 0)) admits every last
-# entry of the rows starting with 0 and the depth-first search tries
-# about 2,000 x 2,000 row pairs (2-vCPU Xeon).  A larger bound is refused
-# before the search starts.
+# it bounds the rows the search keeps.  A 2x2 search solves the first
+# row's last entry once per value x of its first entry, and then does
+# O(1) work per first row it keeps: at that count (bound 499) it takes
+# about 1 ms on the forms measured, ((0, 1), (0, 0)) against
+# ((0, 2), (1, 0)) included (2-vCPU Xeon).  A 4x4 search keeps the row
+# search, which pairs the rows it keeps depth-first: at bound 8, well
+# inside its limit of bound 15, it can take over a minute (README's limits
+# paragraph).  A larger bound is refused before the search starts.
 ORACLE_ROWS = 1_000_000
 
 
@@ -180,6 +186,84 @@ def _integer_roots(a: int, b: int, c: int, bound: int) -> Sequence[int]:
     return roots
 
 
+def _bezout(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with u x + v y = g = gcd(x, y) >= 0, by extended Euclid."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return (x, u0, v0) if x >= 0 else (-x, -u0, -v0)
+
+
+def _second_row(mm: Sequence[Sequence[int]], tt: Sequence[Sequence[int]],
+                r0: tuple[int, int], bound: int) -> tuple[int, int] | None:
+    """The lexicographically first r1 in [-bound, bound]^2 that completes
+    the first row r0 (r0 M r0^T = target[0][0] already, and x < 0 or
+    r0 = (0, +-1)) to a witness T = (r0, r1) of a 2x2 search, or None;
+    see brute_force_congruence."""
+    x, y = r0
+    g, u, v = _bezout(x, y)
+    if g != 1:  # no T with det +-1 has r0 as a row
+        return None
+    (m00, m01), (m10, m11) = mm
+    (t00, t01), (t10, t11) = tt
+    w0, w1 = -v, u  # r1* = eps (w0, w1) has det (r0, r1*) = eps
+    a = (x * m00 + y * m10) * w0 + (x * m01 + y * m11) * w1  # r0 M w^T
+    b = w0 * (m00 * x + m01 * y) + w1 * (m10 * x + m11 * y)  # w M r0^T
+    c = w0 * (m00 * w0 + m01 * w1) + w1 * (m10 * w0 + m11 * w1)  # w M w^T
+    best = None
+    for eps in (1, -1):
+        # r1 = eps w + k r0; the k keeping both its entries in the box
+        lo, hi = -bound, bound
+        for start, step in ((eps * w0, x), (eps * w1, y)):
+            if step < 0:
+                start, step = -start, -step
+            if step:  # at step 0, r0 = (0, +-1) or (+-1, 0) and start = +-1
+                lo, hi = max(lo, -((bound + start) // step)), min(hi, (bound - start) // step)
+        # r0 M r1^T = eps a + k t00 and r1 M r0^T = eps b + k t00
+        if t00:
+            k, rem = divmod(t01 - eps * a, t00)
+            if rem or eps * b + k * t00 != t10:
+                continue
+        elif eps * a != t01 or eps * b != t10:
+            continue
+        else:
+            # then r1 M r1^T = c + k (t01 + t10)
+            slope = t01 + t10
+            if slope:
+                k, rem = divmod(t11 - c, slope)
+                if rem:
+                    continue
+            elif c == t11:
+                # every k fits; r1 falls as k grows while x < 0 or r0 = (0, -1)
+                k = hi
+            else:
+                continue
+        if not lo <= k <= hi:
+            continue
+        r1 = (eps * w0 + k * x, eps * w1 + k * y)
+        if (r1[0] * (m00 * r1[0] + m01 * r1[1]) + r1[1] * (m10 * r1[0] + m11 * r1[1]) == t11
+                and (best is None or r1 < best)):
+            best = r1
+    return best
+
+
+def _congruence_2x2(mm: Sequence[Sequence[int]], tt: Sequence[Sequence[int]],
+                    bound: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The 2x2 search of brute_force_congruence on plain rows: the first
+    rows r0 = (x, y) with x <= 0 in ascending order, y solved for, each
+    completed by _second_row.  Any integer forms will do, not only
+    Seifert forms."""
+    (m00, m01), (m10, m11) = mm
+    for x in range(-bound, 1):
+        for y in _integer_roots(m11, x * (m01 + m10), m00 * x * x - tt[0][0], bound):
+            r1 = _second_row(mm, tt, (x, y), bound)
+            if r1 is not None:
+                return (x, y), r1
+    return None
+
+
 def brute_force_congruence(
     m: SeifertMatrix, target: SeifertMatrix, bound: int
 ) -> CongruenceCertificate | None:
@@ -195,15 +279,37 @@ def brute_force_congruence(
     n - 1 entries is tried, and for each distinct diagonal value t the
     last entry is solved exactly (an integer square root when a != 0)
     and kept when it lies in [-bound, bound]; the rows kept come out in
-    ascending order.  A depth-first search then picks rows in order,
-    dropping a row r as soon as r . (r_j M) or r . (r_j M^T) misses the
-    target against an earlier row j, and accepts the first complete T
-    with det T = +-1.  Row-major entry order is lexicographic order on
-    the sequence of rows, so that first leaf is the lexicographically
-    first witness.  All arithmetic is on Python ints and therefore
-    exact for entries of any size.  Matrices larger than 4x4 are
-    rejected, and so is a bound giving more than ORACLE_ROWS candidate
-    rows, (2*bound+1)^n.
+    ascending order.  Row-major entry order is lexicographic order on
+    the sequence of rows, so the first row that can be completed,
+    completed by the least rows that do it, gives the lexicographically
+    first witness.
+
+    A 2x2 search solves for the second row.  With T, -T is a witness
+    too, so the first witness's first row r0 = (x, y) has x < 0 or is
+    (0, -1), and only the rows with x <= 0 are tried.  A first row that
+    is not primitive is skipped: no T with det +-1 has it.  Otherwise
+    extended Euclid gives u x + v y = 1, r1* = eps (-v, u) has
+    det (r0, r1*) = eps for eps = +-1, and every r1 with det T = eps is
+    r1* + k r0 for one integer k.  Both r0 M r1^T and r1 M r0^T are
+    linear in k with slope t00 = r0 M r0^T.  When t00 != 0, the first
+    fixes k by one exact division, and the second, the box and
+    r1 M r1^T = target[1][1] are checked.  When t00 = 0, both must
+    already hold at k = 0, and then r1 M r1^T is linear in k: one more
+    division, or every k when its slope is 0 and its value is right
+    (never for Seifert forms, where t01 - t10 = +-1 makes the slope
+    t01 + t10 odd).  The box [-bound, bound]^2 is an interval of k, and
+    r1 is affine in k, falling lexicographically as k grows when x < 0
+    or r0 = (0, -1), so every k gives its top end.  The least r1 over
+    both signs of eps completes r0.  So a 2x2 search solves the first
+    row's last entry once per value of x and then does O(1) work per
+    first row it keeps.
+
+    A 4x4 search picks rows depth-first in order, dropping a row r as
+    soon as r . (r_j M) or r . (r_j M^T) misses the target against an
+    earlier row j, and accepts the first complete T with det T = +-1.
+    All arithmetic is on Python ints and therefore exact for entries of
+    any size.  Matrices larger than 4x4 are rejected, and so is a bound
+    giving more than ORACLE_ROWS candidate rows, (2*bound+1)^n.
     """
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
         raise KnotError("oracle: bound must be an int >= 0")
@@ -222,6 +328,10 @@ def brute_force_congruence(
         return CongruenceCertificate(())
 
     mm, tt = m.rows, target.rows
+    if n == 2:
+        found = _congruence_2x2(mm, tt, bound)
+        return None if found is None else CongruenceCertificate(found)
+
     last = n - 1
     sym = [[mm[i][j] + mm[j][i] for j in range(n)] for i in range(n)]
     # Grow the first n - 1 entries of every row, carrying each prefix's

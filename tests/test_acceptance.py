@@ -146,7 +146,7 @@ def test_criterion_6_oracle_sweep():
                 for a12 in (a21 - 1, a21 + 1):
                     if -3 <= a12 <= 3:
                         matrices.append(SeifertMatrix(((a11, a12), (a21, a22))))
-    checked = 0
+    checked = witnesses = 0
     ok = True
     for m in matrices:
         for ell in range(-6, 7):
@@ -155,15 +155,16 @@ def test_criterion_6_oracle_sweep():
                 witness = brute_force_congruence(m, report.twisted, 6)
                 agree = (witness is not None) == report.equivalent
                 agree = agree and report.equivalent == published_rule(m.rows, ell, band)
-                if report.certificate is not None:
-                    agree = agree and verify_certificate(
-                        m, report.twisted, report.certificate
-                    )
+                for t in (report.certificate, witness):
+                    if t is not None:
+                        agree = agree and verify_certificate(m, report.twisted, t)
                 ok = ok and agree
                 checked += 1
+                witnesses += witness is not None
     ok = ok and checked == len(matrices) * 13 * 2
     _finish(6, ok, f"decision agrees with the published rule and the exhaustive "
-            f"bound-6 search on {checked} twisted pairs", time.perf_counter() - t0, budget=120.0)
+            f"bound-6 search on {checked} twisted pairs, whose {witnesses} witnesses verify",
+            time.perf_counter() - t0, budget=120.0)
 
 
 def test_criterion_7_property_sweep():

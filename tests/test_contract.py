@@ -6,7 +6,9 @@ A value of the wrong Python type (None where a SeifertMatrix is
 expected, an operand that is not a polynomial) may raise TypeError or
 AttributeError; every other invalid input is a KnotError.  The huge
 values (10**5000, a tuple holding it) only pass when they are refused
-before any work that grows with them, so the test needs no timer.
+before any work that grows with them, so the test needs no timer.  A
+polynomial a call returns must have a repr, even one whose exponents
+are past the interpreter's int-to-text digit limit.
 """
 
 import math
@@ -137,19 +139,29 @@ def test_calls_cover_every_root_export():
 
 def test_every_public_call_ends_in_a_result_or_a_documented_error():
     failures = []
-    calls = 0
+    calls = polys = 0
     for name, (make, args) in CALLS.items():
         make()(*args)  # the valid call succeeds
         for position in range(len(args)):
             for label, value in ODD.items():
                 odd = args[:position] + (value,) + args[position + 1:]
                 calls += 1
+                where = f"{name} arg {position} = {label}"
                 try:
-                    make()(*odd)
+                    result = make()(*odd)
                 except (KnotError, TypeError, AttributeError):
-                    pass
+                    continue
                 except Exception as e:  # anything else breaks the contract
-                    failures.append(f"{name} arg {position} = {label}: "
-                                    f"{type(e).__name__}: {str(e)[:100]}")
+                    failures.append(f"{where}: {type(e).__name__}: {str(e)[:100]}")
+                    continue
+                # a polynomial returned, even one past the int-to-text
+                # digit limit, has a repr
+                if isinstance(result, LaurentPoly):
+                    polys += 1
+                    try:
+                        repr(result)
+                    except Exception as e:
+                        failures.append(f"{where}: repr raised {type(e).__name__}")
     assert calls == len(ODD) * sum(len(args) for _, args in CALLS.values())
+    assert polys > 0
     assert not failures, "\n".join(failures)

@@ -207,3 +207,16 @@ def test_power_limit_is_checked_before_the_work():
     # a unit and zero take one word at any power
     assert LaurentPoly({3: -1}) ** 10**30 == LaurentPoly({3 * 10**30: 1})
     assert LaurentPoly.zero() ** 10**30 == LaurentPoly.zero()
+
+
+def test_repr_names_ints_past_the_digit_limit():
+    huge = 10**5000
+    assert repr(LaurentPoly({-1: 2**70, 3: -5})) == (
+        "LaurentPoly('1180591620717411303424t^-1 - 5t^3')")
+    assert repr(LaurentPoly.term(1, huge)) == "LaurentPoly({<16610 bits>: 1})"
+    assert repr(LaurentPoly({-2: 3, 0: -huge})) == "LaurentPoly({-2: 3, 0: <16610 bits>})"
+    # str() raises as str(int) does; the command line turns that into its
+    # one-line error
+    for p in (LaurentPoly.term(1, huge), LaurentPoly({0: -huge})):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            str(p)

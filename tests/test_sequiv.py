@@ -9,6 +9,7 @@ import knotlab
 from knotlab.errors import KnotError
 from knotlab.seifert import CongruenceCertificate, SeifertMatrix, connected_sum
 from knotlab.sequiv import (
+    _congruence_2x2,
     brute_force_congruence,
     connected_sum_certificate,
     decide_first_sequiv,
@@ -266,6 +267,52 @@ def test_oracle_last_entry_solve(m, target, bound, expected):
     witness = brute_force_congruence(SeifertMatrix(m), SeifertMatrix(target), bound)
     assert (None if witness is None else witness.rows) == expected
     assert scan_congruence(m, target, bound) == expected
+
+
+# One 2x2 search per branch of the second-row solve, on plain rows.
+# Row r1 = eps w + k r0 has r0 M r1^T = eps a + k t00, r1 M r0^T =
+# eps b + k t00 and, when t00 = 0, r1 M r1^T = c + k (t01 + t10).  On
+# Seifert forms t01 - t10 = +-1 makes that slope odd, and an inexact
+# division or a first row that is not primitive also fails an
+# off-diagonal equation, so those cases use other integer forms; each
+# case's answer changes when its branch is cut out.
+_SECOND_ROW_CASES = {
+    # the rows (-2, 0), (0, -2), (0, 0) and (0, 2) are kept and skipped:
+    # T = ((-2, 0), (2, 1)) would pass but for its det, -2
+    "first row not primitive": (((0, 1), (0, 0)), ((0, -2), (0, 2)), 2, None),
+    # r0 = (-1, 0) has no second row, r0 = (0, -1) has one
+    "x = 0": (((0, -1), (0, 0)), ((0, 0), (1, -1)), 1, ((0, -1), (1, 1))),
+    "t00 != 0, exact division": (((0, -2), (-1, -1)), ((2, -1), (0, -1)), 1,
+                                 ((-1, 1), (0, -1))),
+    "t00 != 0, inexact division": (((0, 1), (0, 1)), ((2, 1), (-1, 0)), 1, None),
+    "t00 != 0, second equation fails": (((0, -1), (0, 0)), ((1, 1), (2, 0)), 1, None),
+    "t00 != 0, r1 M r1^T misses": (((0, 0), (-1, 0)), ((-1, 0), (1, -1)), 1, None),
+    "t00 = 0, an equation misses at k = 0": (((2, 0), (-1, -1)), ((0, 0), (-1, 2)), 1, None),
+    "t00 = 0, nonzero slope": (((0, 0), (1, 1)), ((0, -1), (0, 0)), 2, ((-1, 1), (-1, 0))),
+    # every T is a witness of the zero form; r1 = eps w + k r0 is least
+    # at the high end of its interval of k
+    "t00 = 0, zero slope": (((0, 0), (0, 0)), ((0, 0), (0, 0)), 1, ((-1, -1), (-1, 0))),
+    # r0 = (-1, -1) solves to r1 = (-1, -2), outside [-1, 1]^2, and the
+    # search goes on to r0 = (-1, 0)
+    "the box cuts the interval": (((1, 1), (0, -1)), ((1, 1), (0, -1)), 1, ((-1, 0), (0, -1))),
+    "eps = 1 wins": (((1, 1), (2, -2)), ((2, -1), (0, -2)), 1, ((-1, -1), (0, -1))),
+    "eps = -1 wins": (((-1, 1), (0, -2)), ((-1, 0), (1, -2)), 1, ((-1, 0), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("m, target, bound, expected", _SECOND_ROW_CASES.values(),
+                         ids=_SECOND_ROW_CASES.keys())
+def test_oracle_second_row_solve(m, target, bound, expected):
+    assert _congruence_2x2(m, target, bound) == expected
+    assert scan_congruence(m, target, bound) == expected
+
+
+def test_oracle_at_its_row_limit():
+    # bound 499, the row limit: ((0, 1), (0, 0)) keeps about 2,000 first rows
+    stable = SeifertMatrix(((0, 1), (0, 0)))
+    assert brute_force_congruence(stable, SeifertMatrix(((0, 2), (1, 0))), 499) is None
+    w = brute_force_congruence(M0, M0, 499)
+    assert w.rows == ((-1, 0), (0, -1))
 
 
 def test_oracle_is_exact_for_huge_entries():
