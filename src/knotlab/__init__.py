@@ -7,19 +7,21 @@ with unimodular certificates for twisted genus-one forms, and the
 lambda(n, m, p) family of two-band knots with both a closed-form
 Seifert matrix and compiled planar diagrams.
 
-The package root exports each module's ``__all__``.  ``import knotlab``
-loads none of those modules: reading an exported name imports the one
-module that defines it (PEP 562), so a Jones polynomial never loads the
-Seifert-form, S-equivalence or lambda-family code.  The root does not
-keep what it looked up; ``knotlab.jones`` is ``knotlab.diagram.jones``
-at every read, even after that attribute is replaced.
+``_EXPORTS`` below is the package's one list of public names, each
+under the module that defines it; no module but ``cli`` has an
+``__all__``.  ``import knotlab`` loads none of those modules: reading
+a name imports the one module that defines it (PEP 562), so a Jones
+polynomial never loads the Seifert-form, S-equivalence or
+lambda-family code.  The root does not keep what it looked up;
+``knotlab.jones`` is ``knotlab.diagram.jones`` at every read, even
+after that attribute is replaced.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# module -> the names the root exports from it (that module's __all__)
+# module -> the public names it defines; __all__ is these and __version__
 _EXPORTS = {
     "errors": ("KnotError",),
     "laurent": ("LaurentPoly", "parse_poly"),

@@ -165,18 +165,6 @@ from operator import ne
 from .errors import KnotError, Value, check_int, value_text
 from .laurent import LaurentPoly
 
-__all__ = [
-    "PlanarDiagram",
-    "parse_pd",
-    "kauffman_bracket",
-    "jones",
-    "jones_twist",
-    "mirror",
-    "add_kink",
-    "connect_sum",
-    "validate",
-]
-
 # the most partial-state and step ints one bracket sweep may hold, summed
 # over its crossings, and the most the memo of compiled steps keeps (see
 # the module docstring).
@@ -825,7 +813,7 @@ def _sink_slot(diagram: PlanarDiagram, arc: int) -> tuple[int, int]:
     for ci, x in enumerate(diagram.crossings):
         over_in = 3 if diagram.signs[ci] > 0 else 1
         for slot, val in enumerate(x):
-            if val == arc and (slot == 0 or slot == over_in):
+            if val == arc and type(arc) is int and (slot == 0 or slot == over_in):
                 return ci, slot
     raise KnotError(f"pd: unknown arc {value_text(arc)}")
 
@@ -833,7 +821,7 @@ def _sink_slot(diagram: PlanarDiagram, arc: int) -> tuple[int, int]:
 def add_kink(diagram: PlanarDiagram, arc: int, sign: int) -> PlanarDiagram:
     """Insert a single curl of the given sign on an arc (a Reidemeister I
     move).  Writhe changes by sign; Jones is unchanged."""
-    if sign not in (1, -1):
+    if check_int(sign, "kink sign") not in (1, -1):
         raise KnotError("kink sign must be +1 or -1")
     if not diagram.crossings:
         raise KnotError("pd: cannot kink the zero-crossing unknot")

@@ -13,13 +13,14 @@ class KnotError(ValueError):
 def value_text(value) -> str:
     """An input as a refusal names it, so that formatting the refusal
     never fails.  An int is its digits up to 64 bits and ``<N bits>``
-    past that, since the decimal text of a huge int can pass the
-    interpreter's int-to-text digit limit; any other value is its repr,
-    cut to 200 characters; a value whose repr raises (a tuple holding a
-    huge int) is ``<unprintable T>``, T its type's name."""
+    (``-<N bits>`` if negative) past that, since the decimal text of a
+    huge int can pass the interpreter's int-to-text digit limit; any
+    other value is its repr, cut to 200 characters; a value whose repr
+    raises (a tuple holding a huge int) is ``<unprintable T>``, T its
+    type's name."""
     if type(value) is int:
         bits = value.bit_length()
-        return str(value) if bits <= 64 else f"<{bits} bits>"
+        return str(value) if bits <= 64 else f"{'-' * (value < 0)}<{bits} bits>"
     try:
         text = repr(value)
     except Exception:  # a foreign __repr__ may raise anything

@@ -42,16 +42,6 @@ from .seifert import CongruenceCertificate, SeifertMatrix, connected_sum
 from .sequiv import (_check_band, connected_sum_certificate, decide_first_sequiv,
                      verify_certificate)
 
-__all__ = [
-    "LambdaSpec",
-    "lambda_seifert",
-    "lambda_diagram",
-    "lambda_twist",
-    "seifert_by_linking",
-    "paper_report",
-    "render_report",
-]
-
 # the most crossings a LambdaSpec may describe, 4|p| + |n| + |m|, checked
 # before anything is built.  Its PD code then has labels of at most five
 # digits, about 26.4 bytes per crossing: 1,031,003 bytes for the 39,008

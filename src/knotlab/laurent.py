@@ -20,8 +20,6 @@ from collections.abc import Iterator, Mapping
 
 from .errors import KnotError, Value, value_text
 
-__all__ = ["LaurentPoly", "parse_poly"]
-
 # the most 64-bit words (terms times words per coefficient) the result of
 # p ** n may take.  Squaring S words costs about S^2 / 4 coefficient
 # products: at the limit a dense 256-term polynomial to the 4th takes 0.5 s

@@ -42,9 +42,7 @@ from the incoming under-strand) for single-curve pictures.
 
 from __future__ import annotations
 
-from .errors import KnotError, value_text
-
-__all__ = ["MorseBuilder"]
+from .errors import KnotError, check_int, value_text
 
 # a frontier end: (arc, orientation bit, parity, curve label); the strand
 # there runs down when the bit's value XOR the parity is 1
@@ -128,7 +126,7 @@ class MorseBuilder:
     # -- tiles -------------------------------------------------------------
 
     def cap(self, i: int, flow: str | None = None, label: str = "K") -> None:
-        self._check_open(i, insert=True)
+        self._check_open(i, width=0)
         arc = self._arcs.make()
         bit = self._bits.make()
         if flow is not None:
@@ -158,14 +156,12 @@ class MorseBuilder:
         self._front[i] = (al, *right[1:])
         self._front[i + 1] = (ar, *left[1:])
 
-    def _check_open(self, i: int, width: int = 1, insert: bool = False) -> None:
+    def _check_open(self, i: int, width: int) -> None:
         if self._finished:
             raise KnotError("morse: builder already finished")
-        if insert:
-            if not 0 <= i <= len(self._front):
-                raise KnotError(f"morse: cap position {value_text(i)} out of range")
-        elif not 0 <= i <= len(self._front) - width:
-            raise KnotError(f"morse: position {value_text(i)} out of range")
+        what = "morse: cap position" if width == 0 else "morse: position"
+        if not 0 <= check_int(i, what) <= len(self._front) - width:
+            raise KnotError(f"{what} {value_text(i)} out of range")
 
     # -- resolution ----------------------------------------------------------
 

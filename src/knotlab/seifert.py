@@ -36,20 +36,6 @@ from collections.abc import Sequence
 from .errors import KnotError, Value, value_text
 from .laurent import LaurentPoly
 
-__all__ = [
-    "SeifertMatrix",
-    "CongruenceCertificate",
-    "int_det",
-    "alexander",
-    "signature",
-    "knot_determinant",
-    "parse_matrix",
-    "enlarge_first",
-    "enlarge_second",
-    "try_reduce",
-    "connected_sum",
-]
-
 Rows = Sequence[Sequence[int]]
 
 # the most rows a SeifertMatrix or CongruenceCertificate may have, checked
@@ -210,14 +196,6 @@ class SeifertMatrix(Value):
     @property
     def genus(self) -> int:
         return self.size // 2
-
-    @property
-    def s(self) -> int:
-        """a12 + a21, defined for genus-one matrices.  Always odd and
-        nonzero, since |a12 - a21| = 1."""
-        if self.genus != 1:
-            raise KnotError("seifert: s is defined for genus-one matrices only")
-        return self.rows[0][1] + self.rows[1][0]
 
     def __str__(self) -> str:
         return format_matrix(self.rows)

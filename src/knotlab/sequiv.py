@@ -47,14 +47,6 @@ from operator import mul
 from .errors import KnotError, Value, check_int, value_text
 from .seifert import CongruenceCertificate, SeifertMatrix, int_det
 
-__all__ = [
-    "twist_form",
-    "decide_first_sequiv",
-    "verify_certificate",
-    "brute_force_congruence",
-    "connected_sum_certificate",
-]
-
 POSITIVE_NOTE = "first S-equivalence implies S-equivalence of the two forms"
 NEGATIVE_NOTE = (
     "no genus-preserving congruence exists; full S-equivalence is not decided"

@@ -625,6 +625,12 @@ def test_add_kink_rejects_bad_input():
         add_kink(d, 99, 1)
     with pytest.raises(KnotError):
         add_kink(parse_pd(""), 1, 1)
+    # a bool or a float is not taken as the int it equals
+    for sign in (True, 1.0):
+        with pytest.raises(KnotError, match=rf"^kink sign must be an int, got {sign}$"):
+            add_kink(d, 1, sign)
+    with pytest.raises(KnotError, match=r"^pd: unknown arc 1\.0$"):
+        add_kink(d, 1.0, 1)
 
 
 def test_connect_sum_unknot_identity():
@@ -646,6 +652,11 @@ def test_connect_sum_rejects_bad_arcs():
     # raise TypeError
     with pytest.raises(KnotError, match=r"^pd: unknown arc 'x'$"):
         connect_sum(d, 1, d, "x")
+    # an arc equal to an int but not an int is unknown too
+    with pytest.raises(KnotError, match=r"^pd: unknown arc True$"):
+        connect_sum(d, True, d, 1)
+    with pytest.raises(KnotError, match=r"^pd: unknown arc 2\.0$"):
+        connect_sum(d, 1, d, 2.0)
 
 
 def test_connect_sum_jones_is_multiplicative():

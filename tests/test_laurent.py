@@ -214,7 +214,9 @@ def test_repr_names_ints_past_the_digit_limit():
     assert repr(LaurentPoly({-1: 2**70, 3: -5})) == (
         "LaurentPoly('1180591620717411303424t^-1 - 5t^3')")
     assert repr(LaurentPoly.term(1, huge)) == "LaurentPoly({<16610 bits>: 1})"
-    assert repr(LaurentPoly({-2: 3, 0: -huge})) == "LaurentPoly({-2: 3, 0: <16610 bits>})"
+    assert repr(LaurentPoly({-2: 3, 0: huge})) == "LaurentPoly({-2: 3, 0: <16610 bits>})"
+    assert repr(LaurentPoly({-2: 3, 0: -huge})) == "LaurentPoly({-2: 3, 0: -<16610 bits>})"
+    assert repr(LaurentPoly.term(1, -huge)) == "LaurentPoly({-<16610 bits>: 1})"
     # str() raises as str(int) does; the command line turns that into its
     # one-line error
     for p in (LaurentPoly.term(1, huge), LaurentPoly({0: -huge})):

@@ -160,6 +160,13 @@ def test_bad_tile_arguments():
     b.cap(0)
     with pytest.raises(KnotError, match="over"):
         b.crossing(0, over="X")
+    # a bool or a float position is refused, not taken as the int it equals
+    for tile, name in ((b.cap, "cap position"), (b.cup, "position"), (b.crossing, "position")):
+        for i in (True, 0.0):
+            with pytest.raises(KnotError) as refusal:
+                tile(i)
+            assert str(refusal.value) == f"morse: {name} must be an int, got {i!r}"
+    assert len(b._front) == 2
 
 
 def test_finish_rejects_open_ends():

@@ -1,5 +1,8 @@
 import copy
+import importlib
+import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,23 +36,41 @@ def modules_added(code: str) -> set[str]:
         "print('MODULES', *sorted(set(sys.modules) - before))\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert done.returncode == 0, done.stderr
     last = done.stdout.splitlines()[-1].split()
     assert last[0] == "MODULES"
     return set(last[1:])
 
 
-def test_root_exports_each_module_all_once():
-    modules = (errors, laurent, seifert, sequiv, diagram, morse, family)
-    expected = [*(n for mod in modules for n in getattr(mod, "__all__", ("KnotError",))),
-                "__version__"]
-    assert sorted(knotlab.__all__) == sorted(expected)
+# every public name; a change here is a change to the package's interface
+PUBLIC = [
+    "CongruenceCertificate", "KnotError", "LambdaSpec", "LaurentPoly", "MorseBuilder",
+    "PlanarDiagram", "SeifertMatrix", "__version__", "add_kink", "alexander",
+    "brute_force_congruence", "connect_sum", "connected_sum", "connected_sum_certificate",
+    "decide_first_sequiv", "enlarge_first", "enlarge_second", "int_det", "jones",
+    "jones_twist", "kauffman_bracket", "knot_determinant", "lambda_diagram",
+    "lambda_seifert", "lambda_twist", "mirror", "paper_report", "parse_matrix", "parse_pd",
+    "parse_poly", "render_report", "seifert_by_linking", "signature", "try_reduce",
+    "twist_form", "validate", "verify_certificate",
+]
+
+
+def test_root_table_is_the_one_list_of_public_names():
+    # the table names the module that defines each name, not one that
+    # imports it from there
+    for module, names in knotlab._EXPORTS.items():
+        for name in names:
+            assert getattr(knotlab, name).__module__ == f"knotlab.{module}", name
     assert len(set(knotlab.__all__)) == len(knotlab.__all__)
-    listed = dir(knotlab)
-    for name in knotlab.__all__:
-        assert hasattr(knotlab, name), name
-        assert name in listed, name
+    assert set(knotlab.__all__) <= set(dir(knotlab))
+    assert sorted(knotlab.__all__) == PUBLIC
+    # no module keeps a second list; cli's names only main, which the root
+    # does not export
+    modules = {info.name: importlib.import_module(f"knotlab.{info.name}")
+               for info in pkgutil.iter_modules(knotlab.__path__)}
+    assert [name for name, mod in modules.items() if hasattr(mod, "__all__")] == ["cli"]
+    assert modules["cli"].__all__ == ["main"]
 
 
 def test_root_reads_through_to_the_defining_module(monkeypatch):
@@ -191,11 +212,12 @@ class _NoRepr:
 
 @pytest.mark.parametrize("value, text", [
     (-(2**63), str(-(2**63))), (2**64 - 1, str(2**64 - 1)), (2**64, "<65 bits>"),
+    (-(2**64), "-<65 bits>"),
     (True, "True"), ("lr?", "'lr?'"), ((1, 2), "(1, 2)"),
     ("x" * 300, "'" + "x" * 196 + "..."), ((10**5000,), "<unprintable tuple>"),
     (_NoRepr(), "<unprintable _NoRepr>"),
-], ids=["int64_min", "uint64_max", "65_bits", "bool", "text", "tuple", "long_text",
-        "tuple_of_huge_int", "raising_repr"])
+], ids=["int64_min", "uint64_max", "65_bits", "minus_65_bits", "bool", "text", "tuple",
+        "long_text", "tuple_of_huge_int", "raising_repr"])
 def test_value_text(value, text):
     assert errors.value_text(value) == text
 

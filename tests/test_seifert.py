@@ -81,17 +81,10 @@ def test_post_init_runs_from_the_class_at_every_build(monkeypatch):
     assert builds[1].rows == ((0, 2), (1, 0))
 
 
-def test_s_accessor():
-    assert SeifertMatrix(((0, 2), (1, 0))).s == 3
-    assert SeifertMatrix(((0, 1), (2, 0))).s == 3
-    assert SeifertMatrix(((0, 0), (1, 0))).s == 1
-    with pytest.raises(KnotError):
-        SeifertMatrix(()).s
-
-
+# decide_first_sequiv divides ell by s = a12 + a21, odd since |a12 - a21| = 1
 @given(genus_one())
 def test_s_is_odd(m):
-    assert m.s % 2 == 1
+    assert (m.rows[0][1] + m.rows[1][0]) % 2 == 1
 
 
 def test_int_det():
