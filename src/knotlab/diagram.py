@@ -35,11 +35,15 @@ mod 4, so V has integer powers of t.
 The bracket is computed by sweeping crossings one at a time, in a
 greedy order that keeps few arcs open, and keeping the set of partial
 states (matchings on the open strand ends), so cost is driven by the
-width of the sweep, not 2^crossings.  Slot s of crossing i is the
-integer token 4*i + s.  Before each crossing the open ends form one
-list, the boundary, which is the same for every state; a state is the
-tuple of each boundary position's partner position, so that tuple is
-already canonical.
+width of the sweep, not 2^crossings.  The greedy runs twice, breaking
+ties by the lowest index and by the crossing that has waited longest,
+and the order whose open-arc counts peak lower, then sum lower, is kept
+(see ``_contraction_order``); every lambda(n, m, p) with n, m in
+[-8, 8] and |p| <= 37 then sweeps at 5 partial states.  Slot s of
+crossing i is the integer token 4*i + s.  Before each crossing the open
+ends form one list, the boundary, which is the same for every state; a
+state is the tuple of each boundary position's partner position, so
+that tuple is already canonical.
 
 Positional states let the sweep work out a crossing's effect once and
 then replay it.  A crossing's shape is the boundary length and, for
@@ -168,10 +172,10 @@ from .laurent import LaurentPoly
 # the most partial-state and step ints one bracket sweep may hold, summed
 # over its crossings, and the most the memo of compiled steps keeps (see
 # the module docstring).
-# lambda(-2, -6, -121), 492 crossings, reaches 551,146 and an 8-strand,
+# lambda(-2, -6, -121), 492 crossings, reaches 218,765 and an 8-strand,
 # 5-sweep braid closure 32,578, while lambda(0, 0, 1001), 4,004
-# crossings, reaches 13.2 million.  A 12-strand, 13-sweep closure passes
-# it after a few seconds.
+# crossings, reaches 13.2 million, and lambda(2, -2, 1001) 13.24 million.
+# A 12-strand, 13-sweep closure passes it after a second or two.
 SWEEP_LIMIT = 15_000_000
 
 # the digit width, in bits, that a bracket sweep packs coefficients in
@@ -337,39 +341,87 @@ def _contraction_order(mate: Sequence[int]) -> list[int]:
     diagram's ``mate`` table.
 
     An arc is open when one of its two ends has been swept.  Each step
-    takes the crossing after which the fewest arcs are open, the lowest
-    index on a tie.  The change a crossing makes to that count is a sum
-    over its four slot tokens t: +1 when the crossing at the arc's other
-    end, ``mate[t] >> 2``, is unswept (the arc opens), -1 when it is swept
+    takes the crossing after which the fewest arcs are open.  The change
+    a crossing makes to that count, its score, is a sum over its four
+    slot tokens t: +1 when the crossing at the arc's other end,
+    ``mate[t] >> 2``, is unswept (the arc opens), -1 when it is swept
     (the arc closes), and 0 when it is the crossing itself (a curl, whose
     arc opens and closes at once).  So a crossing starts at the number of
     its slots whose arc leads to another crossing, one entry of its list
     of outside neighbours each, and loses 2 for each entry when that
-    neighbour is swept.  A heap holds (score, index) pairs and skips a
-    popped pair whose score is no longer current, which gives the same
-    order as rescanning every remaining crossing at each step, in
-    O(c log c) instead of O(c^2).  The order fixes the bracket sweep's
-    boundary before each crossing, and so the length of every state
-    tuple there.
+    neighbour is swept.
+
+    Ties between crossings of one score are broken two ways, and the
+    greedy runs once with each (see ``_greedy``): by the lowest index,
+    or by the crossing that has waited longest at its score.  On
+    lambda(n, m, p) with n != 0 the first starts on the cable, jumps
+    back to the twists, whose indices are lower, and leaves two fronts
+    open (8 arcs at the peak on lambda(2, -2, 5)), where the second goes
+    on along the cable (6 arcs); with both, every lambda with n, m in
+    [-8, 8] and |p| <= 37 sweeps at 5 partial states, where the first
+    alone held 720 of those 891 at 13.  The order kept is the one whose
+    open-arc counts after each step have the lower peak, then the lower
+    sum, the lowest-index one on a full tie.  The scores give those
+    counts as the greedy runs, so choosing sweeps nothing.  The order
+    fixes the bracket sweep's boundary before each crossing, and so the
+    length of every state tuple there.
     """
     count = len(mate) // 4
     neighbours = [[m >> 2 for m in mate[4 * ci:4 * ci + 4] if m >> 2 != ci] for ci in range(count)]
-    done = [False] * count
+    # the waiting run first, since it wins on most lambdas with a twist
+    # (792 of the 880 above): the lowest-index run then stops once its
+    # peak passes the waiting run's, a few crossings in.  No order opens
+    # more arcs than there are.
+    waited, peak, total = _greedy(neighbours, True, len(mate))
+    lowest = _greedy(neighbours, False, peak)
+    return lowest[0] if lowest and lowest[1:] <= (peak, total) else waited
+
+
+def _greedy(neighbours: list[list[int]], fifo: bool, cap: int) -> tuple[list[int], int, int] | None:
+    """One greedy run of ``_contraction_order``: the order, the peak of
+    its open-arc counts and their sum, or None once the peak passes
+    ``cap``.
+
+    A heap holds one int per entry, its score, a tie and the crossing's
+    index from the high bits down, and skips a popped entry whose score
+    is no longer current: a score only falls, so the current entry is
+    the one with the current score.  The tie is 0, or, with ``fifo``, a
+    count of the entries made so far, so that among crossings of one
+    score the one that reached it first comes first; the index decides
+    among the rest.  Either gives the same order as rescanning every
+    remaining crossing at each step, in O(c log c) instead of O(c^2)."""
+    count = len(neighbours)
+    index_bits = count.bit_length()
+    # at most 4 entries are made per crossing swept
+    shift = index_bits + (4 * count).bit_length()
+    mask = (1 << index_bits) - 1
+    step = 1 << index_bits if fifo else 0
     current = list(map(len, neighbours))
-    heap = [(s, ci) for ci, s in enumerate(current)]
+    heap = [s << shift | ci for ci, s in enumerate(current)]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     order = []
+    arcs = peak = total = tie = 0
     while heap:
-        s, ci = heapq.heappop(heap)
-        if done[ci] or s != current[ci]:
+        key = pop(heap)
+        s, ci = key >> shift, key & mask
+        if s != current[ci]:
             continue
-        done[ci] = True
+        current[ci] = None  # swept
         order.append(ci)
+        arcs += s
+        total += arcs
+        if arcs > peak:
+            if arcs > cap:
+                return None
+            peak = arcs
         for cj in neighbours[ci]:
-            if not done[cj]:
-                current[cj] -= 2
-                heapq.heappush(heap, (current[cj], cj))
-    return order
+            score = current[cj]
+            if score is not None:
+                score = current[cj] = score - 2
+                tie += step
+                push(heap, score << shift | tie | cj)
+    return order, peak, total
 
 
 def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
@@ -764,14 +816,40 @@ def _jones_from_bracket(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
     """V(t) = (-A)^(-3w) <D> with t = A^-4: the bracket's term c A^e
     becomes (-1)^w c t^(-(e - 3w)/4).  For a knot every e - 3w is a
     multiple of 4; any other exponent means the bracket is wrong, not
-    the input, and raises."""
+    the input, and raises.
+
+    V then checks itself against four identities that hold for the Jones
+    polynomial of every knot (Jones 1985; Murasugi 1986; Lickorish and
+    Millett 1986), each an exact sum over its coefficients c_k: V(1) = 1,
+    so the c_k sum to 1; V'(1) = 0, so the k c_k sum to 0;
+    V(e^(2 pi i/3)) = 1, so with S_r the sum of the c_k with k = r mod 3,
+    S_1 = S_2 and S_0 - S_2 = 1; and V(i) = (-1)^Arf, so with T_r the sum
+    with k = r mod 4, T_1 = T_3 and T_0 - T_2 is +1 when |V(-1)| is 1 or
+    7 mod 8 (Arf invariant 0) and -1 when it is 3 or 5.  A failed
+    identity is a fault of the sweep and raises.  An error that swaps A
+    and A^-1 throughout passes all four, so these do not replace the
+    tests' second paths."""
     sign = -1 if writhe % 2 else 1
     out = {}
+    by3, by4, moment = [0, 0, 0], [0, 0, 0, 0], 0
     for e, c in bracket.items():
         k, r = divmod(3 * writhe - e, 4)
         if r:
             raise AssertionError("jones: bracket exponent not 3 * writhe mod 4")
-        out[k] = sign * c
+        c *= sign
+        out[k] = c
+        by3[k % 3] += c
+        by4[k % 4] += c
+        moment += k * c
+    at_minus_one = by4[0] - by4[1] + by4[2] - by4[3]
+    arf_sign = 1 if abs(at_minus_one) % 8 in (1, 7) else -1
+    checks = (("V(1) = 1", sum(by4) == 1),
+              ("V'(1) = 0", moment == 0),
+              ("V(e^(2 pi i/3)) = 1", by3[1] == by3[2] and by3[0] - by3[2] == 1),
+              ("V(i) = (-1)^Arf", by4[1] == by4[3] and by4[0] - by4[2] == arf_sign))
+    failed = [name for name, holds in checks if not holds]
+    if failed:
+        raise AssertionError(f"jones: V(t) fails {', '.join(failed)}")
     return LaurentPoly(out)
 
 

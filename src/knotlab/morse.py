@@ -88,13 +88,15 @@ class _Parity:
 
 
 class _ArcSets:
+    """Union-find over arc ids, numbered from 0 as they are made.  A root
+    is the smallest id of its set, so ``parent[a] <= a`` for every id."""
+
     def __init__(self):
-        self.parent: dict[int, int] = {}
+        self.parent: list[int] = []
 
     def make(self) -> int:
-        i = len(self.parent)
-        self.parent[i] = i
-        return i
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
 
     def find(self, a: int) -> int:
         while self.parent[a] != a:
@@ -172,23 +174,27 @@ class MorseBuilder:
         if self._front:
             raise KnotError(f"morse: {len(self._front)} strand ends still open")
         self._finished = True
+        # every bit and every arc is resolved once, not once per crossing end
+        found = [self._bits.find(bit) for bit in range(len(self._bits.parent))]
         values: dict[int, int] = {}
         for bit, val in self._pins:
-            root, p = self._bits.find(bit)
+            root, p = found[bit]
             want = val ^ p
             if values.setdefault(root, want) != want:
                 raise KnotError("morse: orientation pins conflict")
-
-        def down(end: _End) -> int:
-            root, p = self._bits.find(end[1])
-            return values.get(root, 0) ^ p ^ end[2]
+        # bit -> its value, so an end runs down when flow[bit] ^ parity is 1
+        flow = [values.get(root, 0) ^ p for root, p in found]
+        # arc -> its root; parent[a] <= a, so one pass in id order does it
+        roots = self._arcs.parent.copy()
+        for a, up in enumerate(roots):
+            roots[a] = roots[up]
 
         out = []
         for arcs, over, left, right in self._crossings:
-            dl, dr = down(left), down(right)
+            dl, dr = flow[left[1]] ^ left[2], flow[right[1]] ^ right[2]
             turn = 1 + 2 * dr if over == "L" else 2 * dl
             sign = (1 if over == "L" else -1) * (1 if dl == dr else -1)
-            arcs = tuple(self._arcs.find(a) for a in arcs[turn:] + arcs[:turn])
+            arcs = tuple(map(roots.__getitem__, arcs[turn:] + arcs[:turn]))
             out.append((arcs, sign, (left[3], right[3])))
         return out
 

@@ -32,8 +32,9 @@ is solved for too: every second row with det T = +-1 is one particular
 row plus k times the first, and the off-diagonal entries are linear in
 k, so each first row kept costs O(1) work.  A 4x4 search builds T one
 row at a time and drops a partial T as soon as one off-diagonal entry
-misses.  Both return the lexicographically first witness without
-visiting every matrix.  The arithmetic is exact on
+misses; it counts the rows it checks and is refused past
+``ORACLE_CHECKS`` of them.  Both return the lexicographically first
+witness without visiting every matrix.  The arithmetic is exact on
 Python ints.  The search exists to cross-check the decision procedure
 above and shares no code with it.
 """
@@ -57,11 +58,19 @@ NEGATIVE_NOTE = (
 # row's last entry once per value x of its first entry, and then does
 # O(1) work per first row it keeps: at that count (bound 499) it takes
 # about 1 ms on the forms measured, ((0, 1), (0, 0)) against
-# ((0, 2), (1, 0)) included (2-vCPU Xeon).  A 4x4 search keeps the row
-# search, which pairs the rows it keeps depth-first: at bound 8, well
-# inside its limit of bound 15, it can take over a minute (README's limits
-# paragraph).  A larger bound is refused before the search starts.
+# ((0, 2), (1, 0)) included (2-vCPU Xeon).  A larger bound is refused
+# before the search starts.
 ORACLE_ROWS = 1_000_000
+
+# the most rows a 4x4 search may check against the rows chosen above them,
+# summed over the rows it tries at each depth.  The search pairs the rows
+# it keeps depth-first, so its cost follows this count, not the bound: the
+# block sum of ((0, 1), (0, 0)) with itself against its sum with
+# ((0, 2), (1, 0)), to which it is not congruent, checks 331,530 rows in
+# 0.3 s at bound 2 and 2,143,802 in 1.8 s at bound 3 (2-vCPU Xeon), and
+# would check tens of millions at bound 5.  Past the limit the search
+# stops with a KnotError naming the count, after about a second.
+ORACLE_CHECKS = 1_000_000
 
 
 def _check_band(band: str) -> str:
@@ -299,6 +308,8 @@ def brute_force_congruence(
     A 4x4 search picks rows depth-first in order, dropping a row r as
     soon as r . (r_j M) or r . (r_j M^T) misses the target against an
     earlier row j, and accepts the first complete T with det T = +-1.
+    Each time it tries the rows of one depth it counts them all, and it
+    is refused once that count passes ORACLE_CHECKS.
     All arithmetic is on Python ints and therefore exact for entries of
     any size.  Matrices larger than 4x4 are rejected, and so is a bound
     giving more than ORACLE_ROWS candidate rows, (2*bound+1)^n.
@@ -351,7 +362,15 @@ def brute_force_congruence(
     # each chosen row r above the last, with r M and r M^T
     chosen: list[tuple[tuple[int, ...], list[int], list[int]]] = []
 
+    work = 0
+
     def extend(i: int) -> tuple[tuple[int, ...], ...] | None:
+        nonlocal work
+        work += len(choices[i])
+        if work > ORACLE_CHECKS:
+            raise KnotError(
+                f"oracle: search reached {work} row checks, over the limit of {ORACLE_CHECKS}"
+            )
         for r in choices[i]:
             for j, (_, rm, rmt) in enumerate(chosen):
                 if sum(map(mul, r, rm)) != tt[j][i] or sum(map(mul, r, rmt)) != tt[i][j]:

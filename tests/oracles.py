@@ -4,7 +4,7 @@ These share no algorithmic code with the package: the bracket here
 enumerates all 2^c Kauffman states and counts loops with a union-find,
 the bracket of a braid closure is a Markov trace in the Temperley-Lieb
 algebra, the contraction order rescans every remaining crossing at each
-step, the polynomial product is a direct convolution on coefficient lists,
+step of both its greedy runs, the polynomial product is a direct convolution on coefficient lists,
 the congruence searches try every bounded integer matrix or scan every
 value of every row entry, with a Leibniz determinant, the first
 S-equivalence rule is read off a form's four entries, the Alexander
@@ -66,34 +66,57 @@ def naive_bracket(crossings) -> LaurentPoly:
 
 
 def naive_contraction_order(crossings) -> list[int]:
-    """The bracket sweep's greedy order, found by rescanning every
-    remaining crossing at each step: take the one after which the fewest
-    arcs are open, the lowest index on a tie.  O(c^2) set work."""
+    """The bracket sweep's order, found by rescanning every remaining
+    crossing at each step.  The greedy runs twice.  Each step takes a
+    crossing after which the fewest arcs are open; a tie goes to the
+    lowest index in the first run, and in the second to the crossing
+    whose count last changed longest ago (never changed first, by
+    index).  The run kept is the one whose open-arc counts after each
+    step have the lower peak, then the lower sum, the first on a full
+    tie.  O(c^2) set work."""
+    runs = [_naive_greedy(crossings, waited) for waited in (False, True)]
+    profiles = [(max(counts), sum(counts)) for _, counts in runs]
+    return runs[1][0] if profiles[1] < profiles[0] else runs[0][0]
+
+
+def _naive_greedy(crossings, waited: bool) -> tuple[list[int], list[int]]:
+    """One greedy run: the order and the open-arc count after each step."""
     remaining = set(range(len(crossings)))
     open_arcs: set[int] = set()
     pending: dict[int, int] = {}
-    for x in crossings:
+    at: dict[int, list[int]] = {}
+    for ci, x in enumerate(crossings):
         for a in x:
             pending[a] = pending.get(a, 0) + 1
-    order = []
+            at.setdefault(a, []).append(ci)
+    # when each crossing's count last changed: never, or the n-th change
+    since = {ci: (0, ci) for ci in remaining}
+    changes = 0
+    order, counts = [], []
     while remaining:
-        best = None
-        best_cost = None
+        best = best_key = None
         for ci in sorted(remaining):
             touched = set(crossings[ci])
             closed = sum(
                 1 for a in touched if pending[a] - crossings[ci].count(a) == 0
             )
             cost = len(open_arcs | touched) - closed
-            if best_cost is None or cost < best_cost:
-                best, best_cost = ci, cost
+            key = (cost, since[ci]) if waited else (cost,)
+            if best_key is None or key < best_key:
+                best, best_key = ci, key
         order.append(best)
+        counts.append(best_key[0])
         remaining.discard(best)
         for a in crossings[best]:
             pending[a] -= 1
+            # the count of the crossing at the arc's other end falls by 2
+            for cj in at[a]:
+                if cj != best and cj in remaining:
+                    changes += 1
+                    since[cj] = (1, changes)
         open_arcs |= set(crossings[best])
         open_arcs = {a for a in open_arcs if pending[a] > 0}
-    return order
+    return order, counts
 
 
 def convolve(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

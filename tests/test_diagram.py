@@ -18,6 +18,7 @@ from knotlab.diagram import (
     PlanarDiagram,
     _SHIFTS,
     _contraction_order,
+    _jones_from_bracket,
     _replay,
     add_kink,
     connect_sum,
@@ -195,6 +196,52 @@ def test_bracket_fault_is_an_internal_error(monkeypatch):
         jones(parse_pd(LEFT_TREFOIL))
     with pytest.raises(AssertionError, match="^jones: "):
         main(["jones", "--pd", LEFT_TREFOIL])
+
+
+@pytest.mark.parametrize("text, fails", [
+    ("-t^-2 - t^-1 - 1 - t - t^2", "V(1) = 1"),
+    ("-1 - t^2 + t^3 + t^5 + t^6", "V'(1) = 0"),
+    ("t^2 + t^4 - t^6", "V(e^(2 pi i/3)) = 1"),
+    ("t^2 + t^3 - t^5", "V(i) = (-1)^Arf"),  # V(i) is not real
+    ("-2 + 3t + 3t^3 - 3t^4", "V(i) = (-1)^Arf"),  # V(i) = -5
+])
+def test_each_jones_identity_is_checked(text, fails):
+    # each V fails exactly one of the four identities; read off a bracket
+    # of writhe 0, whose A^(-4k) is t^k
+    v = parse_poly(text)
+    with pytest.raises(AssertionError, match=rf"^jones: V\(t\) fails {re.escape(fails)}$"):
+        _jones_from_bracket(LaurentPoly({-4 * k: c for k, c in v.items()}), 0)
+
+
+@pytest.mark.parametrize("corrupt, fails", [
+    # one coefficient off by 1: V(1) = 2 or 0
+    (lambda n, radix: n + 1, "V(1) = 1"),
+    # a unit moved from the lowest coefficient to the next keeps V(1) = 1
+    (lambda n, radix: n - 1 + (1 << radix), "V'(1) = 0"),
+])
+def test_jones_identities_catch_a_corrupted_sweep(monkeypatch, corrupt, fails):
+    # the last step of the sweep hands back its one state with its
+    # coefficients altered; the exponents stay right, so only the
+    # identities V is checked against can see it
+    d = lambda_diagram(LambdaSpec(2, -2, 5))
+    expected = jones(d)
+    replay, steps = diagram._replay, []
+
+    def corrupting_replay(program, los, packs, shifts, radix):
+        los, packs, digits, dropped = replay(program, los, packs, shifts, radix)
+        steps.append(None)
+        if len(steps) == len(d.crossings):
+            packs = [corrupt(packs[0], radix)]
+        return los, packs, digits, dropped
+
+    monkeypatch.setattr(diagram, "_replay", corrupting_replay)
+    with pytest.raises(AssertionError, match=rf"^jones: V\(t\) fails .*{re.escape(fails)}"):
+        jones(d)
+    steps.clear()
+    with pytest.raises(AssertionError, match=rf"^jones: V\(t\) fails .*{re.escape(fails)}"):
+        main(["jones", "--pd", str(d)])
+    monkeypatch.setattr(diagram, "_replay", replay)
+    assert jones(d) == expected
 
 
 # ---- contraction agrees with the brute-force state sum ----
@@ -583,6 +630,27 @@ def test_contraction_order_matches_naive_rescan():
         assert _contraction_order(d._mate) == naive_contraction_order(d.crossings), str(d)
 
 
+def test_every_lambda_sweeps_at_five_states(monkeypatch):
+    # the order that lets a twist region or the cable finish the strands
+    # it has started holds every lambda(n, m, p) of this grid to 5
+    # partial states; the lowest-index order alone held 720 of them at 13
+    peak = {"states": 0}
+    replay = diagram._replay
+
+    def counting_replay(program, los, packs, shifts, radix):
+        out = replay(program, los, packs, shifts, radix)
+        peak["states"] = max(peak["states"], len(out[0]))
+        return out
+
+    monkeypatch.setattr(diagram, "_replay", counting_replay)
+    ps = (3, -3, 5, -5, 7, 9, -11, 21, -23, 35, -37)
+    for n, m in itertools.product(range(-8, 9, 2), repeat=2):
+        for p in ps:
+            peak["states"] = 0
+            kauffman_bracket(lambda_diagram(LambdaSpec(n, m, p)))
+            assert peak["states"] == 5, (n, m, p, peak["states"])
+
+
 # ---- Reidemeister I and mirror behaviour ----
 
 def test_kink_leaves_jones_alone():
@@ -700,14 +768,14 @@ def test_sweep_limit_refuses_with_the_count(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_limit_pins_the_work_count(monkeypatch):
-    # lambda(-2, -6, -121), 492 crossings, holds exactly 551,146
+    # lambda(-2, -6, -121), 492 crossings, holds exactly 218,765
     # partial-state and step ints over its sweep, and the all-"L"
     # 8-strand, 5-sweep closure 32,578, whether the memo of compiled
     # steps starts empty or already holds every step.  A step is charged
     # for each of its states, so a state met in two sets of one shape is
     # charged in each
     _empty_memo(monkeypatch)
-    cases = [(lambda_diagram(LambdaSpec(-2, -6, -121)), 551_146),
+    cases = [(lambda_diagram(LambdaSpec(-2, -6, -121)), 218_765),
              (_braid_closure(8, [(k % 7, 1) for k in range(35)]), 32_578)]
     for memo in ("empty", "full"):
         for d, work in cases:

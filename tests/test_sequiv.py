@@ -206,6 +206,19 @@ def test_oracle_4x4_small_bound():
     assert w.rows == ((-1, 0, -1, 1), (0, 0, 0, -1), (-1, 0, 0, 0), (0, -1, 0, 1))
 
 
+def test_oracle_4x4_refuses_past_its_row_checks():
+    # ((0,1),(0,0)) + itself is not congruent to ((0,1),(0,0)) +
+    # ((0,2),(1,0)); at bound 5 the search would check tens of millions of
+    # rows, so it is refused once the count passes ORACLE_CHECKS, at a
+    # point that does not depend on the host
+    band = SeifertMatrix(((0, 1), (0, 0)))
+    m = connected_sum(band, band)
+    target = connected_sum(band, SeifertMatrix(((0, 2), (1, 0))))
+    with pytest.raises(KnotError, match=r"^oracle: search reached 1000433 row checks, "
+                                        r"over the limit of 1000000$"):
+        brute_force_congruence(m, target, 5)
+
+
 @given(genus_one(), st.integers(-3, 3), st.sampled_from(("first", "second")),
        st.integers(0, 2))
 def test_oracle_matches_naive_enumeration(m, ell, band, bound):
