@@ -159,9 +159,12 @@ class LaurentPoly(Value):
 
     def evaluate(self, x):
         """Exact evaluation at a nonzero rational point (an int or a
-        ``Fraction``), as a ``Fraction``.  A point ``Fraction`` cannot
-        take (NaN, an infinity, text that is no number) raises KnotError;
-        a value of a type it does not take, TypeError."""
+        ``Fraction``), as a ``Fraction``.  A bool, a float, text, or a
+        point ``Fraction`` cannot take (a ``Decimal`` NaN or infinity)
+        raises KnotError; a value of a type ``Fraction`` does not take,
+        TypeError."""
+        if isinstance(x, (bool, float, str)):
+            raise KnotError(f"laurent: cannot evaluate at {value_text(x)}")
         from fractions import Fraction  # imports decimal; nothing else needs it
 
         try:

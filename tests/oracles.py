@@ -1,26 +1,47 @@
 """Independent reference implementations used only by the tests.
 
-These share no algorithmic code with the package: the bracket here
-enumerates all 2^c Kauffman states and counts loops with a union-find,
-the bracket of a braid closure is a Markov trace in the Temperley-Lieb
-algebra, the contraction order rescans every remaining crossing at each
-step of both its greedy runs, the polynomial product is a direct convolution on coefficient lists,
-the congruence searches try every bounded integer matrix or scan every
-value of every row entry, with a Leibniz determinant, the first
-S-equivalence rule is read off a form's four entries, the Alexander
-polynomial is a Leibniz expansion over polynomial entries, and the
-signature comes from rational pivoting on Schur complements.  Slow on
-purpose; keep inputs small.
+Nothing here imports knotlab, and nothing shares algorithmic code with
+it.  A polynomial is a plain ``{exponent: coefficient}`` dict with no
+zero entries; a matrix is a tuple of rows.  What each oracle takes and
+returns:
+
+- ``naive_bracket(crossings)``: the bracket <D> of PD crossings, a dict
+  in A, by enumerating all 2^c Kauffman states and counting loops with
+  a union-find;
+- ``tl_bracket(strands, word)``: the bracket of a braid closure, a dict
+  in A, as a Markov trace in the Temperley-Lieb algebra;
+- ``naive_contraction_order(crossings)``: the bracket sweep's order, a
+  list of crossing indices, by rescanning every remaining crossing at
+  each step of both its greedy runs;
+- ``convolve(p, q)``: the product of two dicts, by direct convolution
+  on dense coefficient lists; ``normalized(p)``: p times the unit
+  +-t^k that makes its lowest exponent 0 and lowest coefficient
+  positive;
+- ``lambda_jones(n, m, p)``: the Jones polynomial of lambda(n, m, p), a
+  dict in t, from the family's closed form;
+- ``parse_poly_text(text)``: the dict a polynomial's printed text form
+  names, read token by token;
+- ``naive_congruence`` and ``scan_congruence``: the first congruence
+  witness, a tuple of rows or None, trying every bounded integer matrix
+  or scanning every value of every row entry, with the Leibniz
+  determinant ``leibniz_det`` (an int);
+- ``published_rule(rows, ell, band)``: the first S-equivalence rule, a
+  bool read off a form's four entries;
+- ``naive_alexander(rows)``: det(M - t M^T), unnormalized, a dict in t,
+  by a Leibniz expansion over polynomial entries;
+- ``naive_signature(rows)``: the signature, an int, by rational pivoting
+  on Schur complements.
+
+Slow on purpose; keep inputs small.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from operator import mul
-
-from knotlab.laurent import LaurentPoly
 
 
 class UnionFind:
@@ -39,13 +60,17 @@ class UnionFind:
             self.parent[ra] = rb
 
 
-def naive_bracket(crossings) -> LaurentPoly:
-    """<D> by brute force over all smoothings."""
+def _nonzero(p: dict[int, int]) -> dict[int, int]:
+    return {e: c for e, c in p.items() if c}
+
+
+def naive_bracket(crossings) -> dict[int, int]:
+    """<D> by brute force over all smoothings, as {exponent: coefficient}
+    in A."""
     if not crossings:
-        return LaurentPoly.one()
+        return {0: 1}
     arcs = {a for x in crossings for a in x}
     total: dict[int, int] = {}
-    delta = LaurentPoly({2: -1, -2: -1})
     for choice in itertools.product((0, 1), repeat=len(crossings)):
         uf = UnionFind(arcs)
         exponent = 0
@@ -59,10 +84,8 @@ def naive_bracket(crossings) -> LaurentPoly:
                 uf.union(a, d)
                 uf.union(b, c)
         loops = len({uf.find(a) for a in arcs})
-        term = LaurentPoly.term(1, exponent) * delta ** (loops - 1)
-        for e, coeff in term.items():
-            total[e] = total.get(e, 0) + coeff
-    return LaurentPoly(total)
+        _accumulate(total, {exponent: 1}, 0, loops - 1)
+    return _nonzero(total)
 
 
 def naive_contraction_order(crossings) -> list[int]:
@@ -119,18 +142,87 @@ def _naive_greedy(crossings, waited: bool) -> tuple[list[int], list[int]]:
     return order, counts
 
 
-def convolve(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+def convolve(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     """Product via dense coefficient lists."""
     if not p or not q:
-        return LaurentPoly.zero()
-    plo, qlo = p.min_exp, q.min_exp
-    pa = [p.coeff(plo + i) for i in range(max(e for e, _ in p.items()) - plo + 1)]
-    qa = [q.coeff(qlo + i) for i in range(max(e for e, _ in q.items()) - qlo + 1)]
+        return {}
+    plo, qlo = min(p), min(q)
+    pa = [p.get(plo + i, 0) for i in range(max(p) - plo + 1)]
+    qa = [q.get(qlo + i, 0) for i in range(max(q) - qlo + 1)]
     out = [0] * (len(pa) + len(qa) - 1)
     for i, ci in enumerate(pa):
         for j, cj in enumerate(qa):
             out[i + j] += ci * cj
-    return LaurentPoly({plo + qlo + k: c for k, c in enumerate(out) if c})
+    return {plo + qlo + k: c for k, c in enumerate(out) if c}
+
+
+def normalized(p: dict[int, int]) -> dict[int, int]:
+    """p times the unit +-t^k that makes its lowest exponent 0 and its
+    lowest coefficient positive; {} stays {}."""
+    if not p:
+        return {}
+    low = min(p)
+    sign = 1 if p[low] > 0 else -1
+    return {e - low: sign * c for e, c in p.items()}
+
+
+def lambda_jones(n: int, m: int, p: int) -> dict[int, int]:
+    """The Jones polynomial of lambda(n, m, p), as {exponent: coefficient}
+    in t, from the family's closed form: for p > 0,
+
+        (t+1)^2 V = t + (t^2+t+1)(t^n + t^m) - (t^2+1)(t^2+t+1) t^(n+m-p-1)
+                    + (t^2+t+1) t^(n+m-2p),
+
+    divided exactly by t + 1 twice; for p < 0, V(lambda(n, m, p))(t) =
+    V(lambda(-n, -m, -p))(1/t), the mirror.  Raises ArithmeticError on a
+    remainder."""
+    if p < 0:
+        return {-e: c for e, c in lambda_jones(-n, -m, -p).items()}
+    q = {0: 1, 1: 1, 2: 1}
+    rhs: dict[int, int] = {1: 1}
+    for term in (convolve(q, {n: 1}), convolve(q, {m: 1}),
+                 convolve({0: -1, 2: -1}, convolve(q, {n + m - p - 1: 1})),
+                 convolve(q, {n + m - 2 * p: 1})):
+        for e, c in term.items():
+            rhs[e] = rhs.get(e, 0) + c
+    return _over_t_plus_one(_over_t_plus_one(_nonzero(rhs)))
+
+
+def _over_t_plus_one(r: dict[int, int]) -> dict[int, int]:
+    """r / (t + 1), by synthetic division from the lowest exponent up:
+    q_e = r_e - q_(e-1), and the top coefficient must be the last q."""
+    if not r:
+        return {}
+    low, high = min(r), max(r)
+    out, carry = {}, 0
+    for e in range(low, high):
+        carry = r.get(e, 0) - carry
+        if carry:
+            out[e] = carry
+    if r[high] != carry:
+        raise ArithmeticError("lambda_jones: not divisible by t + 1")
+    return out
+
+
+_TERM = re.compile(r"([+-]?)(\d*)(t(?:\^(-?\d+))?)?")
+
+
+def parse_poly_text(text: str) -> dict[int, int]:
+    """The {exponent: coefficient} dict that the printed text form of a
+    polynomial in t names, e.g. ``-t^-4 + t^-3 + 2``: split into signed
+    terms, each ``[digits][t[^exponent]]``.  Raises ValueError on a term
+    of another shape."""
+    tokens = text.replace("+ ", "+").replace("- ", "-").split()
+    out: dict[int, int] = {}
+    for token in tokens:
+        found = _TERM.fullmatch(token)
+        if not found or not (found[2] or found[3]):
+            raise ValueError(f"parse_poly_text: bad term {token!r}")
+        sign, digits, var, power = found.groups()
+        coeff = int(digits or 1) * (-1 if sign == "-" else 1)
+        exp = int(power) if power else 1 if var else 0
+        out[exp] = out.get(exp, 0) + coeff
+    return _nonzero(out)
 
 
 def _perm_sign(perm) -> int:
@@ -230,20 +322,20 @@ def scan_congruence(m, target, bound: int):
     return extend(0)
 
 
-def naive_alexander(m) -> LaurentPoly:
-    """det(M - t M^T) for a tuple of rows M, unnormalized: the signed sum
-    over all permutations, each term a product of linear entries taken
-    with ``convolve``.  n! terms."""
+def naive_alexander(m) -> dict[int, int]:
+    """det(M - t M^T) for a tuple of rows M, unnormalized, as {exponent:
+    coefficient} in t: the signed sum over all permutations, each term a
+    product of linear entries taken with ``convolve``.  n! terms."""
     n = len(m)
-    entries = [[LaurentPoly({0: m[i][j], 1: -m[j][i]}) for j in range(n)] for i in range(n)]
+    entries = [[_nonzero({0: m[i][j], 1: -m[j][i]}) for j in range(n)] for i in range(n)]
     total: dict[int, int] = {}
     for perm in itertools.permutations(range(n)):
-        term = LaurentPoly({0: _perm_sign(perm)})
+        term = {0: _perm_sign(perm)}
         for i, j in enumerate(perm):
             term = convolve(term, entries[i][j])
         for e, c in term.items():
             total[e] = total.get(e, 0) + c
-    return LaurentPoly(total)
+    return _nonzero(total)
 
 
 def naive_signature(m) -> int:
@@ -276,7 +368,7 @@ def naive_signature(m) -> int:
     return sig
 
 
-def tl_bracket(strands: int, word) -> LaurentPoly:
+def tl_bracket(strands: int, word) -> dict[int, int]:
     """<closure of a braid> as the Markov trace in the Temperley-Lieb
     algebra TL_n (Jones, Bull. AMS 1985), for a word of
     ``(generator, over)`` letters, over in {"L", "R"}.
@@ -322,7 +414,7 @@ def tl_bracket(strands: int, word) -> LaurentPoly:
                     seen[q] = True
                     p = q - n if q >= n else q + n
         _accumulate(total, poly, 0, loops - 1)
-    return LaurentPoly({e: c for e, c in total.items() if c})
+    return _nonzero(total)
 
 
 def _accumulate(into: dict[int, int], poly: dict[int, int], shift: int, loops: int) -> None:

@@ -20,6 +20,8 @@ from knotlab.cli import main
 from knotlab.diagram import jones, jones_twist
 from knotlab.family import LambdaSpec, lambda_diagram
 
+from oracles import lambda_jones, parse_poly_text
+
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
 
@@ -307,6 +309,15 @@ def test_sequiv_oracle_handles_huge_entries(capsys):
     assert payload["result"]["oracle"]["agrees"] is True
 
 
+def test_sequiv_oracle_at_its_row_limit(capsys):
+    # 499 is the largest bound under sequiv.ORACLE_ROWS for a 2x2 form
+    code, payload = run_json(capsys, "sequiv", "--seifert", "[[0,1],[0,0]]", "--ell", "0",
+                             "--oracle-bound", "499")
+    assert code == 0
+    assert payload["result"]["oracle"] == {"bound": 499, "witness": [[-1, 0], [0, -1]],
+                                           "agrees": True}
+
+
 def test_sequiv_rejects_non_genus_one(capsys):
     code, out, err = run(
         capsys, "sequiv", "--seifert",
@@ -344,6 +355,26 @@ def test_lambda_jones_follows_the_paper_sequence(capsys):
                                  "--p", "3", "--emit", "jones")
         assert code == 0
         assert payload["result"]["jones"] == str(jones_twist(v0, 3 * k)), k
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (2, -2)])
+def test_long_lambda_sweep_is_the_closed_form(capsys, tmp_path, n, m):
+    # lambda(0, 0, 1001), 4,004 crossings and 122 renormalisations of the
+    # packed coefficients, is the largest lambda(0, 0, p) inside the sweep
+    # limit; lambda(2, -2, 1001), with a twist in each band, was refused
+    # at 15,003,072 sweep-work ints when swept in the lowest-index order
+    # alone.  V must be the family's closed form, and `jones` on the
+    # emitted PD code must print the same text.
+    code, payload = run_json(capsys, "lambda", "--n", str(n), "--m", str(m), "--p", "1001",
+                             "--emit", "jones")
+    assert code == 0
+    text = payload["result"]["jones"]
+    assert parse_poly_text(text) == lambda_jones(n, m, 1001)
+    path = tmp_path / "lambda.pd"
+    path.write_text(payload["result"]["pd"])
+    code, payload = run_json(capsys, "jones", "--pd", f"@{path}")
+    assert code == 0
+    assert payload["result"]["jones"] == text
 
 
 def test_lambda_alexander(capsys):

@@ -34,7 +34,7 @@ from knotlab.family import LambdaSpec, lambda_diagram
 from knotlab.laurent import LaurentPoly, parse_poly
 from knotlab.morse import MorseBuilder
 
-from oracles import naive_bracket, naive_contraction_order, tl_bracket
+from oracles import convolve, lambda_jones, naive_bracket, naive_contraction_order, tl_bracket
 
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIGURE_EIGHT = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -274,7 +274,7 @@ def _small_diagrams():
 
 def test_bracket_matches_naive_state_sum():
     for d in _small_diagrams():
-        assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+        assert dict(kauffman_bracket(d).items()) == naive_bracket(d.crossings), str(d)
 
 
 def test_bracket_is_independent_of_the_cut():
@@ -284,7 +284,7 @@ def test_bracket_is_independent_of_the_cut():
         expected = naive_bracket(d.crossings)
         for k in range(1, len(d.crossings)):
             rotated = validate(d.crossings[k:] + d.crossings[:k])
-            assert kauffman_bracket(rotated) == expected, (str(d), k)
+            assert dict(kauffman_bracket(rotated).items()) == expected, (str(d), k)
 
 
 def _packed(coeffs, radix=64):
@@ -433,7 +433,7 @@ def test_bracket_matches_naive_on_braid_closures(data):
         else:
             arc = data.draw(st.sampled_from(d.arcs))
         d = add_kink(d, arc, data.draw(st.sampled_from((1, -1))))
-    assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+    assert dict(kauffman_bracket(d).items()) == naive_bracket(d.crossings), str(d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,12 +450,13 @@ def test_bracket_matches_temperley_lieb_trace(data):
     word = _knotted(strands, word, signs)
     d = _braid_closure(strands, word)
     expected = tl_bracket(strands, [(g, "L" if s > 0 else "R") for g, s in word])
-    assert kauffman_bracket(d) == expected, str(d)
+    assert dict(kauffman_bracket(d).items()) == expected, str(d)
     # a curl of sign s multiplies the bracket by -A^(3s)
     curl = data.draw(st.sampled_from((0, 1, -1)))
     if curl:
         kinked = add_kink(d, data.draw(st.sampled_from(d.arcs)), curl)
-        assert kauffman_bracket(kinked) == LaurentPoly({3 * curl: -1}) * expected, str(kinked)
+        assert dict(kauffman_bracket(kinked).items()) == convolve({3 * curl: -1}, expected), \
+            str(kinked)
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,7 +473,7 @@ def test_swapped_labels_are_rejected_or_exact(data):
         d = validate(quads)
     except KnotError:
         return
-    assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+    assert dict(kauffman_bracket(d).items()) == naive_bracket(d.crossings), str(d)
 
 
 def test_cut_keeps_the_sweep_narrow(monkeypatch):
@@ -523,7 +524,7 @@ def test_narrow_radix_renormalises_and_widens(monkeypatch):
     for d, b in zip(items, expected):
         assert kauffman_bracket(d) == b, str(d)
     for d in closures:
-        assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+        assert dict(kauffman_bracket(d).items()) == naive_bracket(d.crossings), str(d)
     # renormalised at one width and widened from 8
     assert any(radix == wide for radix, wide in widths)
     assert (8, 16) in widths and any(wide > 16 for _, wide in widths)
@@ -592,7 +593,7 @@ def test_bracket_table_serves_both_turns_and_signs(monkeypatch):
     word = _knotted(3, [(0, (-1) ** k) for k in range(7)], [1, 1])
     d = _braid_closure(3, word)
     assert {1, -1} <= set(d.signs)
-    assert kauffman_bracket(d) == naive_bracket(d.crossings), str(d)
+    assert dict(kauffman_bracket(d).items()) == naive_bracket(d.crossings), str(d)
     assert counts["compiled"] < len(d.crossings)
     # a curl of either sign on every arc: each curl is a slot tied to a
     # slot of its own crossing, met in every turn
@@ -600,7 +601,8 @@ def test_bracket_table_serves_both_turns_and_signs(monkeypatch):
     for arc in small.arcs:
         for sign in (1, -1):
             kinked = add_kink(small, arc, sign)
-            assert kauffman_bracket(kinked) == naive_bracket(kinked.crossings), (arc, sign)
+            assert dict(kauffman_bracket(kinked).items()) == naive_bracket(kinked.crossings), \
+                (arc, sign)
 
 
 def test_contraction_order_matches_naive_rescan():
@@ -633,7 +635,8 @@ def test_contraction_order_matches_naive_rescan():
 def test_every_lambda_sweeps_at_five_states(monkeypatch):
     # the order that lets a twist region or the cable finish the strands
     # it has started holds every lambda(n, m, p) of this grid to 5
-    # partial states; the lowest-index order alone held 720 of them at 13
+    # partial states; the lowest-index order alone held 720 of them at 13.
+    # Every V the grid sweeps is the family's closed form.
     peak = {"states": 0}
     replay = diagram._replay
 
@@ -647,8 +650,9 @@ def test_every_lambda_sweeps_at_five_states(monkeypatch):
     for n, m in itertools.product(range(-8, 9, 2), repeat=2):
         for p in ps:
             peak["states"] = 0
-            kauffman_bracket(lambda_diagram(LambdaSpec(n, m, p)))
+            v = jones(lambda_diagram(LambdaSpec(n, m, p)))
             assert peak["states"] == 5, (n, m, p, peak["states"])
+            assert dict(v.items()) == lambda_jones(n, m, p), (n, m, p)
 
 
 # ---- Reidemeister I and mirror behaviour ----
@@ -858,7 +862,7 @@ def test_memo_leaves_answers_alone(monkeypatch):
     for d, b in zip(diagrams, cold):
         assert kauffman_bracket(d) == b, str(d)
         if len(d.crossings) <= 12:
-            assert b == naive_bracket(d.crossings), str(d)
+            assert dict(b.items()) == naive_bracket(d.crossings), str(d)
     # with every step in the memo, a sweep looks a set up only to start,
     # and after a crossing where a successor's sum ended at 0
     assert any(zeros)
@@ -886,7 +890,7 @@ def test_memo_stays_within_the_sweep_limit(monkeypatch):
         except KnotError:
             refused += 1
         else:
-            assert b == naive_bracket(d.crossings), str(d)
+            assert dict(b.items()) == naive_bracket(d.crossings), str(d)
         emptied += diagram._memo_ints < before
         assert diagram._memo_ints <= diagram.SWEEP_LIMIT
         _check_memo()
@@ -911,7 +915,7 @@ def test_threads_share_the_memo(monkeypatch):
         try:
             for _ in range(20):
                 for d, b in zip(items[k::2], expected[k::2]):
-                    if kauffman_bracket(d) != b:
+                    if dict(kauffman_bracket(d).items()) != b:
                         failures.append(str(d))
         except Exception as e:  # reported below, with the thread's input
             failures.append(repr(e))

@@ -25,9 +25,10 @@ NOT_FOR_SEQUIV = HEAVY_STDLIB | {"knotlab.diagram", "knotlab.morse", "knotlab.fa
 NOT_FOR_ALEXANDER = NOT_FOR_SEQUIV | {"knotlab.sequiv"}
 
 
-def modules_added(code: str) -> set[str]:
-    """The modules that running ``code`` in a fresh interpreter imports.
-    ``-S`` skips ``site``, which on some installs imports ``typing``."""
+def modules_added(code: str, path: str = str(SRC)) -> set[str]:
+    """The modules that running ``code`` in a fresh interpreter imports,
+    with ``path`` as its PYTHONPATH.  ``-S`` skips ``site``, which on some
+    installs imports ``typing``."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -36,7 +37,7 @@ def modules_added(code: str) -> set[str]:
         "print('MODULES', *sorted(set(sys.modules) - before))\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert done.returncode == 0, done.stderr
     last = done.stdout.splitlines()[-1].split()
     assert last[0] == "MODULES"
@@ -119,6 +120,15 @@ def test_cli_alexander_loads_only_the_seifert_code():
         "assert main(['alexander', '--seifert', '[[0,2],[1,0]]']) == 0")
     assert "knotlab.seifert" in added
     assert not added & NOT_FOR_ALEXANDER
+
+
+def test_oracles_import_nothing_from_the_package():
+    # src is on the path too, so an import of knotlab would succeed and
+    # show here rather than fail
+    tests = Path(__file__).resolve().parent
+    added = modules_added("import oracles", os.pathsep.join([str(tests), str(SRC)]))
+    assert "oracles" in added
+    assert not {name for name in added if name.split(".")[0] == "knotlab"}
 
 
 # ---- the immutable value classes ----
