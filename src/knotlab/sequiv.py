@@ -28,11 +28,10 @@ with bounded entries.  A row r of T must satisfy r M r^T = target[i][i],
 a quadratic in r's last entry once the others are fixed, so the search
 tries every choice of the other entries and solves for the last one
 exactly instead of trying each value.  For a 2x2 form the second row
-is solved for too: every second row with det T = +-1 is one particular
-row plus k times the first, and the off-diagonal entries are linear in
-k, so each first row kept costs O(1) work.  A 4x4 search builds T one
-row at a time and drops a partial T as soon as one off-diagonal entry
-misses; it counts the rows it checks and is refused past
+is solved for too, in O(1): the skew parts of two Seifert forms fix
+det T, so a first row has at most one completion.  A 4x4 search builds
+T one row at a time and drops a partial T as soon as one off-diagonal
+entry misses; it counts the rows it checks and is refused past
 ``ORACLE_CHECKS`` of them.  Both return the lexicographically first
 witness without visiting every matrix.  The arithmetic is exact on
 Python ints.  The search exists to cross-check the decision procedure
@@ -199,63 +198,41 @@ def _bezout(x: int, y: int) -> tuple[int, int, int]:
 
 def _second_row(mm: Sequence[Sequence[int]], tt: Sequence[Sequence[int]],
                 r0: tuple[int, int], bound: int) -> tuple[int, int] | None:
-    """The lexicographically first r1 in [-bound, bound]^2 that completes
-    the first row r0 (r0 M r0^T = target[0][0] already, and x < 0 or
-    r0 = (0, +-1)) to a witness T = (r0, r1) of a 2x2 search, or None;
-    see brute_force_congruence."""
+    """The one r1 in [-bound, bound]^2 that completes the first row r0
+    (r0 M r0^T = target[0][0] already) to a witness T = (r0, r1) of a
+    2x2 search, or None; see brute_force_congruence."""
     x, y = r0
     g, u, v = _bezout(x, y)
     if g != 1:  # no T with det +-1 has r0 as a row
         return None
     (m00, m01), (m10, m11) = mm
     (t00, t01), (t10, t11) = tt
-    w0, w1 = -v, u  # r1* = eps (w0, w1) has det (r0, r1*) = eps
-    a = (x * m00 + y * m10) * w0 + (x * m01 + y * m11) * w1  # r0 M w^T
-    b = w0 * (m00 * x + m01 * y) + w1 * (m10 * x + m11 * y)  # w M r0^T
+    eps = (m01 - m10) * (t01 - t10)  # det T of every witness
+    w0, w1 = -eps * v, eps * u  # det (r0, w) = eps, and r1 = w + k r0
+    sw = x * (2 * m00 * w0 + (m01 + m10) * w1) + y * ((m01 + m10) * w0 + 2 * m11 * w1)  # r0 S w^T
     c = w0 * (m00 * w0 + m01 * w1) + w1 * (m10 * w0 + m11 * w1)  # w M w^T
-    best = None
-    for eps in (1, -1):
-        # r1 = eps w + k r0; the k keeping both its entries in the box
-        lo, hi = -bound, bound
-        for start, step in ((eps * w0, x), (eps * w1, y)):
-            if step < 0:
-                start, step = -start, -step
-            if step:  # at step 0, r0 = (0, +-1) or (+-1, 0) and start = +-1
-                lo, hi = max(lo, -((bound + start) // step)), min(hi, (bound - start) // step)
-        # r0 M r1^T = eps a + k t00 and r1 M r0^T = eps b + k t00
-        if t00:
-            k, rem = divmod(t01 - eps * a, t00)
-            if rem or eps * b + k * t00 != t10:
-                continue
-        elif eps * a != t01 or eps * b != t10:
-            continue
-        else:
-            # then r1 M r1^T = c + k (t01 + t10)
-            slope = t01 + t10
-            if slope:
-                k, rem = divmod(t11 - c, slope)
-                if rem:
-                    continue
-            elif c == t11:
-                # every k fits; r1 falls as k grows while x < 0 or r0 = (0, -1)
-                k = hi
-            else:
-                continue
-        if not lo <= k <= hi:
-            continue
-        r1 = (eps * w0 + k * x, eps * w1 + k * y)
-        if (r1[0] * (m00 * r1[0] + m01 * r1[1]) + r1[1] * (m10 * r1[0] + m11 * r1[1]) == t11
-                and (best is None or r1 < best)):
-            best = r1
-    return best
+    # r0 S r1^T = sw + 2 k t00 must be t01 + t10
+    if t00:
+        k, rem = divmod(t01 + t10 - sw, 2 * t00)
+    elif sw == t01 + t10:
+        # then r1 M r1^T = c + k (t01 + t10), and t01 + t10 is odd
+        k, rem = divmod(t11 - c, t01 + t10)
+    else:
+        return None
+    if rem:
+        return None
+    r1 = (w0 + k * x, w1 + k * y)
+    if (-bound <= r1[0] <= bound and -bound <= r1[1] <= bound
+            and r1[0] * (m00 * r1[0] + m01 * r1[1]) + r1[1] * (m10 * r1[0] + m11 * r1[1]) == t11):
+        return r1
+    return None
 
 
 def _congruence_2x2(mm: Sequence[Sequence[int]], tt: Sequence[Sequence[int]],
                     bound: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """The 2x2 search of brute_force_congruence on plain rows: the first
     rows r0 = (x, y) with x <= 0 in ascending order, y solved for, each
-    completed by _second_row.  Any integer forms will do, not only
-    Seifert forms."""
+    completed by _second_row.  Both forms must be Seifert forms."""
     (m00, m01), (m10, m11) = mm
     for x in range(-bound, 1):
         for y in _integer_roots(m11, x * (m01 + m10), m00 * x * x - tt[0][0], bound):
@@ -285,31 +262,27 @@ def brute_force_congruence(
     completed by the least rows that do it, gives the lexicographically
     first witness.
 
-    A 2x2 search solves for the second row.  With T, -T is a witness
-    too, so the first witness's first row r0 = (x, y) has x < 0 or is
-    (0, -1), and only the rows with x <= 0 are tried.  A first row that
-    is not primitive is skipped: no T with det +-1 has it.  Otherwise
-    extended Euclid gives u x + v y = 1, r1* = eps (-v, u) has
-    det (r0, r1*) = eps for eps = +-1, and every r1 with det T = eps is
-    r1* + k r0 for one integer k.  Both r0 M r1^T and r1 M r0^T are
-    linear in k with slope t00 = r0 M r0^T.  When t00 != 0, the first
-    fixes k by one exact division, and the second, the box and
-    r1 M r1^T = target[1][1] are checked.  When t00 = 0, both must
-    already hold at k = 0, and then r1 M r1^T is linear in k: one more
-    division, or every k when its slope is 0 and its value is right
-    (never for Seifert forms, where t01 - t10 = +-1 makes the slope
-    t01 + t10 odd).  The box [-bound, bound]^2 is an interval of k, and
-    r1 is affine in k, falling lexicographically as k grows when x < 0
-    or r0 = (0, -1), so every k gives its top end.  The least r1 over
-    both signs of eps completes r0.  So a 2x2 search solves the first
-    row's last entry once per value of x and then does O(1) work per
-    first row it keeps.
+    A 2x2 search solves for the second row, using what Seifert forms
+    fix: M - M^T = e J with J = ((0, 1), (-1, 0)) and e = m01 - m10 = +-1,
+    and T J T^T = det T J, so a witness has det T = eps = e e', where
+    e' = t01 - t10, and the antisymmetric half of its off-diagonal
+    equations holds by itself.  With T, -T is a witness too, so the first
+    witness's first row r0 = (x, y) has x < 0 or is (0, -1), and only the
+    rows with x <= 0 are tried.  A first row that is not primitive is
+    skipped.  Otherwise extended Euclid gives u x + v y = 1, and every r1
+    with det T = eps is w + k r0, where w = eps (-v, u).  The symmetric
+    half, r0 S r1^T = r0 S w^T + 2 k t00 = t01 + t10 with S = M + M^T,
+    fixes k by one exact division when t00 != 0.  When t00 = 0 it must
+    hold as it is, and r1 M r1^T = w M w^T + k (t01 + t10) fixes k by one
+    exact division by t01 + t10 = 2 t10 + e', which is odd.  The box and
+    r1 M r1^T = target[1][1] are then checked: O(1) work per first row.
 
     A 4x4 search picks rows depth-first in order, dropping a row r as
     soon as r . (r_j M) or r . (r_j M^T) misses the target against an
-    earlier row j, and accepts the first complete T with det T = +-1.
-    Each time it tries the rows of one depth it counts them all, and it
-    is refused once that count passes ORACLE_CHECKS.
+    earlier row j, and returns the first complete T, whose det is +-1
+    because det(M - M^T) = det(target - target^T) = 1.  Each time it
+    tries the rows of one depth it counts them all, and it is refused
+    once that count passes ORACLE_CHECKS.
     All arithmetic is on Python ints and therefore exact for entries of
     any size.  Matrices larger than 4x4 are rejected, and so is a bound
     giving more than ORACLE_ROWS candidate rows, (2*bound+1)^n.
@@ -377,10 +350,7 @@ def brute_force_congruence(
                     break
             else:
                 if i == last:
-                    rows = tuple(c[0] for c in chosen) + (r,)
-                    if int_det(rows) in (1, -1):
-                        return rows
-                    continue
+                    return tuple(c[0] for c in chosen) + (r,)
                 chosen.append((r, [sum(map(mul, r, c)) for c in columns],
                                [sum(map(mul, r, row)) for row in mm]))
                 found = extend(i + 1)

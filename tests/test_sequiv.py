@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,6 @@ import knotlab
 from knotlab.errors import KnotError
 from knotlab.seifert import CongruenceCertificate, SeifertMatrix, connected_sum
 from knotlab.sequiv import (
-    _congruence_2x2,
     brute_force_congruence,
     connected_sum_certificate,
     decide_first_sequiv,
@@ -282,42 +282,67 @@ def test_oracle_last_entry_solve(m, target, bound, expected):
     assert scan_congruence(m, target, bound) == expected
 
 
-# One 2x2 search per branch of the second-row solve, on plain rows.
-# Row r1 = eps w + k r0 has r0 M r1^T = eps a + k t00, r1 M r0^T =
-# eps b + k t00 and, when t00 = 0, r1 M r1^T = c + k (t01 + t10).  On
-# Seifert forms t01 - t10 = +-1 makes that slope odd, and an inexact
-# division or a first row that is not primitive also fails an
-# off-diagonal equation, so those cases use other integer forms; each
-# case's answer changes when its branch is cut out.
+# One 2x2 search per guard of the second-row solve, on Seifert forms.
+# Row r1 = w + k r0 has det T = eps = (m01 - m10)(t01 - t10), and
+# r0 S r1^T = r0 S w^T + 2 k t00 must be t01 + t10 (S = M + M^T); when
+# t00 = 0, r1 M r1^T = w M w^T + k (t01 + t10) fixes k instead.  The
+# answer of each case named after a guard changes when that guard is cut
+# out, and "det T = -1" changes when eps is taken to be 1.
 _SECOND_ROW_CASES = {
-    # the rows (-2, 0), (0, -2), (0, 0) and (0, 2) are kept and skipped:
-    # T = ((-2, 0), (2, 1)) would pass but for its det, -2
-    "first row not primitive": (((0, 1), (0, 0)), ((0, -2), (0, 2)), 2, None),
+    # r0 = (0, -3) has r0 M r0^T = 0; without the guard the search would
+    # return T = ((0, -3), (-1, 3)), of det -3
+    "first row not primitive": (((-2, -1), (0, 0)), ((0, -1), (-2, 1)), 3, None),
     # r0 = (-1, 0) has no second row, r0 = (0, -1) has one
     "x = 0": (((0, -1), (0, 0)), ((0, 0), (1, -1)), 1, ((0, -1), (1, 1))),
     "t00 != 0, exact division": (((0, -2), (-1, -1)), ((2, -1), (0, -1)), 1,
                                  ((-1, 1), (0, -1))),
-    "t00 != 0, inexact division": (((0, 1), (0, 1)), ((2, 1), (-1, 0)), 1, None),
-    "t00 != 0, second equation fails": (((0, -1), (0, 0)), ((1, 1), (2, 0)), 1, None),
-    "t00 != 0, r1 M r1^T misses": (((0, 0), (-1, 0)), ((-1, 0), (1, -1)), 1, None),
-    "t00 = 0, an equation misses at k = 0": (((2, 0), (-1, -1)), ((0, 0), (-1, 2)), 1, None),
+    "t00 != 0, inexact division": (((3, -2), (-3, -2)), ((3, 0), (-1, -2)), 3, None),
+    "t00 != 0, r1 M r1^T misses": (((2, 0), (-1, -2)), ((1, -4), (-3, 0)), 2, None),
+    "t00 = 0, an equation misses at k = 0": (((1, 1), (2, 2)), ((0, -3), (-2, 1)), 3, None),
     "t00 = 0, nonzero slope": (((0, 0), (1, 1)), ((0, -1), (0, 0)), 2, ((-1, 1), (-1, 0))),
-    # every T is a witness of the zero form; r1 = eps w + k r0 is least
-    # at the high end of its interval of k
-    "t00 = 0, zero slope": (((0, 0), (0, 0)), ((0, 0), (0, 0)), 1, ((-1, -1), (-1, 0))),
     # r0 = (-1, -1) solves to r1 = (-1, -2), outside [-1, 1]^2, and the
     # search goes on to r0 = (-1, 0)
     "the box cuts the interval": (((1, 1), (0, -1)), ((1, 1), (0, -1)), 1, ((-1, 0), (0, -1))),
-    "eps = 1 wins": (((1, 1), (2, -2)), ((2, -1), (0, -2)), 1, ((-1, -1), (0, -1))),
-    "eps = -1 wins": (((-1, 1), (0, -2)), ((-1, 0), (1, -2)), 1, ((-1, 0), (1, 1))),
+    # eps = -1: m01 - m10 = 1 and t01 - t10 = -1
+    "det T = -1": (((-1, 1), (0, -2)), ((-1, 0), (1, -2)), 1, ((-1, 0), (1, 1))),
 }
 
 
 @pytest.mark.parametrize("m, target, bound, expected", _SECOND_ROW_CASES.values(),
                          ids=_SECOND_ROW_CASES.keys())
 def test_oracle_second_row_solve(m, target, bound, expected):
-    assert _congruence_2x2(m, target, bound) == expected
+    witness = brute_force_congruence(SeifertMatrix(m), SeifertMatrix(target), bound)
+    assert (None if witness is None else witness.rows) == expected
     assert scan_congruence(m, target, bound) == expected
+
+
+_UNIMODULAR = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(-4, 5), repeat=4)
+               if a * d - b * c in (1, -1)]
+
+
+@st.composite
+def _form_pairs(draw):
+    """A Seifert form M with entries in [-6, 6], and T M T^T for a
+    unimodular T with entries in [-4, 4], that form with one diagonal
+    entry moved by 1, or another such Seifert form."""
+    m = draw(genus_one(6))
+    kind = draw(st.sampled_from(("congruent", "moved", "other")))
+    if kind == "other":
+        return m, draw(genus_one(6))
+    rows = [list(r) for r in CongruenceCertificate(draw(st.sampled_from(_UNIMODULAR))).apply(m).rows]
+    if kind == "moved":
+        i = draw(st.integers(0, 1))
+        rows[i][i] += draw(st.sampled_from((1, -1)))
+    return m, SeifertMatrix(rows)
+
+
+@settings(deadline=None)
+@given(_form_pairs(), st.integers(0, 7))
+def test_oracle_matches_row_scan_on_general_pairs(pair, bound):
+    m, target = pair
+    witness = brute_force_congruence(m, target, bound)
+    expected = scan_congruence(m.rows, target.rows, bound)
+    assert (None if witness is None else witness.rows) == expected
 
 
 def test_oracle_at_its_row_limit():
@@ -326,6 +351,12 @@ def test_oracle_at_its_row_limit():
     assert brute_force_congruence(stable, SeifertMatrix(((0, 2), (1, 0))), 499) is None
     w = brute_force_congruence(M0, M0, 499)
     assert w.rows == ((-1, 0), (0, -1))
+    # the diagonal and t00 = 0 cases of the second-row solve, checked
+    # against the row scan at the same bound
+    for name in ("t00 != 0, r1 M r1^T misses", "t00 = 0, an equation misses at k = 0"):
+        m, target, _, _ = _SECOND_ROW_CASES[name]
+        witness = brute_force_congruence(SeifertMatrix(m), SeifertMatrix(target), 499)
+        assert (None if witness is None else witness.rows) == scan_congruence(m, target, 499)
 
 
 def test_oracle_is_exact_for_huge_entries():
