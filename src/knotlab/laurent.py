@@ -8,7 +8,7 @@ arithmetic returns new objects and never mutates, which makes them safe
 to share between threads.
 
 The text form orders terms by ascending exponent and writes the variable
-as ``t`` with caret powers, e.g. ``t^-2 - 3 + 2t``.  ``parse`` accepts
+as ``t`` with caret powers, e.g. ``t^-2 - 3 + 2t``.  ``parse_poly`` accepts
 the same grammar (any amount of whitespace, ``^`` powers, an optional
 variable letter chosen by the caller).
 """
@@ -20,12 +20,6 @@ from collections.abc import Iterator, Mapping
 
 from .errors import KnotError, Value, value_text
 
-# the most 64-bit words (terms times words per coefficient) the result of
-# p ** n may take.  Squaring S words costs about S^2 / 4 coefficient
-# products: at the limit a dense 256-term polynomial to the 4th takes 0.5 s
-# (2-vCPU Xeon).
-POW_WORDS = 1_024
-
 
 class LaurentPoly(Value):
     """An element of Z[t, t^-1].
@@ -33,8 +27,6 @@ class LaurentPoly(Value):
     >>> p = LaurentPoly({0: 1, 1: -1})
     >>> p * p
     LaurentPoly('1 - 2t + t^2')
-    >>> p.evaluate(2)
-    Fraction(-1, 1)
     """
 
     __slots__ = ("_coeffs",)
@@ -61,10 +53,6 @@ class LaurentPoly(Value):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
@@ -78,15 +66,6 @@ class LaurentPoly(Value):
     def items(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
         return iter(sorted(self._coeffs.items()))
-
-    def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
-    @property
-    def min_exp(self) -> int:
-        if not self._coeffs:
-            raise KnotError("laurent: zero polynomial has no degree")
-        return min(self._coeffs)
 
     # -- ring structure ----------------------------------------------------
 
@@ -116,34 +95,6 @@ class LaurentPoly(Value):
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        """The n-th power, n an int >= 0 (not a bool), by repeated squaring.
-
-        A power whose result could pass POW_WORDS 64-bit words is refused
-        before the first multiplication.  The result spans at most
-        n * span + 1 exponents, span = max - min exponent of self, and its
-        coefficients have at most n * ceil(log2(sum |c|)) bits, since the
-        sum of |c| of a product is at most the product of the sums."""
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise KnotError("laurent: only nonnegative integer powers")
-        if self._coeffs:
-            span = max(self._coeffs) - self.min_exp
-            bits = n * (sum(map(abs, self._coeffs.values())) - 1).bit_length()
-            words = (n * span + 1) * (bits // 64 + 1)
-            if words > POW_WORDS:
-                raise KnotError(
-                    f"laurent: power {value_text(n)} could take {value_text(words)} "
-                    f"words, over the limit of {POW_WORDS}"
-                )
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __hash__(self) -> int:
         # the field is a dict, which has no hash
         return hash(frozenset(self._coeffs.items()))
@@ -153,37 +104,12 @@ class LaurentPoly(Value):
 
     # -- the operations the rest of the package needs -----------------------
 
-    def substitute_inverse(self) -> "LaurentPoly":
-        """The image under t -> t^-1 (mirror image on Jones polynomials)."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
-    def evaluate(self, x):
-        """Exact evaluation at a nonzero rational point (an int or a
-        ``Fraction``), as a ``Fraction``.  A bool, a float, text, or a
-        point ``Fraction`` cannot take (a ``Decimal`` NaN or infinity)
-        raises KnotError; a value of a type ``Fraction`` does not take,
-        TypeError."""
-        if isinstance(x, (bool, float, str)):
-            raise KnotError(f"laurent: cannot evaluate at {value_text(x)}")
-        from fractions import Fraction  # imports decimal; nothing else needs it
-
-        try:
-            x = Fraction(x)
-        except (ValueError, OverflowError):
-            raise KnotError(f"laurent: cannot evaluate at {value_text(x)}") from None
-        if x == 0:
-            raise KnotError("laurent: cannot evaluate at 0")
-        total = Fraction(0)
-        for e, c in self._coeffs.items():
-            total += c * x ** e
-        return total
-
     def normalize_units(self) -> "LaurentPoly":
         """Canonical representative modulo units +-t^k: lowest exponent 0 and
         lowest coefficient positive.  Used to compare Alexander polynomials."""
         if not self._coeffs:
             return self
-        low = self.min_exp
+        low = min(self._coeffs)
         sign = 1 if self._coeffs[low] > 0 else -1
         return LaurentPoly({e - low: sign * c for e, c in self._coeffs.items()})
 

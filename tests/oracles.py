@@ -16,7 +16,7 @@ returns:
 - ``convolve(p, q)``: the product of two dicts, by direct convolution
   on dense coefficient lists; ``normalized(p)``: p times the unit
   +-t^k that makes its lowest exponent 0 and lowest coefficient
-  positive;
+  positive; ``invert(p)``: p(1/t); ``at_minus_one(p)``: p(-1), an int;
 - ``lambda_jones(n, m, p)``: the Jones polynomial of lambda(n, m, p), a
   dict in t, from the family's closed form;
 - ``parse_poly_text(text)``: the dict a polynomial's printed text form
@@ -164,6 +164,15 @@ def normalized(p: dict[int, int]) -> dict[int, int]:
     low = min(p)
     sign = 1 if p[low] > 0 else -1
     return {e - low: sign * c for e, c in p.items()}
+
+
+def invert(p: dict[int, int]) -> dict[int, int]:
+    """Substitute t -> 1/t."""
+    return {-e: c for e, c in p.items()}
+
+
+def at_minus_one(p: dict[int, int]) -> int:
+    return sum(c if e % 2 == 0 else -c for e, c in p.items())
 
 
 def lambda_jones(n: int, m: int, p: int) -> dict[int, int]:

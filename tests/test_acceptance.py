@@ -9,7 +9,6 @@ Run ``pytest -s tests/test_acceptance.py`` to see the lines.
 import contextlib
 import io
 import time
-from fractions import Fraction
 
 from knotlab.cli import main
 from knotlab.diagram import (
@@ -48,7 +47,7 @@ from knotlab.sequiv import (
     verify_certificate,
 )
 
-from oracles import naive_bracket, published_rule
+from oracles import at_minus_one, invert, naive_bracket, published_rule
 
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIGURE_EIGHT = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -185,7 +184,7 @@ def test_criterion_7_property_sweep():
     samples = [trefoil, fig8, lambda_diagram(BASE),
                lambda_diagram(LambdaSpec(2, 0, 3))]
     for d in samples:
-        ok = ok and jones(mirror(d)) == jones(d).substitute_inverse()
+        ok = ok and dict(jones(mirror(d)).items()) == invert(dict(jones(d).items()))
         ok = ok and all((e - 3 * d.writhe()) % 4 == 0 for e, _ in kauffman_bracket(d).items())
 
     # contraction agrees with the brute-force state sum on small inputs
@@ -202,8 +201,8 @@ def test_criterion_7_property_sweep():
              for p in (3, -3)]
     assert len(specs) == 20
     for spec in specs:
-        v_at = jones(lambda_diagram(spec)).evaluate(Fraction(-1))
-        a_at = alexander(lambda_seifert(spec)).evaluate(Fraction(-1))
+        v_at = at_minus_one(dict(jones(lambda_diagram(spec)).items()))
+        a_at = at_minus_one(dict(alexander(lambda_seifert(spec)).items()))
         ok = ok and abs(v_at) == abs(a_at)
     _finish(7, ok, "curl invariance, mirror duality, state-sum agreement and "
             "the determinant bridge all hold", time.perf_counter() - t0,

@@ -111,13 +111,10 @@ CALLS = {
     "paper_report": (lambda: paper_report, ()),
     "render_report": (lambda: knotlab.render_report, (paper_report()[:3],)),
     "LaurentPoly.term": (lambda: LaurentPoly.term, (3, -2)),
-    "LaurentPoly.coeff": (lambda: POLY.coeff, (2,)),
-    "LaurentPoly.evaluate": (lambda: POLY.evaluate, (2,)),
     "LaurentPoly.format": (lambda: POLY.format, ("q",)),
     "LaurentPoly.__add__": (lambda: POLY.__add__, (POLY,)),
     "LaurentPoly.__sub__": (lambda: POLY.__sub__, (POLY,)),
     "LaurentPoly.__mul__": (lambda: POLY.__mul__, (POLY,)),
-    "LaurentPoly.__pow__": (lambda: POLY.__pow__, (3,)),
     "LaurentPoly.__eq__": (lambda: POLY.__eq__, (POLY,)),
     "CongruenceCertificate.apply": (lambda: CERT.apply, (M,)),
     "CongruenceCertificate.identity": (lambda: CongruenceCertificate.identity, (2,)),

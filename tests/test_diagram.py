@@ -34,7 +34,14 @@ from knotlab.family import LambdaSpec, lambda_diagram
 from knotlab.laurent import LaurentPoly, parse_poly
 from knotlab.morse import MorseBuilder
 
-from oracles import convolve, lambda_jones, naive_bracket, naive_contraction_order, tl_bracket
+from oracles import (
+    convolve,
+    invert,
+    lambda_jones,
+    naive_bracket,
+    naive_contraction_order,
+    tl_bracket,
+)
 
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIGURE_EIGHT = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -671,7 +678,7 @@ def test_kink_leaves_jones_alone():
 
 def test_mirror_inverts_jones():
     for d in _small_diagrams():
-        assert jones(mirror(d)) == jones(d).substitute_inverse(), str(d)
+        assert dict(jones(mirror(d)).items()) == invert(dict(jones(d).items())), str(d)
 
 
 def test_mirror_is_an_involution():
@@ -740,7 +747,7 @@ def test_connect_sum_jones_is_multiplicative():
             assert len(summed.crossings) == 7
             assert jones(summed) == jones(left) * jones(fig8), (a, b)
     square = connect_sum(left, 1, left, 1)
-    assert jones(square) == jones(left) ** 2
+    assert jones(square) == jones(left) * jones(left)
 
 
 def test_jones_twist_algebra():

@@ -351,6 +351,8 @@ def test_oracle_at_its_row_limit():
     assert brute_force_congruence(stable, SeifertMatrix(((0, 2), (1, 0))), 499) is None
     w = brute_force_congruence(M0, M0, 499)
     assert w.rows == ((-1, 0), (0, -1))
+    w = brute_force_congruence(stable, stable, 499)
+    assert w.rows == ((-1, 0), (0, -1)) == scan_congruence(stable.rows, stable.rows, 499)
     # the diagonal and t00 = 0 cases of the second-row solve, checked
     # against the row scan at the same bound
     for name in ("t00 != 0, r1 M r1^T misses", "t00 = 0, an equation misses at k = 0"):
