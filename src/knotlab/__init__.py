@@ -27,7 +27,7 @@ _EXPORTS = {
     "laurent": ("LaurentPoly", "parse_poly"),
     "seifert": ("SeifertMatrix", "CongruenceCertificate", "int_det", "alexander",
                 "signature", "knot_determinant", "parse_matrix", "enlarge_first",
-                "enlarge_second", "try_reduce", "connected_sum"),
+                "enlarge_second", "connected_sum"),
     "sequiv": ("twist_form", "decide_first_sequiv", "verify_certificate",
                "brute_force_congruence", "connected_sum_certificate"),
     "diagram": ("PlanarDiagram", "parse_pd", "kauffman_bracket", "jones", "jones_twist",

@@ -5,33 +5,47 @@ det(M - M^T) = 1.  That determinant condition says the associated
 surface has one boundary component, and it is exactly what the
 enlargement moves below must preserve.
 
-Three moves generate S-equivalence of Seifert matrices:
+Two moves and their inverses generate S-equivalence of Seifert matrices:
 
   * congruence by a unimodular integer matrix T:  M -> T M T^T,
   * enlargement of a 2g x 2g matrix to a (2g+2) x (2g+2) one by a new
-    trivial row/column pair (in two mirror-image shapes, below),
-  * the inverse reduction.
+    trivial row/column pair (in two mirror-image shapes, below).
 
 The first enlargement shape appends, after the rows of M, a row of
 zeros and then a row q_1 .. q_n, with corner block ((0,1),(0,0)) and
 zero columns above it.  The second appends a zero column and then a
 column q_1 .. q_n to the rows of M, with corner block ((0,0),(1,0)) and
-zero rows below.  ``enlarge_first``/``enlarge_second`` build these and
-``try_reduce`` inverts them when the pattern is present.
+zero rows below.  ``enlarge_first``/``enlarge_second`` build these.
 
 Also here: the Alexander polynomial det(M - t M^T) normalized modulo
 units, the signature of M + M^T, and the knot determinant
-|det(M + M^T)|.  Both polynomial invariants come from one exact path:
-``int_det`` at the integer points x = 0 .. n, then Newton interpolation
-on the integers.  The signature counts the positive and negative roots
-of the characteristic polynomial of M + M^T by Descartes' rule of
-signs, which is exact because a symmetric matrix has only real
-eigenvalues.
+|det(M + M^T)|, all on Python ints through one exact path.
+
+The Alexander polynomial takes g + 1 determinants (``int_det``).  Put
+V = M - M^T, so det V = 1, and s = t / (1 - t); then
+M - t M^T = (1 - t)(M + s V).  q(s) = det(M + s V) is unchanged by
+s -> -1 - s, because M - V = M^T, so q(s) = R(s(s + 1)) for an integer
+polynomial R of degree g with leading coefficient det V = 1.  Newton
+interpolation on the integer nodes k(k + 1), k = 0 .. g, recovers R,
+and as s(s + 1) = t / (1 - t)^2,
+det(M - t M^T) = sum_j r_j t^j (1 - t)^(2(g - j)).  With
+z^2 = t - 2 + t^-1 = t^-1 (1 - t)^2 this reads
+t^-g det(M - t M^T) = sum_j r_j z^(2(g - j)), the Conway form: R's
+coefficients, reversed, are the Conway coefficients, so a genus-one
+form has a_2 = r_0 = q(0) = det M.
+
+The signature takes one fraction-free symmetric (Bareiss) elimination
+of S = M + M^T and no determinant.  Its pivots are the leading
+principal minors D_k of S, so by Sylvester's law of inertia the
+signature is sum_k sign(D_(k-1) D_k).  A zero pivot is repaired by a
+congruence on the trailing block only, and the last pivot, det S, must
+be odd, since det S = det(M - M^T) = 1 mod 2.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import comb
 
 from .errors import KnotError, Value, value_text
 from .laurent import LaurentPoly
@@ -40,9 +54,10 @@ Rows = Sequence[Sequence[int]]
 
 # the most rows a SeifertMatrix or CongruenceCertificate may have, checked
 # before its determinant.
-# alexander and signature take about n^4 steps: at 64 rows (genus 32) each
-# takes 0.6 s on a sparse block sum and 2 s on a dense congruent form
-# (2-vCPU Xeon), while a 1 MiB @file could hold a 724-row matrix.
+# alexander takes g + 1 determinants, about n^4 steps, and signature one
+# elimination, about n^3: at 64 rows (genus 32) alexander takes 0.3 s on a
+# sparse block sum and 1.8 s on a dense congruent form, and signature 0.01 s
+# and 0.03 s (2-vCPU Xeon), while a 1 MiB @file could hold a 724-row matrix.
 MAX_SIZE = 64
 
 
@@ -246,51 +261,62 @@ def parse_matrix(text: str) -> list[list[int]]:
 # -- invariants of the form ---------------------------------------------------
 
 
-def _det_poly(a: Rows, b: Rows) -> list[int]:
-    """Integer coefficients of det(a + x b), lowest degree first.
-
-    Evaluates ``int_det`` at x = 0 .. n and interpolates.  Row k of the
-    difference table holds Delta^k p(x) / k! at x = 0 .. n - k, which is
-    an integer for an integer polynomial p, so each row divides the
-    differences of the row before exactly by k; a remainder means a
-    wrong determinant and raises.  Horner's rule then expands the Newton
-    form p(x) = sum_k (Delta^k p(0) / k!) x (x-1) .. (x-k+1).
-    """
-    n = len(a)
-    level = [
-        int_det([[a[i][j] + x * b[i][j] for j in range(n)] for i in range(n)])
-        for x in range(n + 1)
-    ]
-    newton = [level[0]]
-    for k in range(1, n + 1):
-        quotients = []
-        for lo, hi in zip(level, level[1:]):
-            q, r = divmod(hi - lo, k)
-            if r:
-                raise AssertionError(f"det_poly: difference of order {k} not divisible by {k}")
-            quotients.append(q)
-        level = quotients
-        newton.append(level[0])
-    coeffs = [newton[n]]
-    for k in reversed(range(n)):
-        # coeffs * (x - k) + newton[k]
-        coeffs = (
-            [newton[k] - k * coeffs[0]]
-            + [lo - k * hi for lo, hi in zip(coeffs, coeffs[1:])]
-            + [coeffs[-1]]
-        )
-    return coeffs
-
-
 def alexander(m: SeifertMatrix) -> LaurentPoly:
     """Alexander polynomial det(M - t M^T), normalized so the lowest
     exponent is 0 and the lowest coefficient is positive.
 
     The normalization makes the result a genuine S-equivalence invariant:
     det(M - t M^T) itself is only well defined up to units +-t^k.
+
+    With V = M - M^T and s = t / (1 - t), M - t M^T = (1 - t)(M + s V).
+    q(s) = det(M + s V) is unchanged by s -> -1 - s, because M - V = M^T,
+    so q(s) = R(s(s + 1)) for an integer polynomial R of degree g whose
+    leading coefficient is det V = 1.  R is interpolated from ``int_det``
+    at the g + 1 nodes s = 0 .. g, where s(s + 1) = 0, 2, 6, ..; Newton's
+    divided differences of an integer polynomial at integer nodes are
+    integers, so a remainder, or a leading coefficient other than 1,
+    means a wrong determinant and raises.  s(s + 1) = t / (1 - t)^2 then
+    gives det(M - t M^T) = sum_j r_j t^j (1 - t)^(2(g - j)).  R's
+    coefficients, reversed, are the Conway coefficients: for genus one
+    a_2 = r_0 = det M.
+
+    >>> trefoil = SeifertMatrix(((-1, 1), (0, -1)))
+    >>> alexander(trefoil)
+    LaurentPoly('1 - t + t^2')
+    >>> alexander(enlarge_first(trefoil, (2, 3)))
+    LaurentPoly('1 - t + t^2')
     """
-    minus_t = [[-x for x in col] for col in zip(*m.rows)]
-    coeffs = _det_poly(m.rows, minus_t)
+    g = m.genus
+    skew = [[x - y for x, y in zip(row, col)] for row, col in zip(m.rows, zip(*m.rows))]
+    level = [
+        int_det([[x + k * v for x, v in zip(row, vrow)] for row, vrow in zip(m.rows, skew)])
+        for k in range(g + 1)
+    ]
+    newton = [level[0]]
+    for order in range(1, g + 1):
+        quotients = []
+        for i, (lo, hi) in enumerate(zip(level, level[1:])):
+            # the nodes (i + order)(i + order + 1) and i(i + 1) differ by this
+            q, r = divmod(hi - lo, order * (2 * i + order + 1))
+            if r:
+                raise AssertionError(
+                    f"alexander: divided difference of order {order} is not an integer")
+            quotients.append(q)
+        level = quotients
+        newton.append(level[0])
+    if newton[g] != 1:
+        raise AssertionError(
+            f"alexander: leading coefficient {value_text(newton[g])}, must be det(M - M^T) = 1")
+    rs = [1]
+    for k in reversed(range(g)):
+        # rs * (u - k(k + 1)) + newton[k], Horner's rule on the Newton form
+        node = k * (k + 1)
+        rs = [newton[k] - node * rs[0]] + [lo - node * hi for lo, hi in zip(rs, rs[1:])] + [rs[-1]]
+    coeffs = [0] * (2 * g + 1)
+    for j, rj in enumerate(rs):
+        e = 2 * (g - j)
+        for i in range(e + 1):
+            coeffs[j + i] += (-1) ** i * comb(e, i) * rj
     return LaurentPoly(dict(enumerate(coeffs))).normalize_units()
 
 
@@ -304,28 +330,74 @@ def knot_determinant(m: SeifertMatrix) -> int:
     return abs(int_det(_symmetrized(m)))
 
 
-def _sign_changes(coeffs: list[int]) -> int:
-    signs = [c > 0 for c in coeffs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def signature(m: SeifertMatrix) -> int:
-    """Signature of the symmetrized form S = M + M^T.
+    """Signature of the symmetrized form S = M + M^T, from one
+    fraction-free symmetric elimination of S and no determinant.
 
-    The characteristic polynomial det(x I - S) has only real roots, so
-    Descartes' rule of signs counts them exactly: its sign changes give
-    the positive roots, those of p(-x) the negative ones.  det S is odd
-    (it is det(M - M^T) = 1 mod 2), so no root is zero.
+    The elimination's pivots D_1 .. D_n are the leading principal minors
+    of S, so by Sylvester's law of inertia the signature is
+    sum_k sign(D_(k-1) D_k) with D_0 = 1.  A zero pivot is repaired by a
+    congruence on the trailing block, which changes neither the earlier
+    minors nor the signature.  The last pivot is det S, which is odd
+    because det S = det(M - M^T) = 1 mod 2; an even one raises.
+
+    >>> trefoil = SeifertMatrix(((-1, 1), (0, -1)))
+    >>> signature(trefoil)
+    -2
+    >>> signature(enlarge_first(trefoil, (2, 3)))
+    -2
     """
-    n = m.size
-    minus_s = [[-x for x in row] for row in _symmetrized(m)]
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    charpoly = _det_poly(minus_s, identity)
-    mirrored = [-c if k % 2 else c for k, c in enumerate(charpoly)]
-    return _sign_changes(charpoly) - _sign_changes(mirrored)
+    return _symmetric_signature(_symmetrized(m))
 
 
-# -- enlargement and reduction -------------------------------------------------
+def _symmetric_signature(rows: Rows) -> int:
+    """Signature of a symmetric integer matrix S with odd det S.
+
+    Bareiss elimination: after step k the trailing block holds the minors
+    of S bordered by its first k rows and columns, the pivot of step k is
+    the leading principal minor D_k, and each division by D_(k-1) is
+    exact.  ``_repair_pivot`` changes only rows and columns from k on,
+    and the bordered minors follow it, as they are linear in each row
+    and column of S.  A singular S, or an even det S, raises
+    AssertionError.
+    """
+    a = [list(r) for r in rows]
+    sig, prev = 0, 1
+    while a:
+        if not a[0][0]:
+            _repair_pivot(a)
+        p, top = a[0][0], a[0]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        a = [[(x * p - r[0] * y) // prev for x, y in zip(r[1:], top[1:])] for r in a[1:]]
+        prev = p
+    if not prev % 2:
+        raise AssertionError(f"signature: det S = {value_text(prev)}, must be odd")
+    return sig
+
+
+def _repair_pivot(a: list[list[int]]) -> None:
+    """Make a[0][0] nonzero by a congruence of the symmetric matrix a.
+
+    Swap in a later nonzero diagonal entry, rows and columns together;
+    with the whole diagonal zero, add row and column j to row and column
+    0 for some a[0][j] != 0, which puts 2 a[0][j] on the diagonal.
+    """
+    for i in range(1, len(a)):
+        if a[i][i]:
+            a[0], a[i] = a[i], a[0]
+            for row in a:
+                row[0], row[i] = row[i], row[0]
+            return
+    for j in range(1, len(a)):
+        if a[0][j]:
+            a[0] = [x + y for x, y in zip(a[0], a[j])]
+            for row in a:
+                row[0] += row[j]
+            return
+    raise AssertionError("signature: a zero row, so the symmetric form is singular")
+
+
+# -- enlargement --------------------------------------------------------------
 
 
 def enlarge_first(m: SeifertMatrix, q: Sequence[int]) -> SeifertMatrix:
@@ -350,33 +422,6 @@ def enlarge_second(m: SeifertMatrix, q: Sequence[int]) -> SeifertMatrix:
     """
     e = enlarge_first(SeifertMatrix(_transpose(m.rows)), q)
     return SeifertMatrix(_transpose(e.rows))
-
-
-def _has_first_template(r: Rows) -> bool:
-    """The last two rows are (0..0, 0, 1) and (q, 0, 0), with zero
-    columns above them."""
-    n = len(r) - 2
-    return (
-        all(x == 0 for x in r[n][:n])
-        and r[n][n:] == (0, 1)
-        and r[n + 1][n:] == (0, 0)
-        and all(r[i][n] == 0 and r[i][n + 1] == 0 for i in range(n))
-    )
-
-
-def try_reduce(m: SeifertMatrix) -> tuple[SeifertMatrix, str] | None:
-    """Undo one enlargement if the last two rows/columns match either
-    template exactly.  Returns (inner matrix, "first" | "second"), or
-    None when neither template is present.  The second template is the
-    first one on M^T.
-    """
-    n = m.size - 2
-    if n < 0:
-        return None
-    for band, rows in (("first", m.rows), ("second", _transpose(m.rows))):
-        if _has_first_template(rows):
-            return SeifertMatrix(tuple(r[:n] for r in m.rows[:n])), band
-    return None
 
 
 def connected_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:

@@ -30,7 +30,10 @@ returns:
 - ``naive_alexander(rows)``: det(M - t M^T), unnormalized, a dict in t,
   by a Leibniz expansion over polynomial entries;
 - ``naive_signature(rows)``: the signature, an int, by rational pivoting
-  on Schur complements.
+  on Schur complements;
+- ``charpoly_signature(rows)``: the signature, an int, by Descartes' rule
+  of signs on the characteristic polynomial of M + M^T, which the
+  Faddeev-LeVerrier recurrence computes on ints.
 
 Slow on purpose; keep inputs small.
 """
@@ -375,6 +378,37 @@ def naive_signature(m) -> int:
             if i != p
         ]
     return sig
+
+
+def charpoly_signature(m) -> int:
+    """Signature of S = M + M^T for a tuple of rows M.  The
+    Faddeev-LeVerrier recurrence gives det(x I - S): with N_0 = 0 and
+    c_n = 1, N_k = S N_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(S N_k) / k,
+    a division that is exact for an integer matrix (a remainder raises).
+    Every root is real, so Descartes' rule is exact: the sign changes of
+    p(x) count the positive roots and those of p(-x) the negative ones."""
+    n = len(m)
+    s = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    high_first = [1]
+    prod = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        prod = [
+            [sum(s[i][x] * prod[x][j] for x in range(n)) + (high_first[-1] if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(s[i][x] * prod[x][i] for i in range(n) for x in range(n))
+        c, r = divmod(-trace, k)
+        if r:
+            raise AssertionError(f"charpoly: trace {trace} at step {k} is not divisible by {k}")
+        high_first.append(c)
+    coeffs = high_first[::-1]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(coeffs) - sign_changes([-c if k % 2 else c for k, c in enumerate(coeffs)])
 
 
 def tl_bracket(strands: int, word) -> dict[int, int]:

@@ -86,7 +86,6 @@ CALLS = {
     "parse_matrix": (lambda: knotlab.parse_matrix, ("[[0,1],[2,0]]",)),
     "enlarge_first": (lambda: knotlab.enlarge_first, (M, (1, 2))),
     "enlarge_second": (lambda: knotlab.enlarge_second, (M, (1, 2))),
-    "try_reduce": (lambda: knotlab.try_reduce, (knotlab.enlarge_first(M, (1, 2)),)),
     "connected_sum": (lambda: knotlab.connected_sum, (M, M)),
     "twist_form": (lambda: knotlab.twist_form, (M, 3, "first")),
     "decide_first_sequiv": (lambda: knotlab.decide_first_sequiv, (M, 3, "second")),

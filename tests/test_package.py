@@ -52,7 +52,7 @@ PUBLIC = [
     "decide_first_sequiv", "enlarge_first", "enlarge_second", "int_det", "jones",
     "jones_twist", "kauffman_bracket", "knot_determinant", "lambda_diagram",
     "lambda_seifert", "lambda_twist", "mirror", "paper_report", "parse_matrix", "parse_pd",
-    "parse_poly", "render_report", "seifert_by_linking", "signature", "try_reduce",
+    "parse_poly", "render_report", "seifert_by_linking", "signature",
     "twist_form", "validate", "verify_certificate",
 ]
 

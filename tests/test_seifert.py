@@ -15,12 +15,12 @@ from knotlab.seifert import (
     knot_determinant,
     parse_matrix,
     signature,
-    try_reduce,
 )
 
 from conftest import genus_one, unimodular
 from oracles import (
     at_minus_one,
+    charpoly_signature,
     convolve,
     invert,
     leibniz_det,
@@ -208,6 +208,35 @@ def test_certificate_direct_sum():
 
 # ---- invariants ----
 
+BLOCKS = [
+    SeifertMatrix(rows)
+    for rows in (
+        ((0, 2), (1, 0)), ((-1, 1), (0, -1)), ((1, 1), (0, 1)),
+        ((-3, 2), (1, 0)), ((2, 0), (1, 4)), ((0, 1), (2, 0)),
+        ((1, 1), (0, -1)), ((-2, 3), (2, 1)), ((3, -1), (0, -2)),
+    )
+]
+
+
+def _block_sum(blocks):
+    m = SeifertMatrix(())
+    for b in blocks:
+        m = connected_sum(m, b)
+    return m
+
+
+def _dense(m):
+    """T M T^T for T = U U^T, U unit upper triangular with U[i][j] =
+    (i j mod 5) - 2 above the diagonal.  T is unimodular and fills in
+    most zero entries; a test that needs all of them nonzero checks."""
+    n = m.size
+    u = [[1 if j == i else (i * j) % 5 - 2 if j > i else 0 for j in range(n)] for i in range(n)]
+    t = CongruenceCertificate(
+        tuple(tuple(sum(u[i][k] * u[j][k] for k in range(n)) for j in range(n)) for i in range(n))
+    )
+    return t.apply(m)
+
+
 def test_alexander_golden():
     cases = [
         (((0, 2), (1, 0)), "2 - 5t + 2t^2"),
@@ -250,12 +279,88 @@ def test_signature_golden():
     assert signature(big) == -2  # additivity; S has a zero diagonal entry
 
 
-def test_det_poly_raises_on_inconsistent_values(monkeypatch):
-    # det values 0, 0, 1 at x = 0, 1, 2 fit no integer polynomial
-    values = iter((0, 0, 1))
-    monkeypatch.setattr(seifert, "int_det", lambda rows: next(values))
-    with pytest.raises(AssertionError, match="not divisible"):
-        seifert._det_poly(((0, 0), (0, 0)), ((1, 0), (0, 1)))
+def test_signature_repairs_zero_pivots(monkeypatch):
+    # each form meets a zero pivot; the spy names the repair it needs: a
+    # swap when a later diagonal entry of the trailing block is nonzero,
+    # else adding a row and column.  Either is a congruence, so the block
+    # stays symmetric
+    repair = seifert._repair_pivot
+    moves = []
+
+    def spy(a):
+        moves.append("swap" if any(a[i][i] for i in range(1, len(a))) else "add")
+        repair(a)
+        assert a[0][0] and a == [list(col) for col in zip(*a)]
+
+    monkeypatch.setattr(seifert, "_repair_pivot", spy)
+    trefoil = SeifertMatrix(((-1, 1), (0, -1)))
+    swap, add = SeifertMatrix(((0, 1), (0, 1))), SeifertMatrix(((0, 1), (0, 0)))
+    cases = [
+        (swap, ["swap"]),
+        (add, ["add"]),
+        # the same repairs on the trailing block, after two pivots
+        (connected_sum(trefoil, swap), ["swap"]),
+        (connected_sum(trefoil, add), ["add"]),
+        (enlarge_first(trefoil, (2, 3)), ["swap"]),
+        (enlarge_first(add, (0, 1)), ["add", "add"]),
+    ]
+    for m, expected in cases:
+        moves.clear()
+        assert signature(m) == naive_signature(m.rows) == charpoly_signature(m.rows)
+        assert moves == expected, m
+
+
+def test_symmetric_signature_checks_its_result():
+    for singular in [((0, 0), (0, 0)), ((1, 1), (1, 1)), ((2, 1, 0), (1, 2, 0), (0, 0, 0))]:
+        with pytest.raises(AssertionError, match="singular"):
+            seifert._symmetric_signature(singular)
+    # det S is odd for every S = M + M^T
+    for even in [((0, 2), (2, 0)), ((2, 0), (0, 1))]:
+        with pytest.raises(AssertionError, match="must be odd"):
+            seifert._symmetric_signature(even)
+
+
+def test_alexander_raises_on_a_wrong_determinant(monkeypatch):
+    # one determinant off by one at one node leaves no integer polynomial
+    # of degree g with leading coefficient 1 through the g + 1 values
+    forms = [_dense(_block_sum(BLOCKS[:g])) for g in range(5)]
+    for g, m in enumerate(forms):
+        for node in range(g + 1):
+            for error in (1, -1):
+                nodes = iter(range(g + 1))
+                monkeypatch.setattr(
+                    seifert, "int_det",
+                    lambda rows: int_det(rows) + (error if next(nodes) == node else 0),
+                )
+                with pytest.raises(AssertionError, match="divided difference|leading coefficient"):
+                    alexander(m)
+
+
+def test_cost_in_determinants(monkeypatch):
+    calls = []
+    monkeypatch.setattr(seifert, "int_det", lambda rows: calls.append(rows) or int_det(rows))
+    for g in range(8):
+        m = _dense(_block_sum(BLOCKS[:g]))
+        assert m.genus == g
+        calls.clear()
+        alexander(m)
+        assert len(calls) == g + 1
+        calls.clear()
+        signature(m)
+        assert calls == []
+
+
+def test_dense_form_at_the_size_limit():
+    # 32 left trefoils, conjugated until no entry is zero
+    trefoil = SeifertMatrix(((-1, 1), (0, -1)))
+    m = _dense(_block_sum([trefoil] * (seifert.MAX_SIZE // 2)))
+    assert m.size == seifert.MAX_SIZE
+    assert all(x for row in m.rows for x in row)
+    expected = {0: 1}
+    for _ in range(m.genus):
+        expected = convolve(expected, {0: 1, 1: -1, 2: 1})
+    assert dict(alexander(m).items()) == expected
+    assert signature(m) == -seifert.MAX_SIZE
 
 
 @st.composite
@@ -263,10 +368,7 @@ def small_forms(draw):
     """Block sums of one to three genus-one forms, enlarged when that
     keeps them 6x6 or smaller (the Leibniz oracle has n! terms), then
     conjugated."""
-    blocks = draw(st.lists(genus_one(), min_size=1, max_size=3))
-    m = SeifertMatrix(())
-    for b in blocks:
-        m = connected_sum(m, b)
+    m = _block_sum(draw(st.lists(genus_one(), min_size=1, max_size=3)))
     if m.size < 6 and draw(st.booleans()):
         q = draw(st.lists(st.integers(-5, 5), min_size=m.size, max_size=m.size))
         m = draw(st.sampled_from((enlarge_first, enlarge_second)))(m, q)
@@ -280,32 +382,49 @@ def test_invariants_match_naive_oracles(m):
 
 
 def test_genus_nine_dense_form():
-    blocks = [
-        SeifertMatrix(rows)
-        for rows in (
-            ((0, 2), (1, 0)), ((-1, 1), (0, -1)), ((1, 1), (0, 1)),
-            ((-3, 2), (1, 0)), ((2, 0), (1, 4)), ((0, 1), (2, 0)),
-            ((1, 1), (0, -1)), ((-2, 3), (2, 1)), ((3, -1), (0, -2)),
-        )
-    ]
-    m = SeifertMatrix(())
-    for b in blocks:
-        m = connected_sum(m, b)
-    # T = U U^T with U unit upper triangular, U[i][j] = (i j mod 5) - 2
-    # above the diagonal, is unimodular and makes every entry of T M T^T
-    # nonzero
-    n = m.size
-    u = [[1 if j == i else (i * j) % 5 - 2 if j > i else 0 for j in range(n)] for i in range(n)]
-    t = CongruenceCertificate(
-        tuple(tuple(sum(u[i][k] * u[j][k] for k in range(n)) for j in range(n)) for i in range(n))
-    )
-    dense = t.apply(m)
+    dense = _dense(_block_sum(BLOCKS))
     assert all(x for row in dense.rows for x in row)
     product = {0: 1}
-    for b in blocks:
+    for b in BLOCKS:
         product = convolve(product, normalized(naive_alexander(b.rows)))
     assert dict(alexander(dense).items()) == product
-    assert signature(dense) == sum(naive_signature(b.rows) for b in blocks)
+    assert signature(dense) == sum(naive_signature(b.rows) for b in BLOCKS)
+
+
+@st.composite
+def enlarged_forms(draw):
+    """Forms of genus 0 to 5 with entries in [-6, 6]: block sums of
+    genus-one forms, enlarged (so zero diagonal entries occur), then
+    conjugated."""
+    m = _block_sum(draw(st.lists(genus_one(6), max_size=4)))
+    for _ in range(draw(st.integers(0, 5 - m.genus))):
+        q = draw(st.lists(st.integers(-6, 6), min_size=m.size, max_size=m.size))
+        m = draw(st.sampled_from((enlarge_first, enlarge_second)))(m, q)
+    return draw(unimodular(m.size, ops=10)).apply(m) if m.size else m
+
+
+@st.composite
+def dense_forms(draw):
+    """Block sums of one to seven genus-one forms, conjugated by L U with
+    L and U unit triangular and entries in [-1, 1] below and above the
+    diagonal."""
+    m = _block_sum(draw(st.lists(genus_one(6), min_size=1, max_size=7)))
+    n = m.size
+    entries = st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n)
+    lo, up = draw(entries), draw(entries)
+    t = [
+        [sum((lo[i * n + k] if k < i else int(k == i)) * (up[k * n + j] if k < j else int(k == j))
+             for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return CongruenceCertificate(t).apply(m)
+
+
+@given(enlarged_forms() | dense_forms())
+def test_signature_matches_both_oracles(m):
+    expected = naive_signature(m.rows)
+    assert charpoly_signature(m.rows) == expected
+    assert signature(m) == expected
 
 
 # ---- congruence invariance ----
@@ -367,24 +486,8 @@ def test_enlarge_rejects_non_int_twist_entries(q):
             enlarge(m, q)
 
 
-@given(genus_one(), st.lists(st.integers(-7, 7), min_size=2, max_size=2))
-def test_reduce_inverts_enlarge(m, q):
-    assert try_reduce(enlarge_first(m, q)) == (m, "first")
-    assert try_reduce(enlarge_second(m, q)) == (m, "second")
-
-
-def test_reduce_no_match():
-    assert try_reduce(SeifertMatrix(((0, 2), (1, 0)))) is None
-    # a 4x4 form that is not an enlargement
-    m = connected_sum(SeifertMatrix(((0, 2), (1, 0))), SeifertMatrix(((-1, 1), (0, -1))))
-    assert try_reduce(m) is None
-    assert try_reduce(SeifertMatrix(())) is None
-
-
-def test_reduce_is_size_zero_safe():
-    e = enlarge_first(SeifertMatrix(()), ())
-    assert e.rows == ((0, 1), (0, 0))
-    assert try_reduce(e) == (SeifertMatrix(()), "first")
+def test_enlarge_first_of_the_empty_form():
+    assert enlarge_first(SeifertMatrix(()), ()).rows == ((0, 1), (0, 0))
 
 
 # ---- connected sum ----
