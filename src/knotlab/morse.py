@@ -17,7 +17,15 @@ propagation is fixed arbitrarily (for a knot the choice cannot affect
 any invariant computed here).  A cap may pin its bit via ``flow``:
 ``"lr"`` runs through the bottom of the cap left to right, ``"rl"`` the
 reverse.  Caps also carry a curve label so multi-curve pictures can be
-built; ``linking_number`` counts signed crossings between two labels.
+built; a cup refuses to join two labels, and ``linking_number`` counts
+signed crossings between two labels.
+
+Arcs and bits are kept in one kind of union-find, ``_Sets``, which holds
+each element's parity relative to its root.  Arcs join at parity 0,
+bits with the parity a cup forces.  ``finish`` checks the pins against
+the bits' parities, reads an unpinned set's value at its root, and
+names each arc by the smallest arc of its set, so arc labels follow the
+order the tiles made them.
 
 A frontier end is the tuple ``(arc, bit, parity, label)``, and each
 crossing is kept as one tuple: its arcs at the lower-left, lower-right,
@@ -49,21 +57,25 @@ from .errors import KnotError, check_int, value_text
 _End = tuple[int, int, int, str]
 
 
-class _Parity:
-    """Union-find tracking XOR relations between bits."""
+class _Sets:
+    """Union-find with each element's parity relative to its root.  A
+    builder keeps one for arcs, which join at parity 0 and so never
+    conflict, and one for orientation bits, where a join that contradicts
+    the parities already implied raises."""
 
     def __init__(self):
         self.parent: list[int] = []
         self.rel: list[int] = []
 
     def make(self) -> int:
-        self.parent.append(len(self.parent))
+        v = len(self.parent)
+        self.parent.append(v)
         self.rel.append(0)
-        return len(self.parent) - 1
+        return v
 
     def find(self, v: int) -> tuple[int, int]:
-        """(root, parity of v relative to the root); points every bit on
-        the way straight at the root."""
+        """(root, parity of v relative to the root); points every element
+        on the way straight at the root."""
         path = []
         while self.parent[v] != v:
             path.append(v)
@@ -75,51 +87,28 @@ class _Parity:
             self.rel[u] = p
         return v, p
 
-    def union(self, a: int, b: int, parity: int) -> None:
+    def union(self, a: int, b: int, parity: int) -> bool:
+        """Relate a and b by parity, the root of a's set going under the
+        root of b's; False if they were already one set."""
         ra, pa = self.find(a)
         rb, pb = self.find(b)
         want = pa ^ pb ^ parity
         if ra == rb:
             if want:
                 raise KnotError("morse: strand orientations conflict")
-            return
+            return False
         self.parent[ra] = rb
         self.rel[ra] = want
-
-
-class _ArcSets:
-    """Union-find over arc ids, numbered from 0 as they are made.  A root
-    is the smallest id of its set, so ``parent[a] <= a`` for every id."""
-
-    def __init__(self):
-        self.parent: list[int] = []
-
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        # keep the smaller id so numbering follows creation order
-        lo, hi = min(ra, rb), max(ra, rb)
-        self.parent[hi] = lo
         return True
 
 
 class MorseBuilder:
     def __init__(self):
         self._front: list[_End] = []
-        self._arcs = _ArcSets()
-        self._bits = _Parity()
+        self._arcs = _Sets()
+        self._bits = _Sets()
         self._pins: list[tuple[int, int]] = []  # (bit, value)
+        self._cupped: list[int] = []  # arcs a cup joined, the only ones in shared sets
         # ((BL, BR, AR, AL) arcs, over, lower-left end, lower-right end)
         self._crossings: list[tuple[tuple[int, int, int, int], str, _End, _End]] = []
         self.free_circles = 0
@@ -140,10 +129,13 @@ class MorseBuilder:
 
     def cup(self, i: int) -> None:
         self._check_open(i, width=2)
-        (arc_a, bit_a, par_a, _), (arc_b, bit_b, par_b, _) = self._front[i:i + 2]
+        (arc_a, bit_a, par_a, label_a), (arc_b, bit_b, par_b, label_b) = self._front[i:i + 2]
+        if label_a != label_b:
+            raise KnotError(f"morse: cup joins curves {value_text(label_a)} and {value_text(label_b)}")
         self._bits.union(bit_a, bit_b, par_a ^ par_b ^ 1)
-        if not self._arcs.union(arc_a, arc_b):
+        if not self._arcs.union(arc_a, arc_b, 0):
             self.free_circles += 1
+        self._cupped += arc_a, arc_b
         del self._front[i:i + 2]
 
     def crossing(self, i: int, over: str = "L") -> None:
@@ -184,17 +176,18 @@ class MorseBuilder:
                 raise KnotError("morse: orientation pins conflict")
         # bit -> its value, so an end runs down when flow[bit] ^ parity is 1
         flow = [values.get(root, 0) ^ p for root, p in found]
-        # arc -> its root; parent[a] <= a, so one pass in id order does it
-        roots = self._arcs.parent.copy()
-        for a, up in enumerate(roots):
-            roots[a] = roots[up]
+        # arc -> the smallest arc of its set, the first an ascending pass meets
+        names = list(range(len(self._arcs.parent)))
+        smallest: dict[int, int] = {}
+        for a in sorted(self._cupped):
+            names[a] = smallest.setdefault(self._arcs.find(a)[0], a)
 
         out = []
         for arcs, over, left, right in self._crossings:
             dl, dr = flow[left[1]] ^ left[2], flow[right[1]] ^ right[2]
             turn = 1 + 2 * dr if over == "L" else 2 * dl
             sign = (1 if over == "L" else -1) * (1 if dl == dr else -1)
-            arcs = tuple(map(roots.__getitem__, arcs[turn:] + arcs[:turn]))
+            arcs = tuple(map(names.__getitem__, arcs[turn:] + arcs[:turn]))
             out.append((arcs, sign, (left[3], right[3])))
         return out
 
@@ -213,6 +206,7 @@ class MorseBuilder:
         for _, sign, labels in self.finish():
             if set(labels) == {label1, label2} and label1 != label2:
                 total += sign
+        # cups join equal labels only, and two closed curves cross evenly
         if total % 2:
             raise AssertionError("linking number is not an integer")
         return total // 2

@@ -384,8 +384,8 @@ def _braid_closure(strands, word):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_signs_match_morse_orientation(data):
-    # MorseBuilder solves orientations with its own parity union-find,
-    # sharing no code with the strand walk in validate
+    # MorseBuilder solves orientations with a union-find over its caps'
+    # orientation bits, sharing no code with the strand walk in validate
     strands = data.draw(st.integers(2, 7))
     sign = st.sampled_from((1, -1))
     letter = st.tuples(st.integers(0, strands - 2), sign)

@@ -10,7 +10,8 @@ from knotlab.diagram import jones, mirror, parse_pd, validate
 from knotlab.errors import KnotError
 from knotlab.family import LambdaSpec, lambda_diagram, seifert_by_linking
 from knotlab.laurent import parse_poly
-from knotlab.morse import MorseBuilder, _Parity
+from knotlab import family
+from knotlab.morse import MorseBuilder, _Sets
 
 
 def plat_trefoil(over: str) -> MorseBuilder:
@@ -89,16 +90,18 @@ _UNIONS = st.integers(1, 10).flatmap(lambda n: st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(_UNIONS)
-def test_parity_find_matches_graph_search(case):
+def test_sets_find_matches_graph_search(case):
     n, unions = case
-    bits = _Parity()
+    bits = _Sets()
     edges = {bits.make(): [] for _ in range(n)}
     for a, b, parity in unions:
-        if _relations(edges, a).get(b, parity) != parity:
+        related = _relations(edges, a)
+        if related.get(b, parity) != parity:
             with pytest.raises(KnotError):
                 bits.union(a, b, parity)
             continue
-        bits.union(a, b, parity)
+        # True exactly when a and b were not yet related
+        assert bits.union(a, b, parity) is (b not in related)
         edges[a].append((b, parity))
         edges[b].append((a, parity))
     for v in range(n):
@@ -109,6 +112,20 @@ def test_parity_find_matches_graph_search(case):
             assert (rv == rw) == (w in rel)
             if w in rel:
                 assert pv ^ pw == rel[w]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_UNIONS)
+def test_sets_unions_at_parity_0_never_conflict(case):
+    # how the builder joins arcs: every parity stays 0
+    n, unions = case
+    arcs = _Sets()
+    for _ in range(n):
+        arcs.make()
+    for a, b, _ in unions:
+        before = arcs.find(a)[0] != arcs.find(b)[0]
+        assert arcs.union(a, b, 0) is before
+    assert all(arcs.find(v)[1] == 0 for v in range(n))
 
 
 def test_single_crossing_kink():
@@ -193,6 +210,50 @@ def test_conflicting_pins():
     b.cup(0)
     with pytest.raises(KnotError, match="pins conflict"):
         b.finish()
+
+
+def test_cup_refuses_two_labels():
+    # joining an end of curve a to one of curve b would make one curve with
+    # two labels, whose one crossing linking_number would count as half
+    b = MorseBuilder()
+    b.cap(0, label="a")
+    b.cap(2, label="b")
+    b.crossing(1, "L")
+    with pytest.raises(KnotError) as refusal:
+        b.cup(2)
+    assert str(refusal.value) == "morse: cup joins curves 'a' and 'b'"
+    assert len(b._front) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_labelled_programs_give_results_or_knot_errors(data):
+    # random caps, crossings and cups, closed at the end: every outcome is
+    # a result or a KnotError, never a fault of the builder
+    b = MorseBuilder()
+    labels = ("a", "b", "c")
+    width = 0
+    try:
+        for _ in range(data.draw(st.integers(0, 12))):
+            tile = data.draw(st.sampled_from(("cap", "crossing", "cup") if width else ("cap",)))
+            if tile == "cap":
+                b.cap(data.draw(st.integers(0, width)), flow=data.draw(st.sampled_from((None, "lr", "rl"))),
+                      label=data.draw(st.sampled_from(labels)))
+                width += 2
+            elif tile == "crossing":
+                b.crossing(data.draw(st.integers(0, width - 2)), data.draw(st.sampled_from("LR")))
+            else:
+                b.cup(data.draw(st.integers(0, width - 2)))
+                width -= 2
+        while width:
+            b.cup(data.draw(st.integers(0, width - 2)))
+            width -= 2
+        for x in labels:
+            for y in labels:
+                assert b.linking_number(x, y) == b.linking_number(y, x)
+        b.to_pd()
+    except KnotError:
+        pass
 
 
 def test_free_circles_counted_and_rejected():
@@ -315,6 +376,35 @@ def _golden_record():
         record[f"braid {strands} {word}"] = {
             "pd": pd, "free_circles": b.free_circles, "linking": linking}
     return record
+
+
+def test_golden_builders_have_roots_that_are_not_the_smallest_arc(monkeypatch):
+    # finish names each arc set by its smallest arc, not by its root; some
+    # golden builder must have a set where the two differ, or the golden
+    # text would not see that naming
+    builders = []
+
+    class Recorded(MorseBuilder):
+        def __init__(self):
+            super().__init__()
+            builders.append(self)
+
+    monkeypatch.setattr(family, "MorseBuilder", Recorded)
+    specs = [(0, 0, 3), (2, -2, 5), (-4, 0, 3), (4, 2, -5)]
+    assert set(specs) <= set(GOLDEN_LAMBDAS)
+    for n, m, p in specs:
+        spec = LambdaSpec(n, m, p)
+        lambda_diagram(spec)
+        seifert_by_linking(spec)
+    assert len(builders) == 20
+
+    def root_is_not_smallest(b):
+        members = {}
+        for a in range(len(b._arcs.parent)):
+            members.setdefault(b._arcs.find(a)[0], []).append(a)
+        return any(root != min(arcs) for root, arcs in members.items())
+
+    assert any(map(root_is_not_smallest, builders))
 
 
 def test_golden_pd_and_linking():
