@@ -55,11 +55,13 @@ curl).  Tokens, labels and signs never enter it.  A state's successor
 under either smoothing depends only on the shape and the state: the
 swept positions leave the boundary, the fresh ends take the place of
 the first swept one, every other end keeps its partner and only moves,
-and the smoothing's joins run through the four slots.  So what a
-crossing does to the whole set of states the sweep holds (which
-successors it makes, and which states feed each one, through which
-smoothing and closing how many loops) depends only on the shape and
-the set.  The sweep keeps its states sorted, with their exponents and
+and the smoothing's joins run through the four slots, along a table of
+where each slot's arc leads once it leaves the crossing: to a slot of
+the same crossing, or to an outside end.  So what a crossing does to
+the whole set of states the sweep holds (which successors it makes,
+and which states feed each one, through which smoothing and closing
+how many loops) depends only on the shape and the set.  The sweep
+keeps its states sorted, with their exponents and
 polynomials in two lists beside them, and compiles that map once per
 (state set, shape) pair into a step: the successor set, a growth factor
 (below), and a program of one small int per feed, grouped successor by
@@ -586,11 +588,20 @@ def _compile(key: State, states: tuple[State, ...]) -> tuple[tuple[State, ...], 
     entries of slots 0 to 3 of the turned crossing (see
     ``kauffman_bracket``).  The new boundary drops the swept positions
     and puts the fresh ends, in order, where the first swept end was (at
-    the end when nothing is swept).  Every other end keeps its partner
-    and only moves, so a state's successor differs from the state only
-    where the crossing's joins reach.  Those joins depend only on which
-    swept ends the state pairs with each other, its pattern, and are
-    worked out by ``_joins`` the first time a state of the set has it.
+    the end when nothing is swept); every other end keeps its partner
+    and only moves.
+
+    A state's lead table says, for each slot, where the slot's arc goes
+    once it leaves the crossing.  It comes back to slot t, the entry
+    ``~t``, when the slot is a curl tied to t or a swept end whose
+    partner is the swept end at t.  Otherwise it reaches an outside
+    end, and the entry is the old position whose partner that end is:
+    a swept end's own position, or size + j for the j-th fresh end,
+    which counts as its own partner.  So the state's partners, with the
+    fresh ends appended, and ``remap`` resolve each outside entry to a
+    new position.  The table carries exactly which swept ends the state
+    pairs with each other, and ``_joins`` walks a table only the first
+    time a state of the set has it, about twice a step.
 
     State i of ``states`` feeds its A-successor and its B-successor,
     for the smoothings of the turned crossing.  The program lists the
@@ -601,32 +612,36 @@ def _compile(key: State, states: tuple[State, ...]) -> tuple[tuple[State, ...], 
     state: the sum over the successors of their largest coefficient
     is at most that times the same sum over the states."""
     size, *shape = key
-    swept = sorted(k for k in shape if 0 <= k < size)
-    ins = swept[0] if swept else size
-    # the old position behind each new one, -1 for a fresh end, and the
-    # other way; a swept position keeps -1, and the joins overwrite every
-    # partner that pointed there
-    back = [k for k in range(size) if k not in swept]
-    back[ins:ins] = [-1] * sum(k >= size for k in shape)
-    remap = [-1] * size
+    tie = {k: ~s for s, k in enumerate(shape) if 0 <= k < size}
+    ins = min(tie, default=size)
+    # the fresh ends' old positions, none when every entry is below size
+    fresh = tuple(range(size, max(shape) + 1))
+    # the old position behind each new one, and the other way.  A swept
+    # position maps to -1 and a fresh end is its own partner; the joins
+    # overwrite every partner there
+    back = [k for k in range(size) if k not in tie]
+    back[ins:ins] = fresh
+    remap = [-1] * (size + len(fresh))
     for new, k in enumerate(back):
-        if k >= 0:
-            remap[k] = new
-    patterns: dict[State, tuple] = {}
+        remap[k] = new
+    # each slot's entry in the lead table, or for a swept end its position
+    fixed = [~((s - 1 - k) & 3) if k < 0 else k for s, k in enumerate(shape)]
+    joined: dict[State, tuple] = {}
     # feed k = 2i + (1 for B): its successor and the loops it closes
     succ: list[State] = []
     loops: list[int] = []
     for state in states:
-        pattern = tuple([state[k] if state[k] in swept else -1 for k in swept])
-        joined = patterns.get(pattern)
-        if joined is None:
-            joined = patterns[pattern] = _joins(key, swept, pattern)
-        base = [k if k < 0 else remap[state[k]] for k in back]
-        for pairs, closed in joined:
+        # the state's partners, each fresh end its own
+        ext = state + fresh
+        lead = tuple([tie.get(ext[k], k) if k >= 0 else k for k in fixed])
+        smoothings = joined.get(lead)
+        if smoothings is None:
+            smoothings = joined[lead] = _joins(lead)
+        base = [remap[ext[k]] for k in back]
+        for pairs, closed in smoothings:
             partners = base.copy()
             for u, v in pairs:
-                u = u if u >= 0 else remap[state[~u]]
-                v = v if v >= 0 else remap[state[~v]]
+                u, v = remap[ext[u]], remap[ext[v]]
                 partners[u] = v
                 partners[v] = u
             succ.append(tuple(partners))
@@ -637,57 +652,35 @@ def _compile(key: State, states: tuple[State, ...]) -> tuple[tuple[State, ...], 
     ordered.append(None)
     last = list(map(ne, ordered, ordered[1:]))
     program = tuple([8 * k + 2 * loops[k] + end for k, end in zip(order, last)])
-    growth = max((1 << a) + (1 << b) for (_, a), (_, b) in patterns.values())
+    growth = max((1 << a) + (1 << b) for (_, a), (_, b) in joined.values())
     return tuple(compress(ordered, last)), growth, program
 
 
-def _joins(key: State, swept: list[int], pattern: State) -> tuple:
-    """For each smoothing of a crossing of shape ``key``, the pairs of
-    outside ends it joins and its closed loop count, for the states
-    whose swept positions, ``swept`` in order, have the partners in
-    ``pattern`` (-1 for a partner that is not swept).  An outside end is
-    its new position, or ``~k`` for the new position of the partner of
-    swept position k, which varies with the state."""
-    size, *shape = key
-    ins = swept[0] if swept else size
-    slot_at = {k: s for s, k in enumerate(shape) if 0 <= k < size}
-    inner: dict[int, int] = {}  # slot -> slot it is tied to
-    outer: dict[int, int] = {}  # slot -> its outside end
-    for s, k in enumerate(shape):
-        if k >= size:
-            outer[s] = ins + k - size
-        elif k >= 0:
-            q = pattern[swept.index(k)]
-            if q >= 0:
-                inner[s] = slot_at[q]
-            else:
-                outer[s] = ~k
-        else:
-            inner[s] = (s - 1 - k) & 3
+def _joins(lead: State) -> tuple:
+    """For the A- and then the B-smoothing of the turned crossing, the
+    pairs of outside entries of the lead table ``lead`` (see
+    ``_compile``) it joins and the loops it closes.  A smoothing ties
+    the four slots in two pairs.  A walk from a slot that leads outside
+    alternates the smoothing's tie and the slot's lead until it leads
+    outside again, and pairs the two entries; a walk from a slot that
+    no such walk passed comes back to it, and closes a loop."""
     out = []
+    # the slots that lead outside first
+    order = sorted(range(4), key=lead.__getitem__, reverse=True)
     for joins in ((1, 0, 3, 2), (3, 2, 1, 0)):  # A: ab cd, B: ad bc
-        seen: set[int] = set()
+        seen = [False] * 4
         pairs = []
-        for s in outer:
-            if s not in seen:
-                t = joins[s]
-                while t in inner:
-                    seen.add(t)
-                    t = inner[t]
-                    seen.add(t)
-                    t = joins[t]
-                seen.update((s, t))
-                pairs.append((outer[s], outer[t]))
         loops = 0
-        for s in range(4):
-            if s not in seen:
-                loops += 1
-                t = s
-                while t not in seen:
-                    seen.add(t)
-                    t = joins[t]
-                    seen.add(t)
-                    t = inner[t]
+        for s in order:
+            t = s
+            while not seen[t]:
+                u = joins[t]
+                seen[t] = seen[u] = True
+                if lead[u] >= 0:
+                    pairs.append((lead[s], lead[u]))
+                    break
+                t = ~lead[u]
+                loops += t == s
         out.append((tuple(pairs), loops))
     return tuple(out)
 

@@ -45,7 +45,7 @@ from math import isqrt
 from operator import mul
 
 from .errors import KnotError, Value, check_int, value_text
-from .seifert import CongruenceCertificate, SeifertMatrix, int_det
+from .seifert import CongruenceCertificate, SeifertMatrix
 
 POSITIVE_NOTE = "first S-equivalence implies S-equivalence of the two forms"
 NEGATIVE_NOTE = (
@@ -149,11 +149,11 @@ def decide_first_sequiv(m: SeifertMatrix, ell: int, band: str = "first") -> SEqu
 def verify_certificate(
     m: SeifertMatrix, target: SeifertMatrix, t: CongruenceCertificate
 ) -> bool:
-    """True iff det(T) = +-1 and T M T^T equals the target exactly."""
+    """True iff T M T^T equals the target exactly.  det T = +-1 is the
+    certificate's own invariant: ``CongruenceCertificate`` refuses any
+    other matrix when it is built, and it pickles through that check."""
     if t.size != m.size or m.size != target.size:
         raise KnotError("verify: size mismatch")
-    if int_det(t.rows) not in (1, -1):
-        return False
     return t.apply(m) == target
 
 

@@ -69,6 +69,30 @@ MUTANTS = [
     (SEQUIV, "eps = (m01 - m10) * (t01 - t10)", "eps = 1", ["tests/test_sequiv.py"]),
     # a first row that is not primitive is not refused
     (SEQUIV, "if g != 1:  # no T with det +-1 has r0 as a row", "if not g:", ["tests/test_sequiv.py"]),
+    # the A- and B-smoothings' ties swapped in the step compiler
+    (DIAGRAM, "for joins in ((1, 0, 3, 2), (3, 2, 1, 0)):", "for joins in ((3, 2, 1, 0), (1, 0, 3, 2)):",
+     ["tests/test_diagram.py"]),
+    # no closed loop counted
+    (DIAGRAM, "loops += t == s", "loops += 0", ["tests/test_diagram.py"]),
+    # a smoothing's second closed loop not counted
+    (DIAGRAM, "loops += t == s", "loops += t == s and not loops", ["tests/test_diagram.py"]),
+    # the walks start from slots that lead back into the crossing
+    (DIAGRAM, "key=lead.__getitem__, reverse=True", "key=lead.__getitem__", ["tests/test_diagram.py"]),
+    # the fresh ends put one position after the first swept end
+    (DIAGRAM, "back[ins:ins] = fresh", "back[ins + 1:ins + 1] = fresh", ["tests/test_diagram.py"]),
+    # a curl tied to the slot before the right one
+    (DIAGRAM, "~((s - 1 - k) & 3)", "~((s - k) & 3)", ["tests/test_diagram.py"]),
+    # a swept end whose partner is swept taken to lead outside
+    (DIAGRAM, "tie.get(ext[k], k) if k >= 0", "k if k >= 0", ["tests/test_diagram.py"]),
+    # the program's last-feed bit dropped
+    (DIAGRAM, "8 * k + 2 * loops[k] + end", "8 * k + 2 * loops[k]", ["tests/test_diagram.py"]),
+    # the replay's mod-4 check removed
+    (DIAGRAM, "if d & 3:", "if False:", ["tests/test_diagram.py"]),
+    # the zero digits at the low end never trimmed
+    (DIAGRAM, "if low:", "if False:", ["tests/test_diagram.py"]),
+    # the repack widens only until 8 times the bound fits in a digit less 2 bits
+    (DIAGRAM, "(8 * bound).bit_length() > wide // 2", "(8 * bound).bit_length() > wide - 2",
+     ["tests/test_diagram.py"]),
     # the signature's orientation flipped
     (SEIFERT, "sig += 1 if (p > 0) == (prev > 0) else -1", "sig += -1 if (p > 0) == (prev > 0) else 1",
      ["tests/test_seifert.py"]),

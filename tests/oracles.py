@@ -13,6 +13,10 @@ returns:
 - ``naive_contraction_order(crossings)``: the bracket sweep's order, a
   list of crossing indices, by rescanning every remaining crossing at
   each step of both its greedy runs;
+- ``naive_step(key, state, smoothing)``: what one smoothing of one
+  crossing of the bracket sweep does to one partial state, the
+  successor matching (a tuple) and the loops it closes, by a union-find
+  over the state's ends, the fresh ends and the crossing's four slots;
 - ``convolve(p, q)``: the product of two dicts, by direct convolution
   on dense coefficient lists; ``normalized(p)``: p times the unit
   +-t^k that makes its lowest exponent 0 and lowest coefficient
@@ -143,6 +147,53 @@ def _naive_greedy(crossings, waited: bool) -> tuple[list[int], list[int]]:
         open_arcs |= set(crossings[best])
         open_arcs = {a for a in open_arcs if pending[a] > 0}
     return order, counts
+
+
+def naive_step(key, state, smoothing: int) -> tuple[tuple[int, ...], int]:
+    """One smoothing (0 for A, 1 for B) of one crossing of the bracket
+    sweep, applied to one partial state: the successor matching and the
+    number of loops closed.
+
+    ``key`` is ``(size, e0, e1, e2, e3)``: the boundary length and, for
+    each slot of the crossing, the boundary position of its arc's open
+    end (a swept end), size + j when the arc's far end becomes the j-th
+    fresh end, or -1 - d when the arc runs to slot (slot + d) mod 4 of
+    the same crossing.  ``state[k]`` is the position matched with
+    position k.  The new boundary keeps the old positions that are not
+    swept, in order, with the fresh ends put in place of the first swept
+    one (at the end when none is).  Every piece of string is one set of
+    a union-find over the old positions, the fresh ends and the slots;
+    a set that holds no end of the new boundary is a closed loop."""
+    size, shape = key[0], key[1:]
+    swept = sorted(k for k in shape if 0 <= k < size)
+    fresh = sorted(k - size for k in shape if k >= size)
+    uf = UnionFind([("old", k) for k in range(size)] + [("fresh", j) for j in fresh]
+                   + [("slot", s) for s in range(4)])
+    for k in range(size):
+        uf.union(("old", k), ("old", state[k]))
+    for s, k in enumerate(shape):
+        if k >= size:
+            uf.union(("slot", s), ("fresh", k - size))
+        elif k >= 0:
+            uf.union(("slot", s), ("old", k))
+        else:
+            uf.union(("slot", s), ("slot", (s - 1 - k) % 4))
+    ties = ((0, 1), (2, 3)) if smoothing == 0 else ((0, 3), (1, 2))
+    for s, t in ties:
+        uf.union(("slot", s), ("slot", t))
+    kept = [("old", k) for k in range(size) if k not in swept]
+    at = swept[0] if swept else size
+    boundary = kept[:at] + [("fresh", j) for j in fresh] + kept[at:]
+    ends: dict = {}
+    for position, end in enumerate(boundary):
+        ends.setdefault(uf.find(end), []).append(position)
+    successor = [0] * len(boundary)
+    for pair in ends.values():
+        if len(pair) != 2:
+            raise AssertionError(f"naive_step: a piece of string with {len(pair)} ends")
+        successor[pair[0]], successor[pair[1]] = pair[1], pair[0]
+    loops = {uf.find(x) for x in uf.parent} - set(ends)
+    return tuple(successor), len(loops)
 
 
 def convolve(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:

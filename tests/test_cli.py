@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knotlab
-from knotlab import cli, diagram, seifert
+from knotlab import cli, diagram, family, seifert
 from knotlab.cli import main
 from knotlab.diagram import jones, jones_twist
 from knotlab.family import LambdaSpec, lambda_diagram
@@ -425,6 +425,19 @@ def test_report_json(capsys):
     assert set(payload["result"]) == {"lines", "ok"} and payload["result"]["ok"] is True
     statuses = {line["status"] for line in payload["result"]["lines"]}
     assert statuses == {"MATCH", "KNOWN-DISCREPANCY"}
+
+
+def test_report_exits_1_on_a_mismatch(monkeypatch, capsys):
+    # a wrong published Jones polynomial fails the paper check
+    monkeypatch.setitem(family.PUBLISHED_JONES, (6, 0, 3), "t^6 - t^5 + t^4 - 2t^3 + t^2 - t + 3")
+    code, payload = run_json(capsys, "report", "--paper")
+    assert code == 1
+    assert payload["paper_check"] is False and payload["result"]["ok"] is False
+    statuses = [line["status"] for line in payload["result"]["lines"]]
+    assert statuses.count("MISMATCH") == 2
+    code, out, err = run(capsys, "report", "--paper")
+    assert code == 1 and err == ""
+    assert "2 mismatches" in out
 
 
 # ---- usage and determinism ----

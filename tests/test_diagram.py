@@ -40,6 +40,7 @@ from oracles import (
     lambda_jones,
     naive_bracket,
     naive_contraction_order,
+    naive_step,
     tl_bracket,
 )
 
@@ -828,12 +829,8 @@ def test_memo_serves_later_sweeps(monkeypatch):
         assert counts["keys"] and not met & set(counts["keys"]), sign
 
 
-def test_memo_leaves_answers_alone(monkeypatch):
-    # the braid closures of morse_golden.json, each made a knot, and a
-    # lambda grid: every bracket comes out the same swept with the memo
-    # emptied before the call and with every step already in the memo,
-    # and matches the state sum where the diagram is small.  Some of
-    # these sweeps drop a successor whose sum cancels to 0.
+def _golden_closures():
+    """The braid closures of morse_golden.json, each made a knot."""
     golden = json.loads(Path(__file__).with_name("morse_golden.json").read_text())
     diagrams = []
     for label in golden:
@@ -843,8 +840,21 @@ def test_memo_leaves_answers_alone(monkeypatch):
             diagrams.append(_braid_closure(strands, _knotted(strands, ast.literal_eval(word),
                                                              [1] * (strands - 1))))
     assert len(diagrams) == 35
-    diagrams += [lambda_diagram(LambdaSpec(n, m, p))
-                 for n in (-4, 0, 2) for m in (-2, 0, 6) for p in (-7, 3, 5)]
+    return diagrams
+
+
+def _lambda_grid():
+    return [lambda_diagram(LambdaSpec(n, m, p))
+            for n in (-4, 0, 2) for m in (-2, 0, 6) for p in (-7, 3, 5)]
+
+
+def test_memo_leaves_answers_alone(monkeypatch):
+    # the braid closures of morse_golden.json, each made a knot, and a
+    # lambda grid: every bracket comes out the same swept with the memo
+    # emptied before the call and with every step already in the memo,
+    # and matches the state sum where the diagram is small.  Some of
+    # these sweeps drop a successor whose sum cancels to 0.
+    diagrams = _golden_closures() + _lambda_grid()
     cold = []
     for d in diagrams:
         _empty_memo(monkeypatch)
@@ -874,6 +884,47 @@ def test_memo_leaves_answers_alone(monkeypatch):
     # and after a crossing where a successor's sum ended at 0
     assert any(zeros)
     assert len(sets) > len(diagrams)
+
+
+def test_compiled_steps_match_the_state_oracle(monkeypatch):
+    # every step compiled from an empty memo while sweeping the golden
+    # braid closures, each also with a curl of either sign, and the
+    # lambda grid.  Decoded, a program feeds each (state, smoothing)
+    # once, to the successor and with the loop count that a union-find
+    # over the crossing's slots gives, a successor's feeds in order
+    _empty_memo(monkeypatch)
+    steps = []
+    compile_ = diagram._compile
+
+    def recorded(key, states):
+        step = compile_(key, states)
+        steps.append((key, states, step))
+        return step
+
+    monkeypatch.setattr(diagram, "_compile", recorded)
+    diagrams = _lambda_grid()
+    for d in _golden_closures():
+        diagrams += [d, add_kink(d, 1, 1), add_kink(d, 1, -1)]
+    for d in diagrams:
+        kauffman_bracket(d)
+    # 175 steps, with curls, and with feeds that close two loops
+    assert any(k < 0 for key, _, _ in steps for k in key)
+    assert any(code & 6 == 4 for _, _, (_, _, program) in steps for code in program)
+    assert len(steps) > 150
+    for key, states, (nxt, growth, program) in steps:
+        assert list(nxt) == sorted(set(nxt)), key
+        fed, successor, previous = {}, 0, -1
+        for code in program:
+            assert code >> 3 > previous, key
+            fed[code >> 4, code >> 3 & 1] = nxt[successor], code >> 1 & 3
+            previous = -1 if code & 1 else code >> 3
+            successor += code & 1
+        assert successor == len(nxt) and len(fed) == len(program), key
+        expected = {(i, smoothing): naive_step(key, state, smoothing)
+                    for i, state in enumerate(states) for smoothing in (0, 1)}
+        assert fed == expected, key
+        assert growth == max((1 << expected[i, 0][1]) + (1 << expected[i, 1][1])
+                             for i in range(len(states))), key
 
 
 def test_memo_stays_within_the_sweep_limit(monkeypatch):

@@ -208,3 +208,25 @@ def test_report_rendering():
     assert "0 mismatches" in text
     assert "2 known discrepancies" in text
     assert "lambda(0,-6,3)" in text
+
+
+# a published Jones polynomial of lambda(6, 0, 3) with its constant term off by one
+WRONG_JONES = "t^6 - t^5 + t^4 - 2t^3 + t^2 - t + 3"
+
+
+def test_report_flags_a_wrong_published_value(monkeypatch):
+    # both Jones lines of the triple compare against the wrong value: the
+    # diagram's and the twist recursion's
+    monkeypatch.setitem(PUBLISHED_JONES, (6, 0, 3), WRONG_JONES)
+    lines = paper_report()
+    bad = [line for line in lines if line["status"] == "MISMATCH"]
+    assert [line["label"] for line in bad] == ["jones lambda(6,0,3) (diagram)",
+                                               "jones lambda(6,0,3) (twist recursion)"]
+    assert all(line["published"] == str(parse_poly(WRONG_JONES)) != line["computed"]
+               for line in bad)
+    rows = render_report(lines).splitlines()
+    flagged = [row for row in rows if row.startswith("MISMATCH")]
+    assert len(flagged) == 2
+    assert all(f"published: {parse_poly(WRONG_JONES)}" in row for row in flagged)
+    assert rows[-1] == (f"-- {len(lines)} lines: {len(lines) - 4} match, "
+                        "2 known discrepancies, 2 mismatches")

@@ -137,6 +137,12 @@ def test_parse_matrix():
     assert parse_matrix("[[0,2],[1,0]]") == [[0, 2], [1, 0]]
     assert parse_matrix("0 2\n1 0") == [[0, 2], [1, 0]]
     assert parse_matrix("0, 2\n1, 0") == [[0, 2], [1, 0]]
+    # blank lines between rows are skipped
+    assert parse_matrix("0 2\n\n1 0\n") == [[0, 2], [1, 0]]
+    # a literal whose items are not all rows
+    for bad in ("[1, 2]", "[[1, 2], 3]"):
+        with pytest.raises(KnotError, match="^matrix: expected a list of rows$"):
+            parse_matrix(bad)
     for bad in ["", "[[0,2]]", "[[0,2],[1]]", "1 2\n3", "[[a]]",
                 "[[0.5,2],[1,0]]", '[["a",1],[0,0]]', "[[None,1],[0,0]]",
                 "[[1e400,1],[0,0]]", "[[True,1],[0,0]]"]:
