@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # module -> the public names it defines; __all__ is these and __version__
 _EXPORTS = {
     "errors": ("KnotError",),
-    "laurent": ("LaurentPoly", "parse_poly"),
+    "laurent": ("LaurentPoly",),
     "seifert": ("SeifertMatrix", "CongruenceCertificate", "int_det", "alexander",
                 "signature", "knot_determinant", "parse_matrix", "enlarge_first",
                 "enlarge_second", "connected_sum"),

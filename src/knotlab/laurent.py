@@ -8,14 +8,11 @@ arithmetic returns new objects and never mutates, which makes them safe
 to share between threads.
 
 The text form orders terms by ascending exponent and writes the variable
-as ``t`` with caret powers, e.g. ``t^-2 - 3 + 2t``.  ``parse_poly`` accepts
-the same grammar (any amount of whitespace, ``^`` powers, an optional
-variable letter chosen by the caller).
+as ``t`` with caret powers, e.g. ``t^-2 - 3 + 2t``.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterator, Mapping
 
 from .errors import KnotError, Value, value_text
@@ -147,47 +144,3 @@ class LaurentPoly(Value):
         except ValueError:
             terms = ", ".join(f"{value_text(e)}: {value_text(c)}" for e, c in self.items())
             return f"LaurentPoly({{{terms}}})"
-
-
-_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:"
-    r"(?P<coeff>\d+)\s*(?:\*?\s*(?P<var1>[A-Za-z])(?:\^(?P<exp1>-?\d+))?)?"
-    r"|(?P<var2>[A-Za-z])(?:\^(?P<exp2>-?\d+))?"
-    r")\s*"
-)
-
-
-def parse_poly(text: str, var: str = "t") -> LaurentPoly:
-    """Parse the text form produced by :meth:`LaurentPoly.format`.
-
-    >>> parse_poly("t^-1 - 2 + t")
-    LaurentPoly('t^-1 - 2 + t')
-    """
-    s = text.strip()
-    if not s:
-        raise KnotError("laurent: empty polynomial text")
-    coeffs: dict[int, int] = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        m = _TERM.match(s, pos)
-        if not m or m.end() == pos:
-            raise KnotError(f"laurent: cannot parse {value_text(s[pos:])}")
-        sign = m.group("sign")
-        if sign is None and not first:
-            raise KnotError(f"laurent: missing +/- before {value_text(s[pos:])}")
-        name = m.group("var1") or m.group("var2")
-        if name is not None and name != var:
-            raise KnotError(f"laurent: unexpected variable {name!r}, want {value_text(var)}")
-        raw = m.group("exp1") or m.group("exp2")
-        try:
-            coeff = int(m.group("coeff") or 1)
-            exp = int(raw) if raw is not None else (1 if name else 0)
-        except ValueError as e:  # past the interpreter's int-conversion digit limit
-            raise KnotError(f"laurent: number too long ({e})") from None
-        if sign == "-":
-            coeff = -coeff
-        coeffs[exp] = coeffs.get(exp, 0) + coeff
-        pos = m.end()
-        first = False
-    return LaurentPoly(coeffs)

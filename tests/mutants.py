@@ -32,6 +32,9 @@ MORSE = "src/knotlab/morse.py"
 DIAGRAM = "src/knotlab/diagram.py"
 SEIFERT = "src/knotlab/seifert.py"
 SEQUIV = "src/knotlab/sequiv.py"
+CLI = "src/knotlab/cli.py"
+FAMILY = "src/knotlab/family.py"
+LAURENT = "src/knotlab/laurent.py"
 
 MUTANTS = [
     # union-find: the parity dropped from union
@@ -96,6 +99,56 @@ MUTANTS = [
     # the signature's orientation flipped
     (SEIFERT, "sig += 1 if (p > 0) == (prev > 0) else -1", "sig += -1 if (p > 0) == (prev > 0) else 1",
      ["tests/test_seifert.py"]),
+    # the waiting run's tie left out: among crossings of one score the
+    # lowest index comes first in both runs
+    (DIAGRAM, "step = 1 << index_bits if fifo else 0", "step = 0", ["tests/test_diagram.py"]),
+    # a tie between the two runs goes to the waiting run
+    (DIAGRAM, "lowest[1:] <= (peak, total)", "lowest[1:] < (peak, total)", ["tests/test_diagram.py"]),
+    # the sweep-work refusal at twice its limit
+    (DIAGRAM, "if work > SWEEP_LIMIT:", "if work > 2 * SWEEP_LIMIT:", ["tests/test_diagram.py"]),
+    # the step memo never emptied, however large it grows
+    (DIAGRAM, "if _memo_ints + ints > SWEEP_LIMIT:", "if False:", ["tests/test_diagram.py"]),
+    # a code that is not planar accepted
+    (DIAGRAM, "if faces != len(crossings) + 2:", "if False:", ["tests/test_diagram.py"]),
+    # Newton's divided differences divide by the wrong node gap
+    (SEIFERT, "order * (2 * i + order + 1)", "order * (2 * i + order)", ["tests/test_seifert.py"]),
+    # Horner's rule on the Newton form at nodes k^2, not k(k + 1)
+    (SEIFERT, "node = k * (k + 1)", "node = k * k", ["tests/test_seifert.py"]),
+    # (1 - t)^(2(g - j)) expanded without its signs
+    (SEIFERT, "(-1) ** i * comb(e, i) * rj", "comb(e, i) * rj", ["tests/test_seifert.py"]),
+    # the pivot repair swaps rows but not columns
+    (SEIFERT, "row[0], row[i] = row[i], row[0]", "pass", ["tests/test_seifert.py"]),
+    # the pivot repair adds a row but not its column
+    (SEIFERT, "row[0] += row[j]", "pass", ["tests/test_seifert.py"]),
+    # an even det S not caught
+    (SEIFERT, "if not prev % 2:", "if False:", ["tests/test_seifert.py"]),
+    # int_det's row swap keeps the sign
+    (SEIFERT, "                    sign = -sign\n", "", ["tests/test_seifert.py"]),
+    # a matrix past the size limit accepted
+    (SEIFERT, "if len(rows) > MAX_SIZE:", "if False:", ["tests/test_seifert.py"]),
+    # the oracle's candidate-row refusal at ten times its limit
+    (SEQUIV, "if rows > ORACLE_ROWS:", "if rows > 10 * ORACLE_ROWS:", ["tests/test_sequiv.py"]),
+    # the oracle's row-check refusal at twice its limit
+    (SEQUIV, "if work > ORACLE_CHECKS:", "if work > 2 * ORACLE_CHECKS:", ["tests/test_sequiv.py"]),
+    # the oracle's size refusal past 6x6, not 4x4
+    (SEQUIV, "if n > 4:", "if n > 6:", ["tests/test_sequiv.py"]),
+    # a double root named twice
+    (SEQUIV, "if s:", "if True:", ["tests/test_sequiv.py"]),
+    # a second row outside the box accepted
+    (SEQUIV, "if (-bound <= r1[0] <= bound and -bound <= r1[1] <= bound\n            and r1[0]",
+     "if (r1[0]", ["tests/test_sequiv.py"]),
+    # a first-row root outside the box accepted
+    (SEQUIV, "if r == 0 and -bound <= lo <= bound", "if r == 0", ["tests/test_sequiv.py"]),
+    # an argument past the byte limit accepted
+    (CLI, "if len(data) > MAX_ARG_BYTES:", "if False:", ["tests/test_cli.py"]),
+    # a LambdaSpec's crossing limit doubled
+    (FAMILY, "if crossings > MAX_CROSSINGS:", "if crossings > 2 * MAX_CROSSINGS:",
+     ["tests/test_family.py"]),
+    # a coefficient of 1 printed
+    (LAURENT, 'head = "" if mag == 1 else str(mag)', "head = str(mag)", ["tests/test_laurent.py"]),
+    # the first power printed with a caret
+    (LAURENT, 'power = var if exp == 1 else f"{var}^{exp}"', 'power = f"{var}^{exp}"',
+     ["tests/test_laurent.py"]),
 ]
 
 

@@ -33,7 +33,7 @@ from knotlab.family import (
     lambda_seifert,
     paper_report,
 )
-from knotlab.laurent import parse_poly
+from knotlab.laurent import LaurentPoly
 from knotlab.seifert import (
     CongruenceCertificate,
     SeifertMatrix,
@@ -47,7 +47,7 @@ from knotlab.sequiv import (
     verify_certificate,
 )
 
-from oracles import at_minus_one, invert, naive_bracket, published_rule
+from oracles import at_minus_one, invert, naive_bracket, parse_poly_text, published_rule
 
 LEFT_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIGURE_EIGHT = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -67,7 +67,7 @@ def _finish(num, ok, detail, elapsed, budget=None):
 def test_criterion_1_base_jones():
     t0 = time.perf_counter()
     v = jones(lambda_diagram(BASE))
-    ok = v == parse_poly(PUBLISHED_JONES[(0, 0, 3)])
+    ok = dict(v.items()) == parse_poly_text(PUBLISHED_JONES[(0, 0, 3)])
     _finish(1, ok, "Jones of the base knot matches the published value",
             time.perf_counter() - t0, budget=5.0)
 
@@ -78,7 +78,7 @@ def test_criterion_2_twisted_jones():
     ok = True
     for triple, (ell, band) in sorted(TWISTS.items()):
         computed = jones(lambda_diagram(LambdaSpec(*triple)))
-        published = parse_poly(PUBLISHED_JONES[triple])
+        published = LaurentPoly(parse_poly_text(PUBLISHED_JONES[triple]))
         recursed = jones_twist(base_v, ell)
         ok = ok and computed == published == recursed
     _finish(2, ok, "all four twisted Jones values match the table and the "

@@ -429,7 +429,7 @@ def test_report_json(capsys):
 
 def test_report_exits_1_on_a_mismatch(monkeypatch, capsys):
     # a wrong published Jones polynomial fails the paper check
-    monkeypatch.setitem(family.PUBLISHED_JONES, (6, 0, 3), "t^6 - t^5 + t^4 - 2t^3 + t^2 - t + 3")
+    monkeypatch.setitem(family.PUBLISHED_JONES, (6, 0, 3), "3 - t + t^2 - 2t^3 + t^4 - t^5 + t^6")
     code, payload = run_json(capsys, "report", "--paper")
     assert code == 1
     assert payload["paper_check"] is False and payload["result"]["ok"] is False
@@ -635,6 +635,7 @@ GOLDEN_ARGV = [
     ["sequiv", "--seifert", "[[0,1],[2,0]]", "--ell", "3", "--oracle-bound", "2"],
     ["sequiv", "--seifert", "[[0,1],[2,0]]", "--ell", "1", "--band", "second",
      "--oracle-bound", "1"],
+    ["report", "--paper"],
 ]
 
 

@@ -76,7 +76,6 @@ def _builder(stage: str) -> MorseBuilder:
 CALLS = {
     "KnotError": (lambda: KnotError, ("message",)),
     "LaurentPoly": (lambda: LaurentPoly, ({0: 1, 1: -1},)),
-    "parse_poly": (lambda: knotlab.parse_poly, ("t^-1 - 2 + 3t^2", "t")),
     "SeifertMatrix": (lambda: SeifertMatrix, (((0, 1), (2, 0)),)),
     "CongruenceCertificate": (lambda: CongruenceCertificate, (((1, -1), (0, 1)),)),
     "int_det": (lambda: knotlab.int_det, (((1, 2), (3, 4)),)),

@@ -31,7 +31,7 @@ from knotlab.diagram import (
 )
 from knotlab.errors import KnotError
 from knotlab.family import LambdaSpec, lambda_diagram
-from knotlab.laurent import LaurentPoly, parse_poly
+from knotlab.laurent import LaurentPoly
 from knotlab.morse import MorseBuilder
 
 from oracles import (
@@ -41,6 +41,7 @@ from oracles import (
     naive_bracket,
     naive_contraction_order,
     naive_step,
+    parse_poly_text,
     tl_bracket,
 )
 
@@ -175,13 +176,13 @@ def test_kink_brackets():
 
 def test_trefoil_jones():
     left = parse_pd(LEFT_TREFOIL)
-    assert jones(left) == parse_poly("-t^-4 + t^-3 + t^-1")
-    assert jones(mirror(left)) == parse_poly("t + t^3 - t^4")
+    assert dict(jones(left).items()) == parse_poly_text("-t^-4 + t^-3 + t^-1")
+    assert dict(jones(mirror(left)).items()) == parse_poly_text("t + t^3 - t^4")
 
 
 def test_figure_eight_jones():
     d = parse_pd(FIGURE_EIGHT)
-    expected = parse_poly("t^-2 - t^-1 + 1 - t + t^2")
+    expected = LaurentPoly(parse_poly_text("t^-2 - t^-1 + 1 - t + t^2"))
     assert jones(d) == expected
     # amphichiral: the mirror has the same Jones polynomial
     assert jones(mirror(d)) == expected
@@ -216,7 +217,7 @@ def test_bracket_fault_is_an_internal_error(monkeypatch):
 def test_each_jones_identity_is_checked(text, fails):
     # each V fails exactly one of the four identities; read off a bracket
     # of writhe 0, whose A^(-4k) is t^k
-    v = parse_poly(text)
+    v = LaurentPoly(parse_poly_text(text))
     with pytest.raises(AssertionError, match=rf"^jones: V\(t\) fails {re.escape(fails)}$"):
         _jones_from_bracket(LaurentPoly({-4 * k: c for k, c in v.items()}), 0)
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotlab.errors import KnotError
-from knotlab.laurent import LaurentPoly, parse_poly
+from knotlab.laurent import LaurentPoly
 
-from oracles import convolve
+from oracles import convolve, parse_poly_text
 
 polys = st.dictionaries(
     st.integers(-8, 8), st.integers(-9, 9), max_size=6
@@ -37,29 +37,13 @@ def test_parse_round_trip_fixed():
         "2 - t^-1 + t^-2 - 2t^-3 + t^-4 - t^-5 + t^-6",
         "1 + t^-6 - t^-7 + t^-8 - 2t^-9 + t^-10 - t^-11 + t^-12",
     ]:
-        p = parse_poly(text)
-        assert parse_poly(str(p)) == p
-
-
-def test_parse_rejects_garbage():
-    for bad in ["", "t +", "x^2", "2tt", "1 1", "^3"]:
-        with pytest.raises(KnotError):
-            parse_poly(bad)
-
-
-def test_parse_rejects_numbers_past_the_digit_limit():
-    for bad in ["9" * 5000 + "t", "t^" + "9" * 5000, "1 - t^-" + "9" * 5000]:
-        with pytest.raises(KnotError, match="number too long"):
-            parse_poly(bad)
-
-
-def test_parse_merges_terms():
-    assert parse_poly("t + t - 2t") == LaurentPoly()
+        p = LaurentPoly(parse_poly_text(text))
+        assert parse_poly_text(str(p)) == dict(p.items())
 
 
 @given(polys)
 def test_parse_format_round_trip(p):
-    assert parse_poly(str(p)) == p
+    assert parse_poly_text(str(p)) == dict(p.items())
 
 
 @given(polys, polys, polys)

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from knotlab import seifert
 from knotlab.errors import KnotError
-from knotlab.laurent import parse_poly
 from knotlab.seifert import (
     CongruenceCertificate,
     SeifertMatrix,
@@ -27,6 +26,7 @@ from oracles import (
     naive_alexander,
     naive_signature,
     normalized,
+    parse_poly_text,
 )
 
 
@@ -252,7 +252,7 @@ def test_alexander_golden():
         ((), "1"),
     ]
     for rows, expected in cases:
-        assert alexander(SeifertMatrix(rows)) == parse_poly(expected)
+        assert dict(alexander(SeifertMatrix(rows)).items()) == parse_poly_text(expected)
 
 
 def test_alexander_symmetric():
@@ -462,7 +462,7 @@ def test_enlarge_first_shape():
         (0, 0, 0, 1),
         (5, -7, 0, 0),
     )
-    assert alexander(e) == parse_poly("2 - 5t + 2t^2")
+    assert dict(alexander(e).items()) == parse_poly_text("2 - 5t + 2t^2")
 
 
 def test_enlarge_second_shape():

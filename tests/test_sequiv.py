@@ -10,6 +10,7 @@ import knotlab
 from knotlab.errors import KnotError
 from knotlab.seifert import CongruenceCertificate, SeifertMatrix, connected_sum
 from knotlab.sequiv import (
+    _integer_roots,
     brute_force_congruence,
     connected_sum_certificate,
     decide_first_sequiv,
@@ -173,7 +174,7 @@ def test_oracle_trivial_and_rejected_sizes():
     assert brute_force_congruence(empty, empty, 0).rows == ()
     stable = SeifertMatrix(((0, 1), (0, 0)))
     six = connected_sum(connected_sum(stable, stable), stable)
-    with pytest.raises(KnotError):
+    with pytest.raises(KnotError, match="larger than 4x4"):
         brute_force_congruence(six, six, 1)
     with pytest.raises(KnotError):
         brute_force_congruence(M0, M0, -1)
@@ -283,6 +284,12 @@ def test_oracle_last_entry_solve(m, target, bound, expected):
     witness = brute_force_congruence(SeifertMatrix(m), SeifertMatrix(target), bound)
     assert (None if witness is None else witness.rows) == expected
     assert scan_congruence(m, target, bound) == expected
+
+
+def test_integer_roots_names_a_double_root_once():
+    # x^2 + 2x + 1 = (x + 1)^2; a repeated root changes no witness, so no
+    # search shows it
+    assert _integer_roots(1, 2, 1, 3) == (-1,)
 
 
 # One 2x2 search per guard of the second-row solve, on Seifert forms.
